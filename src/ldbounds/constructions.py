@@ -37,6 +37,7 @@ from .norms import (
     LINF,
     MU,
     DistanceEstimate,
+    _mc_estimate,
     card1d_l1,
     card1d_linf,
     mc_l1,
@@ -476,18 +477,6 @@ class CoverCode:
     bit_length: int
 
 
-def _predicate_d(op: OpKind, data_d: int) -> int:
-    if op is OpKind.INDEX:
-        if data_d != 1:
-            raise DimensionMismatch("indexing covers need single-attribute data")
-        return 1
-    if op is OpKind.CARD_EST:
-        return data_d
-    if data_d < 2:
-        raise DimensionMismatch("range-sum covers need >= 2 attributes")
-    return data_d - 1
-
-
 def _bit_length_for(op: OpKind, n: int, data_d: int, resolution: int) -> int:
     alphabet = (resolution + 1) ** data_d
     exact = (multiset_count(n, alphabet) - 1).bit_length()
@@ -495,6 +484,20 @@ def _bit_length_for(op: OpKind, n: int, data_d: int, resolution: int) -> int:
     # the float route and the integer route agree on every feasible size;
     # keep the larger defensively so the index always fits
     return max(exact, approx)
+
+
+def _width_holds_count(n: int, alphabet: int, bits: int) -> bool:
+    """False if `bits` surely cannot index every n-multiset; O(1) float work.
+
+    The count is C(N, k), N = n + alphabet - 1 >= 2k, k = min(n, alphabet - 1),
+    and (N/k)^k <= C(N, k) <= (eN/k)^k, so a width that passes this floor
+    also bounds the exact big-integer work that follows.
+    """
+    k = min(n, alphabet - 1)
+    if k < 1:
+        return True
+    floor_bits = k * (math.log2(n + alphabet - 1) - math.log2(k))
+    return floor_bits * (1.0 - 1e-9) <= bits
 
 
 def _quantile_digits(values: np.ndarray, resolution: int, cdf: Callable) -> np.ndarray:
@@ -518,7 +521,9 @@ def cover_encode(
         raise InvalidParams("cannot encode an empty dataset")
     if not 0.0 < eps <= n:
         raise InvalidParams("covers need 0 < eps <= n")
-    _predicate_d(op, data_d)  # validates dimensionality
+    if op is OpKind.INDEX and data_d != 1:
+        raise DimensionMismatch("indexing covers need single-attribute data")
+    query_dims(op, data_d)  # range-sum covers need >= 2 attributes
     if cdf is not None and op is not OpKind.INDEX:
         raise InvalidRequest("quantile covers are defined for indexing only")
     u = ceil_ratio(n, eps)
@@ -547,6 +552,10 @@ def cover_decode(code: CoverCode, cdf: Callable | None = None) -> Dataset:
     """
     base = code.resolution + 1
     alphabet = base**code.d
+    if not _width_holds_count(code.n, alphabet, code.bit_length):
+        raise IndexOutOfRange(
+            f"bit_length {code.bit_length} cannot hold the code space of the header"
+        )
     total = multiset_count(code.n, alphabet)
     if not 0 <= code.index < total:
         raise IndexOutOfRange(f"index {code.index} outside [0, {total})")
@@ -613,6 +622,8 @@ def read_cover(path: str) -> CoverCode:
         raise FormatError("payload length mismatch")
     if n < 1 or d < 1 or u < 1:
         raise FormatError("header fields out of range")
+    if not _width_holds_count(n, (u + 1) ** d, 8 * plen):
+        raise FormatError("payload too short for the header's code space")
     bits = _bit_length_for(op, n, d, u)
     if plen != (bits + 7) // 8:
         raise FormatError("payload width inconsistent with header")
@@ -650,14 +661,14 @@ def _decoded_error(
     if family.norm == MU:
         if family.cdf is None or family.op is not OpKind.INDEX:
             raise InvalidRequest("mu-norm witness needs an indexing family with a cdf")
-        gen = make_generator(cfg.seed)
-        qs = quantile_points(family.cdf, gen.random(cfg.samples), tol=1e-10)
-        truth = eval_batch(member, family.op, qs)
-        pred = np.asarray(predict(qs), dtype=np.float64)
-        gaps = np.abs(truth - pred)
-        mean = float(gaps.mean())
-        se = float(gaps.std(ddof=1) / math.sqrt(gaps.size)) if gaps.size > 1 else 0.0
-        return DistanceEstimate(value=mean, exact=False, std_error=se, samples=gaps.size)
+        def draw(count, gen):
+            return quantile_points(family.cdf, gen.random(count), tol=1e-10)
+
+        def gaps(qs):
+            pred = np.asarray(predict(qs), dtype=np.float64)
+            return np.abs(eval_batch(member, family.op, qs) - pred)
+
+        return _mc_estimate(gaps, draw, cfg.samples, make_generator(cfg.seed))
     raise InvalidRequest(f"unsupported norm {family.norm!r}")
 
 

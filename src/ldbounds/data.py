@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +44,25 @@ class Dataset:
 
     def column(self, j: int) -> np.ndarray:
         return self.values[:, j]
+
+    # query structures, built on first use (the values are read-only)
+
+    @cached_property
+    def sorted_column(self) -> np.ndarray:
+        col = self.values[:, 0]
+        return col if self.sorted_flag else np.sort(col)
+
+    @cached_property
+    def count_index(self):
+        from .queryfn import BoxSum  # queryfn imports this module
+
+        return BoxSum(self.values, np.ones(self.n))
+
+    @cached_property
+    def sum_index(self):
+        from .queryfn import BoxSum
+
+        return BoxSum(self.values[:, :-1], self.values[:, -1])
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from .models import (
     train,
 )
 from .norms import EvalConfig, model_error
-from .queryfn import OpKind
+from .queryfn import OpKind, query_dims
 from .rng import mix64, stable_text_hash
 
 log = logging.getLogger(__name__)
@@ -127,11 +127,8 @@ def _prep_dataset(op: OpKind, dataset: Dataset) -> Dataset:
 def _bounds_call(
     op: OpKind, norm: str, sigma: int, n: int, data_d: int, domain_u: int
 ) -> float:
-    if norm == "linf":
-        d = 1 if op is OpKind.INDEX else (data_d if op is OpKind.CARD_EST else data_d - 1)
-        return bnd.eps_star(sigma, op, bnd.NORM_INF, n, d, u=domain_u).eps
-    d = 1 if op is OpKind.INDEX else (data_d if op is OpKind.CARD_EST else data_d - 1)
-    return bnd.eps_star(sigma, op, bnd.NORM_L1, n, d).eps
+    norm_id = bnd.NORM_INF if norm == "linf" else bnd.NORM_L1  # u only matters for inf
+    return bnd.eps_star(sigma, op, norm_id, n, query_dims(op, data_d), u=domain_u).eps
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentRun:

@@ -21,11 +21,8 @@ from .data import Dataset
 from .errors import DivergenceDetected, InvalidParams, InvalidRequest
 from .queryfn import (
     OpKind,
-    cardinality_batch,
     eval_batch,
     query_dims,
-    rank_batch,
-    range_sum_batch,
     sample_range_queries,
     sample_rank_queries,
 )
@@ -181,14 +178,7 @@ def predict(model: TrainedModel, op: OpKind, batch) -> np.ndarray:
         if model.records is None:
             raise InvalidRequest("sample model is untrained")
         scale = model.n_train / model.spec.m
-        rec = model.records
-        if op is OpKind.INDEX:
-            qs = np.asarray(batch, dtype=np.float64)
-            return scale * rank_batch(np.sort(rec[:, 0]), qs)
-        C, R = batch
-        if op is OpKind.CARD_EST:
-            return scale * cardinality_batch(rec, C, R)
-        return scale * range_sum_batch(rec, C, R)
+        return scale * eval_batch(Dataset(values=model.records), op, batch)
     return model.n_train * predict_raw(model, op, batch)
 
 

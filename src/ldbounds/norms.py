@@ -29,10 +29,10 @@ from .errors import (
     SizeMismatch,
 )
 from .queryfn import (
+    _CHUNK_CELLS,
     OpKind,
     eval_batch,
     query_dims,
-    rank_batch,
     sample_range_queries,
     sample_rank_queries,
 )
@@ -206,12 +206,16 @@ def card1d_l1(a: Dataset, b: Dataset) -> float:
     b_mid = 0.5 * (b_lo + b_hi)
     vb = _step_at(bps, v, b_mid)
 
-    band = np.minimum(b_hi[None, :], a_mid[:, None]) - np.maximum(
-        b_lo[None, :], a_mid[:, None] - 1.0
-    )
-    np.clip(band, 0.0, None, out=band)
-    gap = np.abs(va[:, None] - vb[None, :])
-    return float((a_len * (band * gap).sum(axis=1)).sum())
+    # row sums of (band length x |gap|), a block of a-cells at a time
+    rows = np.empty(a_mid.size)
+    step = max(1, _CHUNK_CELLS // max(1, b_mid.size))
+    for s in range(0, a_mid.size, step):
+        mid = a_mid[s : s + step, None]
+        band = np.minimum(b_hi, mid) - np.maximum(b_lo, mid - 1.0)
+        np.clip(band, 0.0, None, out=band)
+        band *= np.abs(va[s : s + step, None] - vb)
+        rows[s : s + step] = band.sum(axis=1)
+    return float((a_len * rows).sum())
 
 
 def card1d_linf(a: Dataset, b: Dataset) -> float:
@@ -234,56 +238,49 @@ def card1d_linf(a: Dataset, b: Dataset) -> float:
 # -- Monte Carlo routes ------------------------------------------------------
 
 
-def _mc_mean(diffs_iter) -> tuple[float, float, int]:
+def _mc_estimate(gaps: Callable, draw: Callable, samples: int, gen) -> DistanceEstimate:
+    """Mean and standard error of gaps(draw(m, gen)) over `samples` queries.
+
+    Fixed-size chunks keep memory bounded and the result independent of
+    execution order.
+    """
     sums: list[float] = []
     sumsqs: list[float] = []
     count = 0
-    for chunk in diffs_iter:
+    while count < samples:
+        chunk = gaps(draw(min(_MC_CHUNK, samples - count), gen))
         sums.append(float(np.add.reduce(chunk)))
         sumsqs.append(float(np.add.reduce(chunk * chunk)))
         count += chunk.size
-    total = math.fsum(sums)
-    total_sq = math.fsum(sumsqs)
-    mean = total / count
-    var = max(0.0, (total_sq - count * mean * mean) / max(1, count - 1))
-    return mean, math.sqrt(var / count), count
+    mean = math.fsum(sums) / count
+    var = max(0.0, (math.fsum(sumsqs) - count * mean * mean) / max(1, count - 1))
+    return DistanceEstimate(
+        value=mean, exact=False, std_error=math.sqrt(var / count), samples=count
+    )
 
 
-def _sample_batch(op: OpKind, dq: int, count: int, gen: np.random.Generator):
+def _uniform_draw(op: OpKind, dq: int) -> Callable:
     if op is OpKind.INDEX:
-        return sample_rank_queries(count, gen)
-    return sample_range_queries(count, dq, gen)
+        return sample_rank_queries
+    return lambda count, gen: sample_range_queries(count, dq, gen)
 
 
-def _abs_diff_chunks(a: Dataset, b: Dataset, op: OpKind, samples: int, gen, sampler=None):
-    dq = query_dims(op, max(a.d, b.d))
+def _pair_gaps(a: Dataset, b: Dataset, op: OpKind) -> Callable:
     if op is not OpKind.INDEX and a.d != b.d:
         raise DimensionMismatch("datasets must share dimensionality")
-    done = 0
-    while done < samples:
-        m = min(_MC_CHUNK, samples - done)
-        if sampler is None:
-            batch = _sample_batch(op, dq, m, gen)
-        else:
-            batch = sampler(m, gen)
-        fa = eval_batch(a, op, batch)
-        fb = eval_batch(b, op, batch)
-        yield np.abs(fa - fb)
-        done += m
+    return lambda batch: np.abs(eval_batch(a, op, batch) - eval_batch(b, op, batch))
 
 
 def mc_l1(a: Dataset, b: Dataset, op: OpKind, samples: int, seed: int) -> DistanceEstimate:
     """Monte Carlo average-case distance under uniform queries.
 
     The query space has volume 1, so the sample mean estimates the
-    integral directly.  Chunked accumulation with a fixed chunk size keeps
-    the result independent of execution order.
+    integral directly.
     """
     if samples < 2:
         raise InvalidParams("need at least 2 samples")
-    gen = make_generator(seed)
-    mean, se, m = _mc_mean(_abs_diff_chunks(a, b, op, samples, gen))
-    return DistanceEstimate(value=mean, exact=False, std_error=se, samples=m)
+    draw = _uniform_draw(op, query_dims(op, max(a.d, b.d)))
+    return _mc_estimate(_pair_gaps(a, b, op), draw, samples, make_generator(seed))
 
 
 def mc_mu(
@@ -302,11 +299,8 @@ def mc_mu(
     """
     if samples < 2:
         raise InvalidParams("need at least 2 samples")
-    gen = make_generator(seed)
-    mean, se, m = _mc_mean(
-        _abs_diff_chunks(a, b, op, samples, gen, sampler=query_sampler)
-    )
-    return DistanceEstimate(value=mean, exact=False, std_error=se, samples=m)
+    gaps = _pair_gaps(a, b, op)
+    return _mc_estimate(gaps, query_sampler, samples, make_generator(seed))
 
 
 # -- model-vs-truth error ----------------------------------------------------
@@ -329,23 +323,18 @@ def model_error(
     worst case falls back to sampled probes.  None of these are exact.
     """
     gen = make_generator(cfg.seed)
-    dq = query_dims(op, dataset.d)
+    draw = _uniform_draw(op, query_dims(op, dataset.d))
+
+    def gaps(batch):
+        pred = np.asarray(predict(batch), dtype=np.float64)
+        return np.abs(eval_batch(dataset, op, batch) - pred)
+
     if norm == L1:
-        done = 0
-        chunks = []
-        while done < cfg.samples:
-            m = min(_MC_CHUNK, cfg.samples - done)
-            batch = _sample_batch(op, dq, m, gen)
-            truth = eval_batch(dataset, op, batch)
-            pred = np.asarray(predict(batch), dtype=np.float64)
-            chunks.append(np.abs(truth - pred))
-            done += m
-        mean, se, m = _mc_mean(iter(chunks))
-        return DistanceEstimate(value=mean, exact=False, std_error=se, samples=m)
+        return _mc_estimate(gaps, draw, cfg.samples, gen)
     if norm != LINF:
         raise InvalidRequest(f"model_error supports norms {L1!r} and {LINF!r}, got {norm!r}")
     if op is OpKind.INDEX:
-        col = np.sort(dataset.values[:, 0])
+        col = dataset.sorted_column
         probes = [np.array([0.0, 1.0]), col, np.clip(col - 1e-12, 0.0, 1.0)]
         edges = np.unique(np.concatenate([[0.0], col, [1.0]]))
         if cfg.grid > 0 and edges.size >= 2:
@@ -353,12 +342,7 @@ def model_error(
             lo, hi = edges[:-1], edges[1:]
             probes.append((lo[:, None] + t[None, :] * (hi - lo)[:, None]).ravel())
         qs = np.unique(np.concatenate(probes))
-        truth = rank_batch(col, qs)
-        pred = np.asarray(predict(qs), dtype=np.float64)
-        worst = float(np.abs(truth - pred).max())
+        worst = float(gaps(qs).max())
         return DistanceEstimate(value=worst, exact=False, std_error=0.0, samples=qs.size)
-    batch = _sample_batch(op, dq, cfg.samples, gen)
-    truth = eval_batch(dataset, op, batch)
-    pred = np.asarray(predict(batch), dtype=np.float64)
-    worst = float(np.abs(truth - pred).max())
+    worst = float(gaps(draw(cfg.samples, gen)).max())
     return DistanceEstimate(value=worst, exact=False, std_error=0.0, samples=cfg.samples)

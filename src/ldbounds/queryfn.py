@@ -5,6 +5,13 @@ Queries use closed intervals on every axis.  A range query is a pair
 with c_j <= p_j <= c_j + r_j on every predicate axis; negative left edges
 are legal and are never clamped.  When a point has more attributes than
 the predicate, the extra trailing attributes are ignored.
+
+Batched range queries share one weighted box-sum kernel (`BoxSum`;
+cardinality weighs records by 1, range-sum by the last attribute).  With
+one predicate axis (ce at d = 1, rs at d = 2) m queries over n records
+cost O((n + m) log n): two binary searches into prefix sums.  With dq >= 2
+axes they cost O(m * u * dq), where u is the number of distinct predicate
+rows.
 """
 
 from __future__ import annotations
@@ -16,7 +23,6 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DimensionMismatch, EntryOutOfRange, InvalidParams, NotSorted
-from .rng import make_generator
 
 
 class OpKind(enum.Enum):
@@ -123,9 +129,56 @@ def range_sum(dataset: Dataset, query: RangeQuery) -> float:
 #
 # Batches are the workhorse representation for Monte Carlo and training:
 # rank queries as a (m,) array, range queries as a (C, R) pair of (m, dq)
-# arrays.  Broadcast products are chunked so memory stays bounded.
+# arrays.
 
 _CHUNK_CELLS = 4_000_000
+
+
+class BoxSum:
+    """Weighted records prepared once for closed-box sums.
+
+    One predicate axis: sorted keys and prefix sums of the weights.  Two
+    or more: distinct rows with summed weights, stored column by column.
+    """
+
+    def __init__(self, points: np.ndarray, weights: np.ndarray) -> None:
+        self.dq = points.shape[1]
+        if self.dq == 1:
+            order = np.argsort(points[:, 0], kind="stable")
+            self.keys = points[order, 0]
+            self.prefix = np.concatenate([[0.0], np.cumsum(weights[order])])
+        else:
+            rows, inverse = np.unique(points, axis=0, return_inverse=True)
+            self.columns = np.ascontiguousarray(rows.T)
+            self.weights = np.bincount(
+                inverse.ravel(), weights=weights, minlength=rows.shape[0]
+            )
+
+    def __call__(self, C: np.ndarray, R: np.ndarray) -> np.ndarray:
+        hi = C + R
+        if self.dq == 1:
+            i = np.searchsorted(self.keys, C[:, 0], side="left")
+            j = np.searchsorted(self.keys, hi[:, 0], side="right")
+            return self.prefix[j] - self.prefix[i]
+        # one (chunk, u) mask per block of queries, AND-ed axis by axis
+        out = np.empty(C.shape[0], dtype=np.float64)
+        step = max(1, _CHUNK_CELLS // max(1, self.weights.shape[0]))
+        for s in range(0, C.shape[0], step):
+            lo, top = C[s : s + step], hi[s : s + step]
+            mask = self.columns[0] >= lo[:, 0, None]
+            mask &= self.columns[0] <= top[:, 0, None]
+            for j in range(1, self.dq):
+                mask &= self.columns[j] >= lo[:, j, None]
+                mask &= self.columns[j] <= top[:, j, None]
+            out[s : s + step] = mask @ self.weights
+        return out
+
+
+def box_sum(
+    points: np.ndarray, weights: np.ndarray, C: np.ndarray, R: np.ndarray
+) -> np.ndarray:
+    """Sum of `weights` over the points inside each closed box [C, C + R]."""
+    return BoxSum(points, weights)(C, R)
 
 
 def rank_batch(sorted_values: np.ndarray, qs: np.ndarray) -> np.ndarray:
@@ -133,60 +186,23 @@ def rank_batch(sorted_values: np.ndarray, qs: np.ndarray) -> np.ndarray:
 
 
 def cardinality_batch(values: np.ndarray, C: np.ndarray, R: np.ndarray) -> np.ndarray:
-    n = values.shape[0]
-    m = C.shape[0]
-    out = np.empty(m, dtype=np.float64)
-    if n == 0:
-        out.fill(0.0)
-        return out
-    step = max(1, _CHUNK_CELLS // max(1, n))
-    hi_edges = C + R
-    for s in range(0, m, step):
-        e = min(m, s + step)
-        block = values[None, :, :]  # (1, n, d)
-        lo = C[s:e, None, :]
-        hi = hi_edges[s:e, None, :]
-        inside = np.all((block >= lo) & (block <= hi), axis=2)
-        out[s:e] = inside.sum(axis=1)
-    return out
+    return box_sum(values, np.ones(values.shape[0]), C, R)
 
 
 def range_sum_batch(values: np.ndarray, C: np.ndarray, R: np.ndarray) -> np.ndarray:
-    n = values.shape[0]
-    m = C.shape[0]
-    out = np.empty(m, dtype=np.float64)
-    if n == 0:
-        out.fill(0.0)
-        return out
-    head = values[:, :-1]
-    last = values[:, -1]
-    step = max(1, _CHUNK_CELLS // max(1, n))
-    hi_edges = C + R
-    for s in range(0, m, step):
-        e = min(m, s + step)
-        block = head[None, :, :]
-        lo = C[s:e, None, :]
-        hi = hi_edges[s:e, None, :]
-        inside = np.all((block >= lo) & (block <= hi), axis=2)
-        out[s:e] = inside @ last
-    return out
+    return box_sum(values[:, :-1], values[:, -1], C, R)
 
 
 def eval_batch(dataset: Dataset, op: OpKind, batch) -> np.ndarray:
-    """True answers for a query batch against `dataset`."""
+    """True answers for a query batch, from structures cached on `dataset`."""
     if op is OpKind.INDEX:
-        col = dataset.values[:, 0]
-        if not dataset.sorted_flag:
-            col = np.sort(col)
-        return rank_batch(col, np.asarray(batch, dtype=np.float64))
+        return rank_batch(dataset.sorted_column, np.asarray(batch, dtype=np.float64))
     C, R = batch
+    if C.shape[1] != query_dims(op, dataset.d):
+        raise DimensionMismatch("predicate width does not match the data")
     if op is OpKind.CARD_EST:
-        if C.shape[1] != dataset.d:
-            raise DimensionMismatch("predicate width != data width")
-        return cardinality_batch(dataset.values, C, R)
-    if C.shape[1] != dataset.d - 1:
-        raise DimensionMismatch("predicate width != data width - 1")
-    return range_sum_batch(dataset.values, C, R)
+        return dataset.count_index(C, R)
+    return dataset.sum_index(C, R)
 
 
 # -- samplers ----------------------------------------------------------------
@@ -207,16 +223,6 @@ def sample_range_queries(
     R = gen.random((count, dq))
     C = gen.random((count, dq)) - R
     return C, R
-
-
-def sample_query(kind: OpKind, d: int, seed: int) -> Query:
-    """One query for `kind` over d-attribute data."""
-    gen = make_generator(seed)
-    if kind is OpKind.INDEX:
-        return RankQuery(q=float(gen.random()))
-    dq = query_dims(kind, d)
-    C, R = sample_range_queries(1, dq, gen)
-    return RangeQuery(c=C[0], r=R[0])
 
 
 def sample_easy_queries(
@@ -242,12 +248,6 @@ def sample_easy_queries(
     R = v.reshape(-1, 1)
     np.clip(C, 0.0, 1.0 - R, out=C)
     return C, R
-
-
-def sample_easy_query(n: int, k: int, seed: int) -> RangeQuery:
-    gen = make_generator(seed)
-    C, R = sample_easy_queries(n, k, 1, gen)
-    return RangeQuery(c=C[0], r=R[0])
 
 
 def easy_query_density(n: int, k: int, c: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -37,11 +37,6 @@ def make_generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed & _MASK64))
 
 
-def spawn(seed: int, index: int) -> np.random.Generator:
-    """Generator for substream `index` of `seed`."""
-    return make_generator(mix64(seed, index))
-
-
 def rand_below(gen: np.random.Generator, bound: int) -> int:
     """Uniform integer in [0, bound) for arbitrarily large `bound`.
 

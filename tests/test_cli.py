@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ldbounds
 import ldbounds.bounds as bnd
 from ldbounds.cli import main
 from ldbounds.data import GridSpec, load_csv, make_dataset, quantize, save_csv
@@ -248,3 +252,26 @@ def test_experiment_all_cells_fail(tmp_path, capsys):
     code = main(["experiment", "--config", cfg, "--out", str(tmp_path / "o.csv")])
     capsys.readouterr()
     assert code == 2
+
+
+def test_decode_rejects_crafted_header_quickly(tmp_path):
+    # 29-byte container claiming n = u = 2,000,000 with a 1-byte payload
+    path = tmp_path / "crafted.ldbc"
+    path.write_bytes(
+        b"LDBC" + bytes([1, 0])
+        + (2_000_000).to_bytes(8, "little")
+        + (1).to_bytes(2, "little")
+        + (2_000_000).to_bytes(8, "little")
+        + (1).to_bytes(4, "little")
+        + b"\x00"
+    )
+    src = os.path.dirname(os.path.dirname(ldbounds.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-m", "ldbounds.cli", "decode",
+         "--input", str(path), "--out", str(tmp_path / "out.csv")],
+        env=env, capture_output=True, timeout=2,
+    )
+    assert done.returncode == 1
+    assert b"payload" in done.stderr

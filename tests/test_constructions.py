@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from ldbounds.constructions import (
     write_cover,
 )
 from ldbounds.data import GridSpec, make_dataset, quantize, sort_dataset_1d
-from ldbounds.errors import FamilyTooLarge, FormatError, InvalidParams
+from ldbounds.errors import FamilyTooLarge, FormatError, IndexOutOfRange, InvalidParams
 from ldbounds.norms import (
     EvalConfig,
     card1d_l1,
@@ -396,6 +397,27 @@ def test_container_rejects_out_of_space_index(tmp_path):
     open(path, "wb").write(bytes(blob))
     with pytest.raises(FormatError):
         read_cover(path)
+
+
+def test_container_rejects_header_too_big_for_its_payload(tmp_path):
+    # n = u = 2,000,000 needs about 4e6 bits; the payload holds 8
+    path = str(tmp_path / "huge.ldbc")
+    write_cover(CoverCode(OpKind.INDEX, 2_000_000, 1, 2_000_000, 0, 8), path)
+    assert os.path.getsize(path) == 29
+    with pytest.raises(FormatError):
+        read_cover(path)
+    with pytest.raises(IndexOutOfRange):
+        cover_decode(CoverCode(OpKind.INDEX, 2_000_000, 1, 2_000_000, 0, 8))
+
+
+def test_width_check_accepts_every_exact_width():
+    for n in range(1, 13):
+        for u in range(1, 7):
+            for op, d in ((OpKind.INDEX, 1), (OpKind.CARD_EST, 2)):
+                total = multiset_count(n, (u + 1) ** d)
+                bits = (total - 1).bit_length()
+                code = CoverCode(op, n, d, u, total - 1, bits)
+                assert cover_decode(code).n == n
 
 
 # -- pigeonhole --------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_dataset, random_sorted
+from ldbounds import queryfn
 from ldbounds.errors import DivergenceDetected, InvalidParams, InvalidRequest
 from ldbounds.models import (
     ModelSpec,
@@ -213,3 +214,20 @@ def test_predict_raw_rejected_for_sample():
         from ldbounds.models import predict_raw
 
         predict_raw(model, OpKind.INDEX, np.array([0.5]))
+
+
+def test_train_prepares_each_dataset_once(monkeypatch):
+    builds = []
+
+    class CountingBoxSum(queryfn.BoxSum):
+        def __init__(self, points, weights):
+            builds.append(points.shape)
+            super().__init__(points, weights)
+
+    monkeypatch.setattr(queryfn, "BoxSum", CountingBoxSum)
+    ds = random_dataset(50, 2, seed=21)
+    spec = ModelSpec(kind="linear", input_dim=input_dim_for(OpKind.CARD_EST, 2))
+    model = init_model(spec, seed=0)
+    for seed in (0, 1):
+        train(model, ds, OpKind.CARD_EST, TrainConfig(steps=25, batch=16, seed=seed))
+    assert builds == [(50, 2)]

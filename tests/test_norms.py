@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_dataset, random_sorted
+from ldbounds import norms
 from ldbounds.data import empty_dataset, make_dataset, sort_dataset_1d
 from ldbounds.errors import CdfNotMonotone, InvalidRequest, NotSorted, SizeMismatch
 from ldbounds.norms import (
@@ -101,6 +102,14 @@ def test_card1d_l1_matches_mc():
         exact = card1d_l1(a, b)
         est = mc_l1(a, b, OpKind.CARD_EST, 40_000, seed=trial)
         assert abs(exact - est.value) <= 3.0 * est.std_error + 1e-12, trial
+
+
+def test_card1d_l1_chunking_is_bit_identical(monkeypatch):
+    a = random_dataset(300, 1, seed=31)
+    b = random_dataset(260, 1, seed=32)
+    want = card1d_l1(a, b)
+    monkeypatch.setattr(norms, "_CHUNK_CELLS", 7)  # one a-cell per block
+    assert card1d_l1(a, b) == want
 
 
 def test_card1d_linf_hand_values():

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_dataset, random_sorted
 from ldbounds.data import empty_dataset, make_dataset
@@ -14,6 +16,7 @@ from ldbounds.queryfn import (
     OpKind,
     RangeQuery,
     RankQuery,
+    box_sum,
     cardinality,
     cardinality_batch,
     easy_query_density,
@@ -168,3 +171,71 @@ def test_easy_query_density_integrates_to_one():
     m = n * k
     # m triangles, each with area (1/m)^2 / 2, density 2m
     assert m * (2.0 * m) * 0.5 / m**2 == pytest.approx(1.0)
+
+
+# -- the box-sum kernel against the scalar definitions ------------------------
+
+
+@st.composite
+def box_cases(draw):
+    """Duplicate-heavy data and queries whose edges sit on data values.
+
+    At most 5 values per axis; widths include 0 and left edges may be
+    negative.  n = 0 gives the empty dataset.
+    """
+    op = draw(st.sampled_from([OpKind.CARD_EST, OpKind.RANGE_SUM]))
+    dq = draw(st.integers(1, 3))
+    d = dq if op is OpKind.CARD_EST else dq + 1
+    unit = st.floats(0.0, 1.0, allow_subnormal=False)
+    levels = [draw(st.lists(unit, min_size=1, max_size=5, unique=True)) for _ in range(d)]
+    n = draw(st.integers(0, 40))
+    rows = [[draw(st.sampled_from(levels[j])) for j in range(d)] for _ in range(n)]
+    m = draw(st.integers(1, 12))
+    C = np.empty((m, dq))
+    R = np.empty((m, dq))
+    for i in range(m):
+        for j in range(dq):
+            r = draw(st.sampled_from([0.0, *levels[j]]) | unit)
+            edge = draw(st.sampled_from(levels[j]))
+            c = draw(st.sampled_from([edge, edge - r, -r]))
+            C[i, j], R[i, j] = (c, r) if c <= 1.0 - r else (edge - r, r)
+    ds = make_dataset(rows) if n else empty_dataset(d)
+    return op, ds, C, R
+
+
+@settings(max_examples=300, deadline=None)
+@given(box_cases())
+def test_box_kernel_matches_scalar(case):
+    op, ds, C, R = case
+    queries = [RangeQuery(c=C[i], r=R[i]) for i in range(C.shape[0])]
+    got = eval_batch(ds, op, (C, R))
+    if op is OpKind.CARD_EST:
+        want = [cardinality(ds, q) for q in queries]
+        assert np.array_equal(got, want)
+        assert np.array_equal(cardinality_batch(ds.values, C, R), want)
+        return
+    want = np.array([range_sum(ds, q) for q in queries])
+    # prefix-sum differences vs. masked sums: rounding only
+    tol = ds.n * 2.0**-50 * np.abs(ds.values[:, -1]).sum()
+    assert np.all(np.abs(got - want) <= tol)
+    assert np.all(np.abs(range_sum_batch(ds.values, C, R) - want) <= tol)
+
+
+def test_box_sum_weights_collapsed_duplicates():
+    points = np.array([[0.5, 0.5], [0.5, 0.5], [0.2, 0.9], [0.5, 0.5]])
+    weights = np.array([1.0, 2.0, 4.0, 8.0])
+    C = np.array([[0.5, 0.5], [0.0, 0.0], [0.6, 0.0]])
+    R = np.array([[0.0, 0.0], [1.0, 1.0], [0.4, 1.0]])
+    want = [11.0, 15.0, 0.0]
+    assert np.array_equal(box_sum(points, weights, C, R), want)
+    assert np.array_equal(box_sum(points[:, :1], weights, C[:, :1], R[:, :1]), want)
+
+
+def test_index_batches_reuse_sorted_column():
+    ds = random_dataset(30, 1, seed=8)
+    assert not ds.sorted_flag
+    col = ds.sorted_column
+    assert np.array_equal(col, np.sort(ds.values[:, 0]))
+    assert ds.sorted_column is col
+    qs = np.array([0.1, 0.5, 0.9])
+    assert np.array_equal(eval_batch(ds, OpKind.INDEX, qs), rank_batch(col, qs))
