@@ -191,8 +191,7 @@ def _validity_reason(req: BoundRequest) -> str | None:
 
 
 def _formula_id(req: BoundRequest) -> str:
-    op_tag = {OpKind.INDEX: "index", OpKind.CARD_EST: "ce", OpKind.RANGE_SUM: "rs"}[req.op]
-    return f"{op_tag}_{req.norm}_{req.side}"
+    return f"{req.op.value}_{req.norm}_{req.side}"
 
 
 def _lower_raw(req: BoundRequest) -> float:
@@ -283,8 +282,7 @@ def eps_star(
     if not math.isfinite(sigma_bits) or sigma_bits <= 0.0:
         raise InvalidRequest("sigma_bits must be positive and finite")
     if norm == NORM_MU and op is not OpKind.INDEX:
-        op_tag = {OpKind.CARD_EST: "ce", OpKind.RANGE_SUM: "rs"}[op]
-        return EpsStarResult(0.0, NO_BOUND, f"{op_tag}_mu_lower_no_bound")
+        return EpsStarResult(0.0, NO_BOUND, f"{op.value}_mu_lower_no_bound")
     lo, hi = _search_interval(op, norm, n, d)
     if norm == NORM_INF and hi <= lo:
         raise InvalidRequest("worst-case inversion needs n >= 3")

@@ -9,6 +9,7 @@ samplers).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -150,9 +151,7 @@ def _cmd_train(args) -> dict:
         dataset = sort_dataset_1d(dataset)
     tmpl = PRESET_MODELS[args.model]
     if args.m is not None:
-        tmpl = type(tmpl)(
-            model_id=tmpl.model_id, kind=tmpl.kind, hidden=tmpl.hidden, m=args.m
-        )
+        tmpl = dataclasses.replace(tmpl, m=args.m)
     spec = tmpl.resolve(op, dataset.d)
     cfg = TrainConfig(
         steps=args.steps,

@@ -102,25 +102,12 @@ def multiset_unrank(rank: int, m: int, alphabet: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _sample_distinct_multisets(
-    m: int, alphabet: int, count: int, gen
-) -> list[tuple[int, ...]]:
-    if count < 2:
-        raise InvalidParams("a packing family needs at least 2 members")
-    total = multiset_count(m, alphabet)
-    if count > total:
-        raise FamilyTooLarge(
-            f"requested {count} members but only {total} distinct multisets exist"
-        )
-    seen: set[int] = set()
-    out: list[tuple[int, ...]] = []
-    while len(out) < count:
-        r = rand_below(gen, total)
-        if r in seen:
-            continue
-        seen.add(r)
-        out.append(multiset_unrank(r, m, alphabet))
-    return out
+def _distinct_below(total: int, count: int, gen) -> list[int]:
+    """`count` distinct uniform draws from range(total), in first-draw order."""
+    drawn: dict[int, None] = {}
+    while len(drawn) < count:
+        drawn[rand_below(gen, total)] = None
+    return list(drawn)
 
 
 # -- packing families --------------------------------------------------------
@@ -136,28 +123,51 @@ class PackingFamily:
     cdf: Callable | None = None
 
 
-def _mixed_radix_points(values, d: int, base: int) -> np.ndarray:
+def _mixed_radix_digits(values, d: int, base: int) -> np.ndarray:
     """Decode alphabet symbols into d base-`base` digits (axis 0 least significant).
 
     Pure-int arithmetic: cell ids may exceed 64 bits even though every
     digit is small.
     """
-    coords = np.empty((len(values), d), dtype=np.float64)
+    digits = np.empty((len(values), d), dtype=np.int64)
     for i, v in enumerate(values):
         rem = int(v)
         for j in range(d):
-            coords[i, j] = rem % base
+            digits[i, j] = rem % base
             rem //= base
-    return coords
+    return digits
 
 
-def _expand_multiset(points: np.ndarray, copies: int, pad: int, d: int) -> np.ndarray:
-    rows = np.repeat(points, copies, axis=0)
-    if pad:
-        rows = np.vstack([rows, np.ones((pad, d))])
-    # canonical record order: lexicographic from the last axis outward
-    order = np.lexsort(rows.T[::-1])
-    return rows[order]
+def _packing_members(
+    n: int, copies: int, grid: np.ndarray, d: int, count: int, seed: int
+) -> tuple[list[np.ndarray], int, int]:
+    """The one packing construction: (member row matrices, m, pad).
+
+    Each member is `copies` copies of a distinct multiset of m = n // copies
+    symbols over the alphabet of len(grid)**d grid points (a symbol's
+    mixed-radix digits index `grid` per axis), padded with n - copies * m
+    all-ones rows and sorted in the canonical record order: lexicographic
+    from axis 0 outward.
+    """
+    m = n // copies
+    if m < 1:
+        raise InvalidParams(f"n too small: need n >= {copies} copies of one point")
+    if count < 2:
+        raise InvalidParams("a packing family needs at least 2 members")
+    alphabet = grid.size**d
+    total = multiset_count(m, alphabet)
+    if count > total:
+        raise FamilyTooLarge(
+            f"requested {count} members but only {total} distinct multisets exist"
+        )
+    pad = n - copies * m
+    members = []
+    for r in _distinct_below(total, count, make_generator(seed)):
+        ms = multiset_unrank(r, m, alphabet)
+        points = grid[_mixed_radix_digits(ms, d, grid.size)]
+        rows = np.vstack([np.repeat(points, copies, axis=0), np.ones((pad, d))])
+        members.append(rows[np.lexsort(rows.T[::-1])])
+    return members, m, pad
 
 
 def packing_linf(
@@ -181,49 +191,17 @@ def packing_linf(
     if d < 1:
         raise InvalidParams("d must be >= 1")
     eb = int(math.floor(eps)) + 1
-    m = n // eb
-    if m < 1:
-        raise InvalidParams("eps too large: no room for even one repeated point")
-    pad = n - eb * m
-    alphabet = (u + 1) ** d
-    gen = make_generator(seed)
-    multisets = _sample_distinct_multisets(m, alphabet, count, gen)
-    datasets = []
-    for ms in multisets:
-        pts = _mixed_radix_points(ms, d, u + 1) / float(u)
-        rows = _expand_multiset(pts, eb, pad, d)
-        if op is OpKind.RANGE_SUM:
-            rows = np.hstack([rows, np.ones((n, 1))])
-        ds = make_dataset(rows)
-        datasets.append(ds)
+    grid = np.arange(u + 1) / float(u)
+    members, m, pad = _packing_members(n, eb, grid, d, count, seed)
+    if op is OpKind.RANGE_SUM:
+        members = [np.hstack([rows, np.ones((n, 1))]) for rows in members]
     return PackingFamily(
         op=op,
         norm=LINF,
-        datasets=tuple(datasets),
+        datasets=tuple(map(make_dataset, members)),
         claimed_separation=float(eps),
         params={"eps_bar": eb, "u": u, "multiset_size": m, "pad": pad, "d": d},
     )
-
-
-def _grid_family(
-    n: int,
-    copies: int,
-    grid: np.ndarray,
-    count: int,
-    seed: int,
-) -> tuple[list[np.ndarray], int, int]:
-    m = n // copies
-    if m < 1:
-        raise InvalidParams("n too small for the derived block count")
-    pad = n - copies * m
-    gen = make_generator(seed)
-    multisets = _sample_distinct_multisets(m, grid.size, count, gen)
-    columns = []
-    for ms in multisets:
-        vals = grid[np.asarray(ms, dtype=np.int64)]
-        col = np.sort(np.concatenate([np.repeat(vals, copies), np.ones(pad)]))
-        columns.append(col)
-    return columns, m, pad
 
 
 def packing_l1_index(n: int, eps: float, count: int, seed: int) -> PackingFamily:
@@ -234,20 +212,7 @@ def packing_l1_index(n: int, eps: float, count: int, seed: int) -> PackingFamily
     least k sorted positions by at least one grid step, so their rank
     distance is at least k over (ceil(k/eps) - 1) > eps.
     """
-    if not 0.0 < eps <= math.sqrt(n) / 2.0:
-        raise InvalidParams("needs 0 < eps <= sqrt(n)/2")
-    k = math.ceil(math.sqrt(n))
-    levels = math.ceil(k / eps)
-    grid = np.linspace(0.0, 1.0, levels)
-    cols, m, pad = _grid_family(n, k, grid, count, seed)
-    datasets = tuple(make_dataset(c) for c in cols)
-    return PackingFamily(
-        op=OpKind.INDEX,
-        norm=L1,
-        datasets=datasets,
-        claimed_separation=float(eps),
-        params={"k": k, "grid_points": levels, "multiset_size": m, "pad": pad},
-    )
+    return _index_packing(n, eps, None, count, seed)
 
 
 def packing_l1_ce(n: int, d: int, delta: float, count: int, seed: int) -> PackingFamily:
@@ -272,22 +237,12 @@ def packing_l1_ce(n: int, d: int, delta: float, count: int, seed: int) -> Packin
             f"grid collapses: derived resolution u = {u} < 2 "
             f"(delta * 4^d = {eps:g} is too close to sqrt(n))"
         )
-    m = n // k
-    if m < 1:
-        raise InvalidParams("n too small: need n >= ceil(sqrt(n)) + 1")
-    pad = n - k * m
-    alphabet = (half + 1) ** d
-    gen = make_generator(seed)
-    multisets = _sample_distinct_multisets(m, alphabet, count, gen)
-    datasets = []
-    for ms in multisets:
-        pts = _mixed_radix_points(ms, d, half + 1) / float(u)
-        rows = _expand_multiset(pts, k, pad, d)
-        datasets.append(make_dataset(rows))
+    grid = np.arange(half + 1) / float(u)
+    members, m, pad = _packing_members(n, k, grid, d, count, seed)
     return PackingFamily(
         op=OpKind.CARD_EST,
         norm=L1,
-        datasets=tuple(datasets),
+        datasets=tuple(map(make_dataset, members)),
         claimed_separation=float(delta),
         params={
             "internal_eps": eps,
@@ -328,17 +283,26 @@ def packing_mu_index(
     values are exactly one mass unit apart and the weighted distance
     between distinct members exceeds eps.
     """
+    return _index_packing(n, eps, cdf, count, seed)
+
+
+def _index_packing(
+    n: int, eps: float, cdf: Callable | None, count: int, seed: int
+) -> PackingFamily:
+    """Rank packing on the equispaced grid, or on cdf's quantile grid."""
     if not 0.0 < eps <= math.sqrt(n) / 2.0:
         raise InvalidParams("needs 0 < eps <= sqrt(n)/2")
     k = math.ceil(math.sqrt(n))
     levels = math.ceil(k / eps)
-    grid = quantile_points(cdf, np.arange(levels) / (levels - 1))
-    cols, m, pad = _grid_family(n, k, grid, count, seed)
-    datasets = tuple(make_dataset(c) for c in cols)
+    if cdf is None:
+        grid = np.linspace(0.0, 1.0, levels)
+    else:
+        grid = quantile_points(cdf, np.arange(levels) / (levels - 1))
+    members, m, pad = _packing_members(n, k, grid, 1, count, seed)
     return PackingFamily(
         op=OpKind.INDEX,
-        norm=MU,
-        datasets=datasets,
+        norm=L1 if cdf is None else MU,
+        datasets=tuple(map(make_dataset, members)),
         claimed_separation=float(eps),
         params={"k": k, "grid_points": levels, "multiset_size": m, "pad": pad},
         cdf=cdf,
@@ -363,13 +327,8 @@ def _pair_indices(members: int, pairs: int, gen) -> list[tuple[int, int]]:
     total = members * (members - 1) // 2
     if pairs >= total:
         return [(i, j) for i in range(members) for j in range(i + 1, members)]
-    seen: set[int] = set()
     out: list[tuple[int, int]] = []
-    while len(out) < pairs:
-        flat = rand_below(gen, total)
-        if flat in seen:
-            continue
-        seen.add(flat)
+    for flat in _distinct_below(total, pairs, gen):
         # flat -> (i, j), row-major over the strict upper triangle
         i = 0
         row = members - 1
@@ -477,13 +436,13 @@ class CoverCode:
     bit_length: int
 
 
-def _bit_length_for(op: OpKind, n: int, data_d: int, resolution: int) -> int:
-    alphabet = (resolution + 1) ** data_d
-    exact = (multiset_count(n, alphabet) - 1).bit_length()
+def _code_space(n: int, alphabet: int) -> tuple[int, int]:
+    """(count of n-multisets over the alphabet, bit width indexing them all)."""
+    total = multiset_count(n, alphabet)
     approx = math.ceil(log2_binomial(alphabet + n - 1, n))
     # the float route and the integer route agree on every feasible size;
     # keep the larger defensively so the index always fits
-    return max(exact, approx)
+    return total, max((total - 1).bit_length(), approx)
 
 
 def _width_holds_count(n: int, alphabet: int, bits: int) -> bool:
@@ -538,7 +497,7 @@ def cover_encode(
     ids = sorted(int(x) for x in ids)
     alphabet = base**data_d
     index = multiset_rank(ids, alphabet)
-    bits = _bit_length_for(op, n, data_d, u)
+    _, bits = _code_space(n, alphabet)
     if index >> bits:
         raise InvalidParams("internal: index exceeds its advertised bit length")
     return CoverCode(op=op, n=n, d=data_d, resolution=u, index=index, bit_length=bits)
@@ -556,13 +515,10 @@ def cover_decode(code: CoverCode, cdf: Callable | None = None) -> Dataset:
         raise IndexOutOfRange(
             f"bit_length {code.bit_length} cannot hold the code space of the header"
         )
-    total = multiset_count(code.n, alphabet)
-    if not 0 <= code.index < total:
-        raise IndexOutOfRange(f"index {code.index} outside [0, {total})")
     if cdf is not None and code.op is not OpKind.INDEX:
         raise InvalidRequest("quantile covers are defined for indexing only")
     ids = multiset_unrank(code.index, code.n, alphabet)
-    coords = _mixed_radix_points(ids, code.d, base)
+    coords = _mixed_radix_digits(ids, code.d, base)
     if cdf is None:
         values = coords / float(code.resolution)
     else:
@@ -574,9 +530,9 @@ def cover_error_bound(op: OpKind, eps: float, data_d: int) -> float:
     """Guaranteed distance between a dataset and its decoded cover."""
     if op is OpKind.INDEX:
         return eps
-    if op is OpKind.CARD_EST:
-        return (data_d + 1) * eps
-    return ((data_d - 1) + 2) * eps
+    # (d+1) eps for cardinality, (d+2) eps for range-sum over its d = data_d - 1
+    # predicate axes: both are (data_d + 1) eps
+    return (data_d + 1) * eps
 
 
 # -- container format --------------------------------------------------------
@@ -622,13 +578,13 @@ def read_cover(path: str) -> CoverCode:
         raise FormatError("payload length mismatch")
     if n < 1 or d < 1 or u < 1:
         raise FormatError("header fields out of range")
-    if not _width_holds_count(n, (u + 1) ** d, 8 * plen):
+    alphabet = (u + 1) ** d
+    if not _width_holds_count(n, alphabet, 8 * plen):
         raise FormatError("payload too short for the header's code space")
-    bits = _bit_length_for(op, n, d, u)
+    total, bits = _code_space(n, alphabet)
     if plen != (bits + 7) // 8:
         raise FormatError("payload width inconsistent with header")
     index = int.from_bytes(blob[28:], "big")
-    total = multiset_count(n, (u + 1) ** d)
     if index >= total:
         raise FormatError("index outside the code space")
     return CoverCode(op=op, n=n, d=d, resolution=u, index=index, bit_length=bits)

@@ -21,6 +21,7 @@ from .errors import DimensionMismatch, InvalidParams, LdboundsError
 from .models import (
     LINEAR,
     MLP,
+    PRESET_HIDDEN,
     SAMPLE,
     ModelSpec,
     TrainConfig,
@@ -70,8 +71,8 @@ class ModelTemplate:
 
 PRESET_MODELS = {
     "linear": ModelTemplate(model_id="linear", kind=LINEAR),
-    "nn-s1": ModelTemplate(model_id="nn-s1", kind=MLP, hidden=3),
-    "nn-s2": ModelTemplate(model_id="nn-s2", kind=MLP, hidden=16),
+    "nn-s1": ModelTemplate(model_id="nn-s1", kind=MLP, hidden=PRESET_HIDDEN["nn-s1"]),
+    "nn-s2": ModelTemplate(model_id="nn-s2", kind=MLP, hidden=PRESET_HIDDEN["nn-s2"]),
     "sample": ModelTemplate(model_id="sample", kind=SAMPLE),
 }
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset
-from .errors import DivergenceDetected, InvalidParams, InvalidRequest
+from .errors import DivergenceDetected, FormatError, InvalidParams, InvalidRequest
 from .queryfn import (
     OpKind,
     eval_batch,
@@ -34,6 +34,12 @@ SAMPLE = "sample"
 
 _PARAM_ORDER = {LINEAR: ("w", "b"), MLP: ("W1", "b1", "W2", "b2")}
 
+# storage charged per parameter, and per coordinate of a stored record
+PRECISION_BITS = 32
+
+# hidden width of each named network preset
+PRESET_HIDDEN = {"nn-s1": 3, "nn-s2": 16}
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -41,7 +47,6 @@ class ModelSpec:
     input_dim: int
     hidden: int = 0
     m: int = 0
-    precision_bits: int = 32
 
     def __post_init__(self) -> None:
         if self.kind not in (LINEAR, MLP, SAMPLE):
@@ -52,8 +57,6 @@ class ModelSpec:
             raise InvalidParams("mlp needs hidden >= 1")
         if self.kind == SAMPLE and self.m < 1:
             raise InvalidParams("sample needs m >= 1")
-        if self.precision_bits < 1:
-            raise InvalidParams("precision_bits must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -83,10 +86,10 @@ def param_count(spec: ModelSpec) -> int:
 
 
 def model_bits(spec: ModelSpec, data_d: int = 1) -> int:
-    """Storage footprint in bits at the spec's parameter precision."""
+    """Storage footprint in bits at PRECISION_BITS per stored number."""
     if spec.kind == SAMPLE:
-        return spec.m * data_d * spec.precision_bits
-    return param_count(spec) * spec.precision_bits
+        return spec.m * data_d * PRECISION_BITS
+    return param_count(spec) * PRECISION_BITS
 
 
 def input_dim_for(op: OpKind, data_d: int) -> int:
@@ -98,16 +101,15 @@ def input_dim_for(op: OpKind, data_d: int) -> int:
 
 def matching_sample_m(op: OpKind, data_d: int) -> int:
     """Sample size whose storage matches the affine model's."""
-    linear_bits = (input_dim_for(op, data_d) + 1) * 32
-    return max(1, math.ceil(linear_bits / (32 * data_d)))
+    return max(1, math.ceil((input_dim_for(op, data_d) + 1) / data_d))
 
 
 def nn_s1(input_dim: int) -> ModelSpec:
-    return ModelSpec(kind=MLP, input_dim=input_dim, hidden=3)
+    return ModelSpec(kind=MLP, input_dim=input_dim, hidden=PRESET_HIDDEN["nn-s1"])
 
 
 def nn_s2(input_dim: int) -> ModelSpec:
-    return ModelSpec(kind=MLP, input_dim=input_dim, hidden=16)
+    return ModelSpec(kind=MLP, input_dim=input_dim, hidden=PRESET_HIDDEN["nn-s2"])
 
 
 def init_model(spec: ModelSpec, seed: int) -> TrainedModel:
@@ -304,7 +306,7 @@ def save_model(model: TrainedModel, path: str) -> None:
         "input_dim": spec.input_dim,
         "hidden": spec.hidden,
         "m": spec.m,
-        "precision_bits": spec.precision_bits,
+        "precision_bits": PRECISION_BITS,
         "n_train": model.n_train,
     }
     if spec.kind == SAMPLE:
@@ -322,12 +324,13 @@ def save_model(model: TrainedModel, path: str) -> None:
 def load_model(path: str) -> TrainedModel:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if doc.get("precision_bits") != PRECISION_BITS:
+        raise FormatError(f"checkpoint precision_bits must be {PRECISION_BITS}")
     spec = ModelSpec(
         kind=doc["kind"],
         input_dim=doc["input_dim"],
         hidden=doc["hidden"],
         m=doc["m"],
-        precision_bits=doc["precision_bits"],
     )
     if spec.kind == SAMPLE:
         rows = [[float(x) for x in row] for row in doc["records"]]

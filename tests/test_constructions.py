@@ -39,7 +39,7 @@ from ldbounds.norms import (
     rank_linf,
     rank_mu,
 )
-from ldbounds.queryfn import OpKind
+from ldbounds.queryfn import OpKind, query_dims
 
 
 # -- multiset codec ----------------------------------------------------------
@@ -139,6 +139,37 @@ def test_packing_family_too_large():
     # alphabet so small that 10 distinct members cannot exist
     with pytest.raises(FamilyTooLarge):
         packing_linf(OpKind.INDEX, 4, 1, 1.0, 1, 10, seed=1)
+
+
+PACKINGS = [
+    pytest.param(10, lambda: packing_linf(OpKind.INDEX, 10, 1, 1.0, 4, 20, 41), id="linf-index"),
+    pytest.param(100, lambda: packing_linf(OpKind.CARD_EST, 100, 2, 1.0, 4, 20, 61), id="linf-ce-d2"),
+    pytest.param(12, lambda: packing_linf(OpKind.RANGE_SUM, 12, 1, 1.0, 3, 5, 3), id="linf-rs"),
+    pytest.param(100, lambda: packing_l1_index(100, 0.5, 20, 43), id="l1-index"),
+    pytest.param(100, lambda: packing_l1_ce(100, 1, 0.05, 20, 45), id="l1-ce-d1"),
+    pytest.param(100, lambda: packing_l1_ce(100, 2, 0.05, 8, 49), id="l1-ce-d2"),
+    pytest.param(100, lambda: packing_mu_index(100, 0.5, np.square, 20, 47), id="mu-index"),
+]
+
+
+@pytest.mark.parametrize("n, build", PACKINGS)
+def test_packing_member_structure(n, build):
+    # every member: `copies` copies of an m-point multiset, `pad` all-ones
+    # rows, canonical lexsort order over the predicate columns
+    fam = build()
+    copies = fam.params.get("eps_bar", fam.params.get("k"))
+    pad = fam.params["pad"]
+    for ds in fam.datasets:
+        assert ds.n == n
+        pred = ds.values[:, : query_dims(fam.op, ds.d)]
+        assert np.array_equal(pred, pred[np.lexsort(pred.T[::-1])])
+        rows, mult = np.unique(pred, axis=0, return_counts=True)
+        ones = np.all(rows == 1.0, axis=1)
+        assert ones.any() or pad == 0
+        mult[ones] -= pad  # a grid symbol may itself be all ones
+        assert np.all(mult >= 0) and np.all(mult % copies == 0)
+        assert mult.sum() == fam.params["multiset_size"] * copies
+    assert len({ds.values.tobytes() for ds in fam.datasets}) == len(fam.datasets)
 
 
 def test_packing_l1_index_certificate():

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from conftest import random_dataset, random_sorted
 from ldbounds import queryfn
-from ldbounds.errors import DivergenceDetected, InvalidParams, InvalidRequest
+from ldbounds.errors import DivergenceDetected, InvalidParams, InvalidRequest, ValidationError
 from ldbounds.models import (
     ModelSpec,
     TrainConfig,
@@ -197,6 +199,20 @@ def test_save_load_roundtrip(tmp_path):
         assert np.array_equal(
             predict(model, OpKind.INDEX, qs), predict(back, OpKind.INDEX, qs)
         ), spec.kind
+
+
+def test_load_model_rejects_other_precision(tmp_path):
+    path = str(tmp_path / "linear.json")
+    save_model(init_model(ModelSpec(kind="linear", input_dim=1), 1), path)
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert doc["precision_bits"] == 32
+    for bits in (16, 64, None):
+        doc["precision_bits"] = bits
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(ValidationError):
+            load_model(path)
 
 
 def test_predictor_feeds_model_error():
