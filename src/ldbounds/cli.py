@@ -55,10 +55,6 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidRequest(message)
 
 
-def _emit(doc: dict) -> None:
-    print(json.dumps(doc))
-
-
 def _cmd_bounds(args) -> dict:
     req = bnd.BoundRequest(
         op=OpKind(args.op),
@@ -102,15 +98,17 @@ def _build_family(args):
 def _cmd_certify(args) -> dict:
     family = _build_family(args)
     cert = certify(family, args.pairs, args.seed, mc_samples=args.mc_samples)
+    return {**dataclasses.asdict(cert), "members": len(family.datasets)}
+
+
+def _code_doc(code, out: str) -> dict:
     return {
-        "passed": cert.passed,
-        "pairs_checked": cert.pairs_checked,
-        "min_observed": cert.min_observed,
-        "claimed": cert.claimed,
-        "method": cert.method,
-        "samples": cert.samples,
-        "confidence": cert.confidence,
-        "members": len(family.datasets),
+        "op": code.op.value,
+        "n": code.n,
+        "d": code.d,
+        "resolution": code.resolution,
+        "bit_length": code.bit_length,
+        "out": out,
     }
 
 
@@ -119,14 +117,7 @@ def _cmd_encode(args) -> dict:
     cdf = CDF_PRESETS[args.cdf] if args.cdf else None
     code = cover_encode(dataset, args.eps, OpKind(args.op), cdf=cdf)
     write_cover(code, args.out)
-    return {
-        "op": code.op.value,
-        "n": code.n,
-        "d": code.d,
-        "resolution": code.resolution,
-        "bit_length": code.bit_length,
-        "out": args.out,
-    }
+    return _code_doc(code, args.out)
 
 
 def _cmd_decode(args) -> dict:
@@ -134,14 +125,7 @@ def _cmd_decode(args) -> dict:
     cdf = CDF_PRESETS[args.cdf] if args.cdf else None
     dataset = cover_decode(code, cdf=cdf)
     save_csv(dataset, args.out)
-    return {
-        "op": code.op.value,
-        "n": code.n,
-        "d": code.d,
-        "resolution": code.resolution,
-        "bit_length": code.bit_length,
-        "out": args.out,
-    }
+    return _code_doc(code, args.out)
 
 
 def _cmd_train(args) -> dict:
@@ -189,14 +173,13 @@ def _cmd_experiment(args) -> dict:
     if not run.rows:
         raise RuntimeFailure("no experiment cell succeeded")
     emit_csv(run.rows, args.out)
-    if args.plot:
-        emit_plot_data(run.rows, args.plot)
     result = {
         "rows": len(run.rows),
         "failed_cells": len(run.failures),
         "out": args.out,
     }
     if args.plot:
+        emit_plot_data(run.rows, args.plot)
         result["plot"] = args.plot
     if run.failures:
         result["failures"] = [{"cell": c, "error": e} for c, e in run.failures]
@@ -270,10 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=sorted(PRESET_MODELS), required=True)
     _add_op(p)
     p.add_argument("--data", required=True, help="dataset CSV")
-    p.add_argument("--steps", type=int, default=20_000)
-    p.add_argument("--batch", type=int, default=256)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--momentum", type=float, default=0.9)
+    p.add_argument("--steps", type=int, default=TrainConfig.steps)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p.add_argument("--momentum", type=float, default=TrainConfig.momentum)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--m", type=int, default=None, help="sample size override")
     p.add_argument("--out", default=None, help="save trained model JSON here")
@@ -292,17 +275,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _emit(args.func(args))
+        print(json.dumps(args.func(args)))
         return 0
     except SystemExit as exc:  # argparse --help
         return 0 if exc.code in (None, 0) else 1
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except LdboundsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (LdboundsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

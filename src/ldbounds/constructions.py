@@ -15,7 +15,9 @@ a bijection onto {0 .. C(m + A - 1, m) - 1}.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -55,6 +57,8 @@ _BYTE_OP = {v: k for k, v in _OP_BYTE.items()}
 
 MAGIC = b"LDBC"
 VERSION = 1
+# .ldbc header: magic, version, op byte, n, d, resolution, payload length
+_HEADER = struct.Struct("<4sBBQHQI")
 
 
 # -- multiset codec ----------------------------------------------------------
@@ -359,30 +363,36 @@ def _linf_probe(a: Dataset, b: Dataset, op: OpKind, samples: int, seed: int) -> 
     return best
 
 
-def _pair_distance(
-    family: PackingFamily, a: Dataset, b: Dataset, mc_samples: int, seed: int
-) -> tuple[float, str, int]:
-    """(observed lower bound, method, samples) for one pair."""
+def _pair_route(
+    family: PackingFamily, mc_samples: int
+) -> tuple[Callable[[Dataset, Dataset, int], float], str, int]:
+    """(observed lower bound of a pair given its seed, method, samples).
+
+    Every member shares the family's op, norm and d, so one route serves
+    every pair.
+    """
     op, norm = family.op, family.norm
+    exact = {}
     if op is OpKind.INDEX:
-        if norm == L1:
-            return rank_l1(a, b), "exact", 0
-        if norm == LINF:
-            return rank_linf(a, b), "exact", 0
-        if norm == MU:
-            if family.cdf is None:
-                raise InvalidRequest("mu-norm family carries no cdf")
-            return rank_mu(a, b, family.cdf), "exact", 0
-    if op is OpKind.CARD_EST and a.d == 1 and b.d == 1:
-        if norm == L1:
-            return card1d_l1(a, b), "exact", 0
-        if norm == LINF:
-            return card1d_linf(a, b), "exact", 0
-    if norm == LINF:
-        return _linf_probe(a, b, op, mc_samples, seed), "probe", mc_samples
-    if norm == L1:
+        if norm == MU and family.cdf is None:
+            raise InvalidRequest("mu-norm family carries no cdf")
+        exact = {L1: rank_l1, LINF: rank_linf, MU: partial(rank_mu, cdf=family.cdf)}
+    elif op is OpKind.CARD_EST and family.datasets[0].d == 1:
+        exact = {L1: card1d_l1, LINF: card1d_linf}
+    if norm in exact:
+        return (lambda a, b, seed: exact[norm](a, b)), "exact", 0
+
+    def probe(a, b, seed):
+        return _linf_probe(a, b, op, mc_samples, seed)
+
+    def lower(a, b, seed):
         est = mc_l1(a, b, op, mc_samples, seed)
-        return est.value - 3.0 * est.std_error, "monte_carlo", mc_samples
+        return est.value - 3.0 * est.std_error
+
+    if norm == LINF:
+        return probe, "probe", mc_samples
+    if norm == L1:
+        return lower, "monte_carlo", mc_samples
     raise InvalidRequest(f"no certification route for op={op.value} norm={norm}")
 
 
@@ -398,28 +408,22 @@ def certify(
     members = len(family.datasets)
     if members < 2:
         raise InvalidParams("need at least two members to certify")
-    gen = make_generator(seed)
-    chosen = _pair_indices(members, pairs, gen)
+    if pairs < 1:
+        raise InvalidParams("pairs must be >= 1")
+    distance, method, samples = _pair_route(family, mc_samples)
+    chosen = _pair_indices(members, pairs, make_generator(seed))
     worst = math.inf
-    method = "exact"
-    used_samples = 0
     for t, (i, j) in enumerate(chosen):
-        obs, how, ns = _pair_distance(
-            family, family.datasets[i], family.datasets[j], mc_samples, seed + t + 1
-        )
-        if how != "exact":
-            method = how
-            used_samples = max(used_samples, ns)
-        worst = min(worst, obs)
-    confidence = 0.99865 if method == "monte_carlo" else 1.0
+        a, b = family.datasets[i], family.datasets[j]
+        worst = min(worst, distance(a, b, seed + t + 1))
     return SeparationCertificate(
         passed=bool(worst > family.claimed_separation),
         pairs_checked=len(chosen),
         min_observed=float(worst),
         claimed=family.claimed_separation,
         method=method,
-        samples=used_samples,
-        confidence=confidence,
+        samples=samples,
+        confidence=0.99865 if method == "monte_carlo" else 1.0,
     )
 
 
@@ -545,36 +549,27 @@ def write_cover(code: CoverCode, path: str) -> None:
     ceil(bit_length/8) bytes.
     """
     payload = code.index.to_bytes((code.bit_length + 7) // 8, "big")
-    blob = (
-        MAGIC
-        + bytes([VERSION, _OP_BYTE[code.op]])
-        + code.n.to_bytes(8, "little")
-        + code.d.to_bytes(2, "little")
-        + code.resolution.to_bytes(8, "little")
-        + len(payload).to_bytes(4, "little")
-        + payload
+    header = _HEADER.pack(
+        MAGIC, VERSION, _OP_BYTE[code.op], code.n, code.d, code.resolution, len(payload)
     )
     with open(path, "wb") as fh:
-        fh.write(blob)
+        fh.write(header + payload)
 
 
 def read_cover(path: str) -> CoverCode:
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < 28:
+    if len(blob) < _HEADER.size:
         raise FormatError("container truncated")
-    if blob[:4] != MAGIC:
+    magic, version, op_byte, n, d, u, plen = _HEADER.unpack_from(blob)
+    if magic != MAGIC:
         raise FormatError("bad magic")
-    if blob[4] != VERSION:
-        raise FormatError(f"unsupported version {blob[4]}")
-    if blob[5] not in _BYTE_OP:
-        raise FormatError(f"unknown operation byte {blob[5]}")
-    op = _BYTE_OP[blob[5]]
-    n = int.from_bytes(blob[6:14], "little")
-    d = int.from_bytes(blob[14:16], "little")
-    u = int.from_bytes(blob[16:24], "little")
-    plen = int.from_bytes(blob[24:28], "little")
-    if len(blob) != 28 + plen:
+    if version != VERSION:
+        raise FormatError(f"unsupported version {version}")
+    if op_byte not in _BYTE_OP:
+        raise FormatError(f"unknown operation byte {op_byte}")
+    op = _BYTE_OP[op_byte]
+    if len(blob) != _HEADER.size + plen:
         raise FormatError("payload length mismatch")
     if n < 1 or d < 1 or u < 1:
         raise FormatError("header fields out of range")
@@ -584,7 +579,7 @@ def read_cover(path: str) -> CoverCode:
     total, bits = _code_space(n, alphabet)
     if plen != (bits + 7) // 8:
         raise FormatError("payload width inconsistent with header")
-    index = int.from_bytes(blob[28:], "big")
+    index = int.from_bytes(blob[_HEADER.size :], "big")
     if index >= total:
         raise FormatError("index outside the code space")
     return CoverCode(op=op, n=n, d=d, resolution=u, index=index, bit_length=bits)

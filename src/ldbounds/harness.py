@@ -11,9 +11,10 @@ share one trained model.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 from . import bounds as bnd
 from .data import Dataset, GmmParams, sample_gmm, sample_uniform, sort_dataset_1d
@@ -113,10 +114,6 @@ class ExperimentRun:
     failures: tuple[tuple[str, str], ...] = ()
 
 
-def _cell_seed(master: int, coords: str) -> int:
-    return mix64(master, stable_text_hash(coords))
-
-
 def _prep_dataset(op: OpKind, dataset: Dataset) -> Dataset:
     if op is OpKind.INDEX:
         if dataset.d != 1:
@@ -125,110 +122,92 @@ def _prep_dataset(op: OpKind, dataset: Dataset) -> Dataset:
     return dataset
 
 
-def _bounds_call(
-    op: OpKind, norm: str, sigma: int, n: int, data_d: int, domain_u: int
-) -> float:
-    norm_id = bnd.NORM_INF if norm == "linf" else bnd.NORM_L1  # u only matters for inf
-    return bnd.eps_star(sigma, op, norm_id, n, query_dims(op, data_d), u=domain_u).eps
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentRun:
-    """Execute every cell; failed cells are recorded, not fatal."""
+    """Execute every cell; failed cells are recorded, not fatal.
+
+    A cell is fitted once (replicates sampled, prepared and trained) and
+    then measured under each norm.  A fit failure is recorded under the
+    cell's base key and skips all its norms; a measure failure is recorded
+    under `base|norm` and drops only that row.
+    """
     if config.datasets_per_cell < 1:
         raise InvalidParams("datasets_per_cell must be >= 1")
     rows: list[ResultRow] = []
     failures: list[tuple[str, str]] = []
-    for op in config.ops:
-        for dist in config.distributions:
-            for n in config.n_values:
-                for tmpl in config.models:
-                    base = f"{op.value}|{dist.name}|{n}|{tmpl.model_id}"
-                    try:
-                        trained = []
-                        spec = tmpl.resolve(op, config.d)
-                        for rep in range(config.datasets_per_cell):
-                            data_seed = _cell_seed(
-                                config.master_seed, f"{base}|{rep}|data"
-                            )
-                            train_seed = _cell_seed(
-                                config.master_seed, f"{base}|{rep}|train"
-                            )
-                            dataset = _prep_dataset(
-                                op, dist.sample(n, config.d, data_seed)
-                            )
-                            model = init_model(spec, train_seed)
-                            cfg = replace(config.train, seed=train_seed)
-                            trained.append((dataset, train(model, dataset, op, cfg)))
-                    except LdboundsError as exc:
-                        log.warning("cell %s failed: %s", base, exc)
-                        failures.append((base, str(exc)))
-                        continue
-                    bits = model_bits(spec, config.d)
-                    for norm in config.norms:
-                        cell = f"{base}|{norm}"
-                        try:
-                            worst = None
-                            for rep, (dataset, model) in enumerate(trained):
-                                eval_seed = _cell_seed(
-                                    config.master_seed, f"{cell}|{rep}|eval"
-                                )
-                                est = model_error(
-                                    dataset,
-                                    op,
-                                    predictor(model, op),
-                                    norm,
-                                    replace(config.eval, seed=eval_seed),
-                                )
-                                if worst is None or est.value > worst.value:
-                                    worst = est
-                            eps = _bounds_call(
-                                op, norm, bits, n, config.d, config.domain_u
-                            )
-                            rows.append(
-                                ResultRow(
-                                    op=op.value,
-                                    norm=norm,
-                                    distribution=dist.name,
-                                    n=n,
-                                    d=config.d,
-                                    model_id=tmpl.model_id,
-                                    model_bits=bits,
-                                    observed_err=worst.value,
-                                    eps_star=eps,
-                                    seed=_cell_seed(config.master_seed, cell),
-                                    exact=worst.exact,
-                                )
-                            )
-                        except LdboundsError as exc:
-                            log.warning("cell %s failed: %s", cell, exc)
-                            failures.append((cell, str(exc)))
+
+    def seed(key: str) -> int:
+        return mix64(config.master_seed, stable_text_hash(key))
+
+    def attempt(key: str, work):
+        try:
+            return work()
+        except LdboundsError as exc:
+            log.warning("cell %s failed: %s", key, exc)
+            failures.append((key, str(exc)))
+            return None
+
+    def fit(op, dist, n, tmpl, base):
+        spec = tmpl.resolve(op, config.d)
+        trained = []
+        for rep in range(config.datasets_per_cell):
+            data_seed = seed(f"{base}|{rep}|data")
+            dataset = _prep_dataset(op, dist.sample(n, config.d, data_seed))
+            train_seed = seed(f"{base}|{rep}|train")
+            model = init_model(spec, train_seed)
+            cfg = replace(config.train, seed=train_seed)
+            trained.append((dataset, predictor(train(model, dataset, op, cfg), op)))
+        return model_bits(spec, config.d), trained
+
+    def measure(op, dist, n, tmpl, norm, cell, bits, trained):
+        estimates = []
+        for rep, (dataset, predict) in enumerate(trained):
+            cfg = replace(config.eval, seed=seed(f"{cell}|{rep}|eval"))
+            estimates.append(model_error(dataset, op, predict, norm, cfg))
+        worst = max(estimates, key=lambda est: est.value)  # first of equal maxima
+        norm_id = bnd.NORM_INF if norm == "linf" else bnd.NORM_L1
+        dq = query_dims(op, config.d)
+        floor = bnd.eps_star(bits, op, norm_id, n, dq, u=config.domain_u)  # u: inf only
+        return ResultRow(
+            op=op.value,
+            norm=norm,
+            distribution=dist.name,
+            n=n,
+            d=config.d,
+            model_id=tmpl.model_id,
+            model_bits=bits,
+            observed_err=worst.value,
+            eps_star=floor.eps,
+            seed=seed(cell),
+            exact=worst.exact,
+        )
+
+    for op, dist, n, tmpl in itertools.product(
+        config.ops, config.distributions, config.n_values, config.models
+    ):
+        base = f"{op.value}|{dist.name}|{n}|{tmpl.model_id}"
+        fitted = attempt(base, lambda: fit(op, dist, n, tmpl, base))
+        if fitted is None:
+            continue
+        for norm in config.norms:
+            cell = f"{base}|{norm}"
+            row = attempt(cell, lambda: measure(op, dist, n, tmpl, norm, cell, *fitted))
+            if row is not None:
+                rows.append(row)
     return ExperimentRun(rows=tuple(rows), failures=tuple(failures))
 
 
-CSV_HEADER = "op,norm,distribution,n,d,model_id,model_bits,observed_err,eps_star,seed,exact"
+CSV_HEADER = ",".join(f.name for f in fields(ResultRow))
+
+
+def _csv_field(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def emit_csv(rows, path: str) -> None:
     """Fixed header, repr-formatted floats: identical runs give identical bytes."""
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    r.op,
-                    r.norm,
-                    r.distribution,
-                    str(r.n),
-                    str(r.d),
-                    r.model_id,
-                    str(r.model_bits),
-                    repr(r.observed_err),
-                    repr(r.eps_star),
-                    str(r.seed),
-                    "true" if r.exact else "false",
-                ]
-            )
-        )
+    lines = [CSV_HEADER] + [",".join(map(_csv_field, astuple(r))) for r in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -288,6 +267,18 @@ def _parse_model(doc) -> ModelTemplate:
     )
 
 
+def _overlay(default, doc: dict):
+    """`default` with each field `doc` sets, cast to the type of its default."""
+    return replace(
+        default,
+        **{
+            f.name: type(getattr(default, f.name))(doc[f.name])
+            for f in fields(default)
+            if f.name in doc
+        },
+    )
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a plain JSON-style dict."""
     try:
@@ -298,8 +289,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
                 raise InvalidParams(f"unknown norm {norm!r}")
         dists = tuple(_parse_distribution(x) for x in doc["distributions"])
         models = tuple(_parse_model(x) for x in doc["models"])
-        tr = doc.get("train", {})
-        ev = doc.get("eval", {})
         return ExperimentConfig(
             ops=ops,
             norms=norms,
@@ -308,15 +297,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
             d=int(doc.get("d", 1)),
             models=models,
             datasets_per_cell=int(doc.get("datasets_per_cell", 1)),
-            train=TrainConfig(
-                steps=int(tr.get("steps", 20_000)),
-                batch=int(tr.get("batch", 256)),
-                lr=float(tr.get("lr", 0.01)),
-                momentum=float(tr.get("momentum", 0.9)),
-            ),
-            eval=EvalConfig(
-                samples=int(ev.get("samples", 4096)), grid=int(ev.get("grid", 4))
-            ),
+            train=_overlay(TrainConfig(), doc.get("train", {})),
+            eval=_overlay(EvalConfig(), doc.get("eval", {})),
             master_seed=int(doc.get("master_seed", 0)),
             domain_u=int(doc.get("domain_u", doc.get("u", DEFAULT_DOMAIN_U))),
         )

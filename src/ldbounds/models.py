@@ -67,6 +67,12 @@ class TrainConfig:
     momentum: float = 0.9
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.steps < 0:
+            raise InvalidParams("steps must be >= 0")
+        if self.batch < 1:
+            raise InvalidParams("batch must be >= 1")
+
 
 @dataclass(frozen=True)
 class TrainedModel:

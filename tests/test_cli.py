@@ -125,6 +125,16 @@ def test_certify_linf_with_u(capsys):
     assert doc["method"] == "exact"
 
 
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_certify_rejects_nonpositive_pairs(capsys, pairs):
+    code = main([
+        "certify", "--construction", "packing-l1-index", "--n", "100",
+        "--eps", "0.5", "--count", "3", "--pairs", pairs, "--seed", "1",
+    ])
+    assert code == 1
+    assert capsys.readouterr().out == ""
+
+
 def test_encode_decode_roundtrip(tmp_path, capsys):
     ds = make_dataset(np.array([[0.1], [0.3], [0.62], [0.99]]))
     src = str(tmp_path / "data.csv")
@@ -196,6 +206,17 @@ def test_train_sample_with_m(tmp_path, capsys):
     assert doc["model_bits"] == 5 * 2 * 32
 
 
+@pytest.mark.parametrize(
+    "flags", [("--batch", "0"), ("--batch", "-1"), ("--steps", "-1")]
+)
+def test_train_rejects_bad_schedule(tmp_path, capsys, flags):
+    src = str(tmp_path / "train.csv")
+    save_csv(make_dataset(np.linspace(0.0, 1.0, 10).reshape(-1, 1)), src)
+    code = main(["train", "--model", "linear", "--op", "index", "--data", src, *flags])
+    assert code == 1
+    assert capsys.readouterr().out == ""
+
+
 EXPERIMENT_CONFIG = {
     "ops": ["index"],
     "norms": ["l1"],
@@ -240,6 +261,14 @@ def test_experiment_unknown_model(tmp_path, capsys):
     cfg = str(tmp_path / "cfg.json")
     bad = dict(EXPERIMENT_CONFIG, models=["transformer"])
     json.dump(bad, open(cfg, "w"))
+    code = main(["experiment", "--config", cfg, "--out", str(tmp_path / "o.csv")])
+    capsys.readouterr()
+    assert code == 1
+
+
+def test_experiment_zero_batch(tmp_path, capsys):
+    cfg = str(tmp_path / "cfg.json")
+    json.dump(dict(EXPERIMENT_CONFIG, train={"batch": 0}), open(cfg, "w"))
     code = main(["experiment", "--config", cfg, "--out", str(tmp_path / "o.csv")])
     capsys.readouterr()
     assert code == 1

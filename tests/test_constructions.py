@@ -179,6 +179,13 @@ def test_packing_l1_index_certificate():
     assert cert.min_observed > fam.claimed_separation
 
 
+@pytest.mark.parametrize("pairs", [0, -3])
+def test_certify_rejects_nonpositive_pairs(pairs):
+    fam = packing_l1_index(100, 0.5, 3, seed=5)
+    with pytest.raises(InvalidParams):
+        certify(fam, pairs=pairs, seed=6)
+
+
 def test_packing_l1_index_separation_by_hand():
     fam = packing_l1_index(100, 0.5, 6, seed=7)
     members = [sort_dataset_1d(ds) for ds in fam.datasets]

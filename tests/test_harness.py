@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 
 import ldbounds.bounds as bnd
-from ldbounds.data import GmmParams
+from ldbounds import rng
+from ldbounds.data import GmmParams, sample_uniform, sort_dataset_1d
 from ldbounds.errors import InvalidParams
 from ldbounds.harness import (
     CSV_HEADER,
@@ -20,8 +22,8 @@ from ldbounds.harness import (
     parse_config,
     run_experiment,
 )
-from ldbounds.models import TrainConfig
-from ldbounds.norms import EvalConfig
+from ldbounds.models import TrainConfig, init_model, model_bits, predictor, train
+from ldbounds.norms import EvalConfig, model_error
 from ldbounds.queryfn import OpKind
 
 FAST_TRAIN = TrainConfig(steps=30, batch=16, lr=0.05, momentum=0.9, seed=0)
@@ -89,6 +91,47 @@ def test_failures_recorded_not_fatal():
     assert len(run.failures) == 1
     assert run.failures[0][0].startswith("index|")
     assert len(run.rows) == 1 and run.rows[0].op == "ce"
+
+
+def test_cells_rebuilt_from_documented_seeds():
+    # each seed is mix64(master, stable_text_hash(coords)); data and training
+    # seeds omit the norm, evaluation seeds and the row seed include it
+    cfg = small_config(datasets_per_cell=2)
+    run = run_experiment(cfg)
+    spec = PRESET_MODELS["linear"].resolve(OpKind.INDEX, 1)
+
+    def seed(coords):
+        return rng.mix64(cfg.master_seed, rng.stable_text_hash(coords))
+
+    worst_reps = set()
+    for row in run.rows:
+        base = f"index|uniform|{row.n}|linear"
+        estimates = []
+        for rep in range(2):
+            data = sort_dataset_1d(sample_uniform(row.n, 1, seed(f"{base}|{rep}|data")))
+            train_seed = seed(f"{base}|{rep}|train")
+            model = train(
+                init_model(spec, train_seed), data, OpKind.INDEX,
+                replace(FAST_TRAIN, seed=train_seed),
+            )
+            eval_cfg = replace(FAST_EVAL, seed=seed(f"{base}|l1|{rep}|eval"))
+            predict = predictor(model, OpKind.INDEX)
+            estimates.append(model_error(data, OpKind.INDEX, predict, "l1", eval_cfg))
+        worst = max(estimates, key=lambda est: est.value)
+        worst_reps.add(estimates.index(worst))
+        assert row.observed_err == worst.value
+        assert row.seed == seed(f"{base}|l1")
+        assert row.model_bits == model_bits(spec, 1) == 64
+        assert row.exact == worst.exact
+    # the worst replicate is the first in one cell and the second in the other
+    assert len(run.rows) == 2 and worst_reps == {0, 1}
+
+
+def test_measure_failure_drops_only_its_norm():
+    # the worst-case floor needs n >= 3, so only the linf measurement fails
+    run = run_experiment(small_config(n_values=(2,), norms=("l1", "linf")))
+    assert [(r.n, r.norm) for r in run.rows] == [(2, "l1")]
+    assert [cell for cell, _ in run.failures] == ["index|uniform|2|linear|linf"]
 
 
 def test_eps_star_column_matches_direct_call():
@@ -205,6 +248,24 @@ def test_parse_config_full():
     assert cfg.domain_u == 1000
 
 
+def test_parse_config_overlays_defaults():
+    cfg = parse_config(
+        {
+            "ops": ["index"],
+            "norms": ["l1"],
+            "distributions": [{"kind": "uniform"}],
+            "n_values": [100],
+            "models": ["linear"],
+            "train": {"steps": "11", "lr": 1},
+            "eval": {"grid": 3.0},
+        }
+    )
+    assert cfg.train == replace(TrainConfig(), steps=11, lr=1.0)
+    assert isinstance(cfg.train.lr, float)
+    assert cfg.eval == replace(EvalConfig(), grid=3)
+    assert isinstance(cfg.eval.grid, int)
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -244,6 +305,14 @@ def test_parse_config_full():
             "distributions": [{"kind": "uniform"}],
             "n_values": [10],
             "models": ["linear"],
+        },
+        {
+            "ops": ["index"],
+            "norms": ["l1"],
+            "distributions": [{"kind": "uniform"}],
+            "n_values": [10],
+            "models": ["linear"],
+            "train": {"batch": 0},
         },
     ],
 )

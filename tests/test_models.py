@@ -66,6 +66,13 @@ def test_spec_validation():
         ModelSpec(kind="nonsense", input_dim=1)
 
 
+@pytest.mark.parametrize("bad", [{"batch": 0}, {"batch": -1}, {"steps": -1}])
+def test_train_config_validation(bad):
+    with pytest.raises(InvalidParams):
+        TrainConfig(**bad)
+    assert TrainConfig(steps=0, batch=1).steps == 0  # an untrained model is legal
+
+
 def test_init_deterministic():
     a = init_model(nn_s2(1), seed=5)
     b = init_model(nn_s2(1), seed=5)
