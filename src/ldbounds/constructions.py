@@ -39,11 +39,11 @@ from .norms import (
     LINF,
     MU,
     DistanceEstimate,
+    _gaps,
     _mc_estimate,
     card1d_l1,
     card1d_linf,
     mc_l1,
-    mc_mu,
     model_error,
     rank_l1,
     rank_linf,
@@ -351,15 +351,13 @@ def _linf_probe(a: Dataset, b: Dataset, op: OpKind, samples: int, seed: int) -> 
     (closed intervals make a zero-width box a point probe) plus uniform
     random queries.
     """
+    gaps = _gaps(a, op, partial(eval_batch, b, op))
     dq = query_dims(op, a.d)
     pts = np.unique(np.vstack([a.values[:, :dq], b.values[:, :dq]]), axis=0)
-    C, R = pts, np.zeros_like(pts)
-    best = float(np.abs(eval_batch(a, op, (C, R)) - eval_batch(b, op, (C, R))).max())
+    best = float(gaps((pts, np.zeros_like(pts))).max())
     if samples > 0:
-        gen = make_generator(seed)
-        C2, R2 = sample_range_queries(samples, dq, gen)
-        diff = np.abs(eval_batch(a, op, (C2, R2)) - eval_batch(b, op, (C2, R2)))
-        best = max(best, float(diff.max()))
+        batch = sample_range_queries(samples, dq, make_generator(seed))
+        best = max(best, float(gaps(batch).max()))
     return best
 
 
@@ -410,6 +408,8 @@ def certify(
         raise InvalidParams("need at least two members to certify")
     if pairs < 1:
         raise InvalidParams("pairs must be >= 1")
+    if mc_samples < 0:
+        raise InvalidParams("mc_samples must be >= 0")
     distance, method, samples = _pair_route(family, mc_samples)
     chosen = _pair_indices(members, pairs, make_generator(seed))
     worst = math.inf
@@ -615,10 +615,7 @@ def _decoded_error(
         def draw(count, gen):
             return quantile_points(family.cdf, gen.random(count), tol=1e-10)
 
-        def gaps(qs):
-            pred = np.asarray(predict(qs), dtype=np.float64)
-            return np.abs(eval_batch(member, family.op, qs) - pred)
-
+        gaps = _gaps(member, family.op, predict)
         return _mc_estimate(gaps, draw, cfg.samples, make_generator(cfg.seed))
     raise InvalidRequest(f"unsupported norm {family.norm!r}")
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -29,7 +30,6 @@ from .errors import (
     SizeMismatch,
 )
 from .queryfn import (
-    _CHUNK_CELLS,
     OpKind,
     eval_batch,
     query_dims,
@@ -67,6 +67,10 @@ class EvalConfig:
     samples: int = 4096
     grid: int = 4
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.samples < 1:
+            raise InvalidParams("samples must be >= 1")
 
 
 def _sorted_column(dataset: Dataset, who: str) -> np.ndarray:
@@ -159,13 +163,16 @@ def rank_mu(a: Dataset, b: Dataset, cdf: Callable[[np.ndarray], np.ndarray]) -> 
 # Substituting a = c + r, b = c maps the legal query set bijectively (unit
 # Jacobian) onto {a in [0, 1], b in [a - 1, a]}, and
 #     count_D(c, r) - count_D'(c, r) = g(a) - g(b-)
-# with g = rank_D - rank_D', right-continuous and piecewise constant on
-# the merged breakpoints.  On each product cell of breakpoint intervals
-# the integrand is a constant times the band length
-#     len(a) = max(0, min(b_hi, a) - max(b_lo, a - 1)),
-# whose kinks (b_hi, b_lo + 1, and the zero crossings) all lie on the
-# breakpoint grid, never inside a cell.  len is therefore linear on every
-# a-cell and midpoint-times-width integration is exact.
+# with g = rank_D - rank_D', right-continuous, 0 below 0, and constant g_k
+# on the cells [0, bp_0), [bp_j, bp_{j+1}), ..., [bp_last, 1] (width w_k,
+# midpoint mid_k).  Where b < 0, g(b-) = 0 and the band over a has length
+# 1 - a; where b >= 0 the integral over b <= a is half the one over
+# [0, 1]^2.  Hence
+#     card1d_l1 = sum_k |g_k| w_k (1 - mid_k)
+#               + sum_{k<l, sorted by g} w_k w_l (g_l - g_k),
+# and the second sum, telescoped over consecutive sorted values, is
+#     sum_j (g_(j+1) - g_(j)) * (weight up to j) * (weight after j).
+# A zero-width first or last cell adds 0.
 
 
 def _card_cells(a: Dataset, b: Dataset):
@@ -177,45 +184,22 @@ def _card_cells(a: Dataset, b: Dataset):
     return bps, v
 
 
-def _step_at(bps: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(bps, x, side="right") - 1
-    out = np.where(idx >= 0, v[np.clip(idx, 0, None)], 0.0)
-    return out
-
-
 def card1d_l1(a: Dataset, b: Dataset) -> float:
     """Exact average-case cardinality distance for single-attribute data.
 
-    Record counts may differ; either dataset may be empty.
+    Record counts may differ; either dataset may be empty.  O(n log n)
+    time and O(n) memory by the identity above.
     """
     bps, v = _card_cells(a, b)
-    if bps.size == 0:
-        return 0.0
-    a_edges = np.unique(np.concatenate([[0.0], bps[(bps > 0.0) & (bps < 1.0)], [1.0]]))
-    a_lo, a_hi = a_edges[:-1], a_edges[1:]
-    keep = a_hi > a_lo
-    a_lo, a_hi = a_lo[keep], a_hi[keep]
-    a_mid = 0.5 * (a_lo + a_hi)
-    a_len = a_hi - a_lo
-    va = _step_at(bps, v, a_mid)
-
-    b_edges = np.unique(np.concatenate([[-1.0], bps, [1.0]]))
-    b_lo, b_hi = b_edges[:-1], b_edges[1:]
-    keep = b_hi > b_lo
-    b_lo, b_hi = b_lo[keep], b_hi[keep]
-    b_mid = 0.5 * (b_lo + b_hi)
-    vb = _step_at(bps, v, b_mid)
-
-    # row sums of (band length x |gap|), a block of a-cells at a time
-    rows = np.empty(a_mid.size)
-    step = max(1, _CHUNK_CELLS // max(1, b_mid.size))
-    for s in range(0, a_mid.size, step):
-        mid = a_mid[s : s + step, None]
-        band = np.minimum(b_hi, mid) - np.maximum(b_lo, mid - 1.0)
-        np.clip(band, 0.0, None, out=band)
-        band *= np.abs(va[s : s + step, None] - vb)
-        rows[s : s + step] = band.sum(axis=1)
-    return float((a_len * rows).sum())
+    edges = np.concatenate([[0.0], bps, [1.0]])
+    g = np.concatenate([[0.0], v])
+    w = np.diff(edges)
+    near = np.abs(g) * w * (1.0 - 0.5 * (edges[:-1] + edges[1:]))
+    order = np.argsort(g)
+    ws = w[order]
+    below = np.cumsum(ws)[:-1]
+    above = np.cumsum(ws[::-1])[::-1][1:]
+    return float(near.sum() + (np.diff(g[order]) * below * above).sum())
 
 
 def card1d_linf(a: Dataset, b: Dataset) -> float:
@@ -265,10 +249,11 @@ def _uniform_draw(op: OpKind, dq: int) -> Callable:
     return lambda count, gen: sample_range_queries(count, dq, gen)
 
 
-def _pair_gaps(a: Dataset, b: Dataset, op: OpKind) -> Callable:
-    if op is not OpKind.INDEX and a.d != b.d:
-        raise DimensionMismatch("datasets must share dimensionality")
-    return lambda batch: np.abs(eval_batch(a, op, batch) - eval_batch(b, op, batch))
+def _gaps(dataset: Dataset, op: OpKind, predict: Callable) -> Callable:
+    """batch -> |truth on `dataset` - predict(batch)|, per query."""
+    return lambda batch: np.abs(
+        eval_batch(dataset, op, batch) - np.asarray(predict(batch), dtype=np.float64)
+    )
 
 
 def mc_l1(a: Dataset, b: Dataset, op: OpKind, samples: int, seed: int) -> DistanceEstimate:
@@ -277,10 +262,8 @@ def mc_l1(a: Dataset, b: Dataset, op: OpKind, samples: int, seed: int) -> Distan
     The query space has volume 1, so the sample mean estimates the
     integral directly.
     """
-    if samples < 2:
-        raise InvalidParams("need at least 2 samples")
     draw = _uniform_draw(op, query_dims(op, max(a.d, b.d)))
-    return _mc_estimate(_pair_gaps(a, b, op), draw, samples, make_generator(seed))
+    return mc_mu(a, b, op, draw, samples, seed)
 
 
 def mc_mu(
@@ -299,7 +282,9 @@ def mc_mu(
     """
     if samples < 2:
         raise InvalidParams("need at least 2 samples")
-    gaps = _pair_gaps(a, b, op)
+    if op is not OpKind.INDEX and a.d != b.d:
+        raise DimensionMismatch("datasets must share dimensionality")
+    gaps = _gaps(a, op, partial(eval_batch, b, op))
     return _mc_estimate(gaps, query_sampler, samples, make_generator(seed))
 
 
@@ -324,11 +309,7 @@ def model_error(
     """
     gen = make_generator(cfg.seed)
     draw = _uniform_draw(op, query_dims(op, dataset.d))
-
-    def gaps(batch):
-        pred = np.asarray(predict(batch), dtype=np.float64)
-        return np.abs(eval_batch(dataset, op, batch) - pred)
-
+    gaps = _gaps(dataset, op, predict)
     if norm == L1:
         return _mc_estimate(gaps, draw, cfg.samples, gen)
     if norm != LINF:

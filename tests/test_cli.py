@@ -135,6 +135,16 @@ def test_certify_rejects_nonpositive_pairs(capsys, pairs):
     assert capsys.readouterr().out == ""
 
 
+def test_certify_rejects_negative_mc_samples(capsys):
+    code = main([
+        "certify", "--construction", "packing-linf", "--op", "ce", "--n", "20",
+        "--d", "2", "--u", "3", "--eps", "1", "--count", "4", "--pairs", "3",
+        "--seed", "1", "--mc-samples", "-5",
+    ])
+    assert code == 1
+    assert capsys.readouterr().out == ""
+
+
 def test_encode_decode_roundtrip(tmp_path, capsys):
     ds = make_dataset(np.array([[0.1], [0.3], [0.62], [0.99]]))
     src = str(tmp_path / "data.csv")
@@ -271,6 +281,15 @@ def test_experiment_zero_batch(tmp_path, capsys):
     json.dump(dict(EXPERIMENT_CONFIG, train={"batch": 0}), open(cfg, "w"))
     code = main(["experiment", "--config", cfg, "--out", str(tmp_path / "o.csv")])
     capsys.readouterr()
+    assert code == 1
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_experiment_nonpositive_eval_samples(tmp_path, capsys, samples):
+    cfg = str(tmp_path / "cfg.json")
+    json.dump(dict(EXPERIMENT_CONFIG, eval={"samples": samples}), open(cfg, "w"))
+    code = main(["experiment", "--config", cfg, "--out", str(tmp_path / "o.csv")])
+    assert capsys.readouterr().out == ""
     assert code == 1
 
 

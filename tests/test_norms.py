@@ -2,11 +2,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_dataset, random_sorted
-from ldbounds import norms
 from ldbounds.data import empty_dataset, make_dataset, sort_dataset_1d
-from ldbounds.errors import CdfNotMonotone, InvalidRequest, NotSorted, SizeMismatch
+from ldbounds.errors import (
+    CdfNotMonotone,
+    InvalidParams,
+    InvalidRequest,
+    NotSorted,
+    SizeMismatch,
+)
 from ldbounds.norms import (
     EvalConfig,
     card1d_l1,
@@ -104,12 +111,54 @@ def test_card1d_l1_matches_mc():
         assert abs(exact - est.value) <= 3.0 * est.std_error + 1e-12, trial
 
 
-def test_card1d_l1_chunking_is_bit_identical(monkeypatch):
-    a = random_dataset(300, 1, seed=31)
-    b = random_dataset(260, 1, seed=32)
-    want = card1d_l1(a, b)
-    monkeypatch.setattr(norms, "_CHUNK_CELLS", 7)  # one a-cell per block
-    assert card1d_l1(a, b) == want
+def _band_oracle(a, b):
+    """card1d_l1 by integrating |g(a) - g(b-)| over (a-cell x b-cell) bands.
+
+    g = rank_a - rank_b.  On each product cell of breakpoint intervals the
+    band length over b is linear in a, so midpoint-times-width is exact.
+    O(K^2) in the number K of breakpoints.
+    """
+    xa, xb = np.sort(a.values[:, 0]), np.sort(b.values[:, 0])
+
+    def g(x):
+        return (np.searchsorted(xa, x, side="right")
+                - np.searchsorted(xb, x, side="right")).astype(np.float64)
+
+    bps = np.concatenate([xa, xb])
+    a_edges = np.unique(np.concatenate([[0.0], bps, [1.0]]))
+    b_edges = np.unique(np.concatenate([[-1.0], bps, [1.0]]))
+    a_mid = 0.5 * (a_edges[:-1] + a_edges[1:])[:, None]
+    b_lo, b_hi = b_edges[:-1], b_edges[1:]
+    band = np.clip(np.minimum(b_hi, a_mid) - np.maximum(b_lo, a_mid - 1.0), 0.0, None)
+    gap = np.abs(g(a_mid) - g(0.5 * (b_lo + b_hi)))
+    return float((np.diff(a_edges)[:, None] * band * gap).sum())
+
+
+@st.composite
+def _column(draw):
+    n = draw(st.integers(0, 30))
+    k = draw(st.integers(0, 6))  # 0: uniform values, else the grid {0, 1/k, .., 1}
+    if k:
+        x = np.array(draw(st.lists(st.integers(0, k), min_size=n, max_size=n))) / k
+    else:
+        x = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    return make_dataset(x.reshape(-1, 1)) if n else empty_dataset(1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_column(), _column())
+def test_card1d_l1_matches_band_oracle(a, b):
+    assert card1d_l1(a, b) == pytest.approx(_band_oracle(a, b), rel=1e-12, abs=1e-12)
+
+
+def test_card1d_l1_large_n():
+    # O(n log n): the band matrix would have about 4e10 cells here
+    a = random_dataset(200_000, 1, seed=33)
+    b = random_dataset(200_000, 1, seed=34)
+    exact = card1d_l1(a, b)
+    assert exact <= card1d_linf(a, b)
+    est = mc_l1(a, b, OpKind.CARD_EST, 20_000, seed=35)
+    assert abs(exact - est.value) <= 4.0 * est.std_error
 
 
 def test_card1d_linf_hand_values():
@@ -289,3 +338,9 @@ def test_model_error_range_norms():
     assert est.value == 0.0 and not est.exact
     with pytest.raises(InvalidRequest):
         model_error(ds, OpKind.CARD_EST, exact, "mu", EvalConfig(samples=10, seed=6))
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_eval_config_rejects_nonpositive_samples(samples):
+    with pytest.raises(InvalidParams):
+        EvalConfig(samples=samples)
