@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidRequest
+from .errors import InvalidParams, InvalidRequest
 from .queryfn import OpKind
 
 LOWER = "lower"
@@ -136,71 +138,89 @@ def _rs_upper_raw(n: int, d: int, eps: float) -> float:
     return n * _log2_sum_exp2([t1, t2])
 
 
-# -- request validation ------------------------------------------------------
-
-
-def _basic_check(req: BoundRequest) -> str | None:
-    if req.side not in (LOWER, UPPER):
-        raise InvalidRequest(f"side must be {LOWER!r} or {UPPER!r}")
-    if req.norm not in (NORM_INF, NORM_L1, NORM_MU):
-        raise InvalidRequest(f"unknown norm {req.norm!r}")
-    if req.n < 1:
-        return "n must be >= 1"
-    if req.d < 1:
-        return "d must be >= 1"
-    if req.op is OpKind.INDEX and req.d != 1:
-        return "indexing is single-attribute; d must be 1"
-    if not math.isfinite(req.eps) or req.eps <= 0.0:
-        return "eps must be positive and finite"
-    return None
-
-
-def _validity_reason(req: BoundRequest) -> str | None:
-    """None when the request is inside its formula's validity range."""
-    basic = _basic_check(req)
-    if basic is not None:
-        return basic
-    n, d, eps = req.n, req.d, req.eps
-    if req.side == LOWER:
-        if req.norm == NORM_INF:
-            if req.u is None or req.u < 1:
-                return "worst-case bound needs a finite domain resolution u >= 1"
-            if not 1.0 <= eps < n / 2.0:
-                return "worst-case bound needs 1 <= eps < n/2"
-            return None
-        if req.norm == NORM_MU and req.op is not OpKind.INDEX:
-            return None  # defined no-bound result, handled by caller
-        if req.op is OpKind.INDEX:
-            if eps > math.sqrt(n) / 2.0:
-                return "average-case index bound needs 0 < eps <= sqrt(n)/2"
-            return None
-        if eps > math.sqrt(n) / (4.0**d):
-            return "average-case bound needs 0 < eps <= sqrt(n)/4^d"
-        return None
-    # upper side
-    if req.norm == NORM_INF:
-        return "no worst-case upper-bound formula is provided"
-    if req.norm == NORM_MU and req.op is not OpKind.INDEX:
-        return (
-            "no distribution-weighted upper bound exists for cardinality or "
-            "range-sum in this toolkit"
-        )
-    if eps > n:
-        return "upper bounds need 0 < eps <= n"
-    return None
+# -- the formula table -------------------------------------------------------
 
 
 def _formula_id(req: BoundRequest) -> str:
     return f"{req.op.value}_{req.norm}_{req.side}"
 
 
-def _lower_raw(req: BoundRequest) -> float:
-    n, d, eps = req.n, req.d, req.eps
+class _Formula(NamedTuple):
+    """One bound formula: its unclamped evaluator in eps and its eps window."""
+
+    raw: Callable[[float], float]
+    hi: float
+    window: str  # the reason for an eps outside [lo, hi], or [lo, hi) if hi_open
+    lo: float = 0.0
+    hi_open: bool = False
+
+
+def _formula(req: BoundRequest) -> _Formula | str | BoundResult:
+    """The formula serving `req`, the reason none does, or the no-bound result.
+
+    Each bound's eps window is stated here once.  `req.eps` is only checked
+    for being positive and finite; whether it lies in the window is left to
+    the caller, so `eps_star` can search the same window.
+    """
+    if req.side not in (LOWER, UPPER):
+        raise InvalidRequest(f"side must be {LOWER!r} or {UPPER!r}")
+    if req.norm not in (NORM_INF, NORM_L1, NORM_MU):
+        raise InvalidRequest(f"unknown norm {req.norm!r}")
+    op, n, d, u = req.op, req.n, req.d, req.u
+    if n < 1:
+        return "n must be >= 1"
+    if d < 1:
+        return "d must be >= 1"
+    if op is OpKind.INDEX and d != 1:
+        return "indexing is single-attribute; d must be 1"
+    if not math.isfinite(req.eps) or req.eps <= 0.0:
+        return "eps must be positive and finite"
+    if req.side == UPPER:
+        if req.norm == NORM_INF:
+            return "no worst-case upper-bound formula is provided"
+        if req.norm == NORM_MU and op is not OpKind.INDEX:
+            return (
+                "no distribution-weighted upper bound exists for cardinality or "
+                "range-sum in this toolkit"
+            )
+        if op is OpKind.INDEX:
+            raw = partial(_index_upper_raw, n)
+        else:
+            raw = partial(_ce_upper_raw if op is OpKind.CARD_EST else _rs_upper_raw, n, d)
+        return _Formula(raw, n, "upper bounds need 0 < eps <= n")
     if req.norm == NORM_INF:
-        return _inf_lower_raw(n, d, eps, req.u)
-    if req.op is OpKind.INDEX:
-        return _l1_index_lower_raw(n, eps)
-    return _l1_ce_lower_raw(n, d, eps)
+        if u is None or u < 1:
+            return "worst-case bound needs a finite domain resolution u >= 1"
+        window = "worst-case bound needs 1 <= eps < n/2"
+        return _Formula(lambda e: _inf_lower_raw(n, d, e, u), n / 2.0, window, 1.0, True)
+    if op is OpKind.INDEX:
+        window = "average-case index bound needs 0 < eps <= sqrt(n)/2"
+        return _Formula(partial(_l1_index_lower_raw, n), math.sqrt(n) / 2.0, window)
+    if req.norm == NORM_MU:
+        return BoundResult(
+            0.0,
+            f"{_formula_id(req)}_no_bound",
+            IN_RANGE,
+            "a concentrated query distribution admits arbitrarily small error "
+            "at any size, so no distribution-free floor exists",
+        )
+    window = "average-case bound needs 0 < eps <= sqrt(n)/4^d"
+    # times 4.0**-d, not over 4.0**d, which overflows a double from d = 512
+    return _Formula(partial(_l1_ce_lower_raw, n, d), math.sqrt(n) * 4.0**-d, window)
+
+
+def _bound(req: BoundRequest, side: str) -> BoundResult:
+    if req.side != side:
+        raise InvalidRequest(f"{side}_bound_bits needs side={side!r}")
+    f = _formula(req)
+    if isinstance(f, BoundResult):
+        return f
+    if isinstance(f, str):
+        return BoundResult(math.nan, _formula_id(req), OUT_OF_RANGE, f)
+    if not f.lo <= req.eps <= f.hi or (f.hi_open and req.eps == f.hi):
+        return BoundResult(math.nan, _formula_id(req), OUT_OF_RANGE, f.window)
+    # only lower bounds are ever clamped: upper formulas are positive on their windows
+    return BoundResult(max(0.0, f.raw(req.eps)), _formula_id(req), IN_RANGE)
 
 
 def lower_bound_bits(req: BoundRequest) -> BoundResult:
@@ -214,53 +234,26 @@ def lower_bound_bits(req: BoundRequest) -> BoundResult:
     every dataset easy), which is reported as a defined zero-bit result
     rather than an error.
     """
-    if req.side != LOWER:
-        raise InvalidRequest("lower_bound_bits needs side='lower'")
-    fid = _formula_id(req)
-    if req.norm == NORM_MU and req.op is not OpKind.INDEX:
-        basic = _basic_check(req)
-        if basic is not None:
-            return BoundResult(math.nan, fid, OUT_OF_RANGE, basic)
-        return BoundResult(
-            0.0,
-            f"{fid}_no_bound",
-            IN_RANGE,
-            "a concentrated query distribution admits arbitrarily small error "
-            "at any size, so no distribution-free floor exists",
-        )
-    reason = _validity_reason(req)
-    if reason is not None:
-        return BoundResult(math.nan, fid, OUT_OF_RANGE, reason)
-    return BoundResult(max(0.0, _lower_raw(req)), fid, IN_RANGE)
+    return _bound(req, LOWER)
 
 
 def upper_bound_bits(req: BoundRequest) -> BoundResult:
     """Bits sufficient for some model to reach error <= eps on any dataset."""
-    if req.side != UPPER:
-        raise InvalidRequest("upper_bound_bits needs side='upper'")
-    fid = _formula_id(req)
-    reason = _validity_reason(req)
-    if reason is not None:
-        return BoundResult(math.nan, fid, OUT_OF_RANGE, reason)
-    n, d, eps = req.n, req.d, req.eps
-    if req.op is OpKind.INDEX:
-        bits = _index_upper_raw(n, eps)
-    elif req.op is OpKind.CARD_EST:
-        bits = _ce_upper_raw(n, d, eps)
-    else:
-        bits = _rs_upper_raw(n, d, eps)
-    return BoundResult(bits, fid, IN_RANGE)
+    return _bound(req, UPPER)
+
+
+def require_in_range(req: BoundRequest) -> None:
+    """Raise InvalidParams with the bound's reason when `req` is out of range.
+
+    A construction calls this with the bound it realizes, so it accepts
+    exactly the requests that bound is stated for.
+    """
+    result = _bound(req, req.side)
+    if result.validity == OUT_OF_RANGE:
+        raise InvalidParams(result.reason)
 
 
 # -- inversion ---------------------------------------------------------------
-
-
-def _search_interval(op: OpKind, norm: str, n: int, d: int) -> tuple[float, float]:
-    if norm == NORM_INF:
-        return 1.0, (n / 2.0) * (1.0 - 1e-12)
-    if op is OpKind.INDEX:
-        return _EPS_FLOOR, math.sqrt(n) / 2.0
-    return _EPS_FLOOR, math.sqrt(n) / (4.0**d)
 
 
 def eps_star(
@@ -275,33 +268,33 @@ def eps_star(
 
     Any model of sigma_bits bits must err by at least this much on some
     dataset.  The matching lower-bound formula is strictly decreasing in
-    eps, so a bracketed geometric bisection to 1e-9 relative width finds
-    the crossing; results at the ends of the validity interval are flagged
-    as clamped.
+    eps, so a bracketed geometric bisection to 1e-9 relative width over its
+    window finds the crossing; results at the ends of the window are
+    flagged as clamped.
     """
     if not math.isfinite(sigma_bits) or sigma_bits <= 0.0:
         raise InvalidRequest("sigma_bits must be positive and finite")
-    if norm == NORM_MU and op is not OpKind.INDEX:
-        return EpsStarResult(0.0, NO_BOUND, f"{op.value}_mu_lower_no_bound")
-    lo, hi = _search_interval(op, norm, n, d)
-    if norm == NORM_INF and hi <= lo:
-        raise InvalidRequest("worst-case inversion needs n >= 3")
-    probe = BoundRequest(op, norm, LOWER, n, d, lo, u)
-    reason = _validity_reason(probe)
-    if reason is not None:
-        raise InvalidRequest(reason)
-    fid = _formula_id(probe)
-    g_lo = _lower_raw(probe)
-    g_hi = _lower_raw(BoundRequest(op, norm, LOWER, n, d, hi, u))
-    if sigma_bits > g_lo:
+    # any positive eps passes _formula's eps check; only the window is read
+    req = BoundRequest(op, norm, LOWER, n, d, _EPS_FLOOR, u)
+    f = _formula(req)
+    if isinstance(f, BoundResult):
+        return EpsStarResult(0.0, NO_BOUND, f.formula_id)
+    if isinstance(f, str):
+        raise InvalidRequest(f)
+    lo = max(f.lo, _EPS_FLOOR)
+    hi = f.hi * (1.0 - 1e-12) if f.hi_open else f.hi
+    if hi <= lo:
+        raise InvalidRequest(f"the eps window is empty: {f.window}")
+    fid = _formula_id(req)
+    if sigma_bits > f.raw(lo):
         return EpsStarResult(lo, CLAMPED_LOW, fid)
-    if sigma_bits < g_hi:
+    if sigma_bits < f.raw(hi):
         return EpsStarResult(hi, CLAMPED_HIGH, fid)
     for _ in range(200):
         if hi - lo <= 1e-9 * lo:
             break
         mid = math.sqrt(lo * hi)
-        if _lower_raw(BoundRequest(op, norm, LOWER, n, d, mid, u)) >= sigma_bits:
+        if f.raw(mid) >= sigma_bits:
             lo = mid
         else:
             hi = mid
@@ -347,13 +340,8 @@ def covering_count_log2(op: OpKind, n: int, d: int, eps: float) -> float:
     multisets of n cells of the d-dim grid; range-sum: the same with
     d + 1 attributes.
     """
-    if n < 1 or d < 1:
-        raise InvalidRequest("n and d must be >= 1")
-    if not 0.0 < eps <= n:
-        raise InvalidRequest("covers need 0 < eps <= n")
+    require_in_range(BoundRequest(op, NORM_L1, UPPER, n, d, eps))
     u = ceil_ratio(n, eps)
-    if op is OpKind.INDEX:
-        return log2_binomial(n + u, n)
-    power = d if op is OpKind.CARD_EST else d + 1
+    power = d + 1 if op is OpKind.RANGE_SUM else d  # indexing has d = 1
     cells = (u + 1) ** power
     return log2_binomial(cells + n - 1, n)

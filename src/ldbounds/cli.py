@@ -81,8 +81,6 @@ def _cmd_eps_star(args) -> dict:
 def _build_family(args):
     kind = args.construction
     if kind == "packing-linf":
-        if args.u is None:
-            raise InvalidRequest("packing-linf requires --u")
         return packing_linf(
             OpKind(args.op), args.n, args.d, args.eps, args.u, args.count, args.seed
         )

@@ -22,7 +22,17 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import ceil_ratio, covering_count_log2, log2_binomial
+from .bounds import (
+    LOWER,
+    NORM_INF,
+    NORM_L1,
+    NORM_MU,
+    UPPER,
+    BoundRequest,
+    ceil_ratio,
+    log2_binomial,
+    require_in_range,
+)
 from .data import Dataset, grid_digits, make_dataset
 from .errors import (
     DimensionMismatch,
@@ -186,14 +196,7 @@ def packing_linf(
     Range-sum members carry a constant 1.0 measure attribute, making their
     sums equal to the underlying counts.
     """
-    if not 1.0 <= eps < n / 2.0:
-        raise InvalidParams("worst-case packing needs 1 <= eps < n/2")
-    if u < 1:
-        raise InvalidParams("domain resolution u must be >= 1")
-    if op is OpKind.INDEX and d != 1:
-        raise InvalidParams("indexing is single-attribute; d must be 1")
-    if d < 1:
-        raise InvalidParams("d must be >= 1")
+    require_in_range(BoundRequest(op, NORM_INF, LOWER, n, d, eps, u))
     eb = int(math.floor(eps)) + 1
     grid = np.arange(u + 1) / float(u)
     members, m, pad = _packing_members(n, eb, grid, d, count, seed)
@@ -228,11 +231,8 @@ def packing_l1_ce(n: int, d: int, delta: float, count: int, seed: int) -> Packin
     extra axis keeps at least a 1/4 fraction of the isolating queries, so
     the d-dimensional distance is still > 2 * delta.
     """
+    require_in_range(BoundRequest(OpKind.CARD_EST, NORM_L1, LOWER, n, d, delta))
     eps = delta * (4.0**d)
-    if d < 1:
-        raise InvalidParams("d must be >= 1")
-    if not 0.0 < eps <= math.sqrt(n):
-        raise InvalidParams("needs 0 < delta * 4^d <= sqrt(n)")
     k = math.ceil(math.sqrt(n)) + 1
     half = math.ceil(k / (2.0 * eps)) - 1
     u = 2 * half
@@ -294,8 +294,8 @@ def _index_packing(
     n: int, eps: float, cdf: Callable | None, count: int, seed: int
 ) -> PackingFamily:
     """Rank packing on the equispaced grid, or on cdf's quantile grid."""
-    if not 0.0 < eps <= math.sqrt(n) / 2.0:
-        raise InvalidParams("needs 0 < eps <= sqrt(n)/2")
+    norm = NORM_L1 if cdf is None else NORM_MU
+    require_in_range(BoundRequest(OpKind.INDEX, norm, LOWER, n, 1, eps))
     k = math.ceil(math.sqrt(n))
     levels = math.ceil(k / eps)
     if cdf is None:
@@ -480,10 +480,9 @@ def cover_encode(
     eps for indexing, (d+1) eps for cardinality, (d+2) eps for range-sum.
     """
     n, data_d = dataset.n, dataset.d
-    if n < 1:
-        raise InvalidParams("cannot encode an empty dataset")
-    if not 0.0 < eps <= n:
-        raise InvalidParams("covers need 0 < eps <= n")
+    # the upper-bound window does not depend on d; d = 1 leaves a mismatched
+    # dataset to the dimension errors below
+    require_in_range(BoundRequest(op, NORM_L1, UPPER, n, 1, eps))
     if op is OpKind.INDEX and data_d != 1:
         raise DimensionMismatch("indexing covers need single-attribute data")
     query_dims(op, data_d)  # range-sum covers need >= 2 attributes

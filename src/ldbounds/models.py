@@ -19,13 +19,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DivergenceDetected, FormatError, InvalidParams, InvalidRequest
-from .queryfn import (
-    OpKind,
-    eval_batch,
-    query_dims,
-    sample_range_queries,
-    sample_rank_queries,
-)
+from .queryfn import OpKind, eval_batch, query_dims, uniform_sampler
 from .rng import make_generator
 
 LINEAR = "linear"
@@ -210,7 +204,7 @@ def train(
         m = model.spec.m
         idx = gen.choice(n, size=m, replace=bool(m > n))
         return replace(model, records=dataset.values[np.sort(idx)], n_train=n)
-    dq = 0 if op is OpKind.INDEX else query_dims(op, dataset.d)
+    draw = uniform_sampler(op, dataset.d)
     expected = input_dim_for(op, dataset.d)
     if model.spec.input_dim != expected:
         raise InvalidParams(
@@ -221,10 +215,7 @@ def train(
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
     trace = []
     for _ in range(cfg.steps):
-        if op is OpKind.INDEX:
-            batch = sample_rank_queries(cfg.batch, gen)
-        else:
-            batch = sample_range_queries(cfg.batch, dq, gen)
+        batch = draw(cfg.batch, gen)
         target = eval_batch(dataset, op, batch) / n
         X = _features(op, batch)
         # overflow here is the signal the next line turns into an error

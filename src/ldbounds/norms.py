@@ -29,13 +29,7 @@ from .errors import (
     NotSorted,
     SizeMismatch,
 )
-from .queryfn import (
-    OpKind,
-    eval_batch,
-    query_dims,
-    sample_range_queries,
-    sample_rank_queries,
-)
+from .queryfn import OpKind, eval_batch, uniform_sampler
 from .rng import make_generator
 
 L1 = "l1"
@@ -243,12 +237,6 @@ def _mc_estimate(gaps: Callable, draw: Callable, samples: int, gen) -> DistanceE
     )
 
 
-def _uniform_draw(op: OpKind, dq: int) -> Callable:
-    if op is OpKind.INDEX:
-        return sample_rank_queries
-    return lambda count, gen: sample_range_queries(count, dq, gen)
-
-
 def _gaps(dataset: Dataset, op: OpKind, predict: Callable) -> Callable:
     """batch -> |truth on `dataset` - predict(batch)|, per query."""
     return lambda batch: np.abs(
@@ -262,7 +250,7 @@ def mc_l1(a: Dataset, b: Dataset, op: OpKind, samples: int, seed: int) -> Distan
     The query space has volume 1, so the sample mean estimates the
     integral directly.
     """
-    draw = _uniform_draw(op, query_dims(op, max(a.d, b.d)))
+    draw = uniform_sampler(op, max(a.d, b.d))
     return mc_mu(a, b, op, draw, samples, seed)
 
 
@@ -308,7 +296,7 @@ def model_error(
     worst case falls back to sampled probes.  None of these are exact.
     """
     gen = make_generator(cfg.seed)
-    draw = _uniform_draw(op, query_dims(op, dataset.d))
+    draw = uniform_sampler(op, dataset.d)
     gaps = _gaps(dataset, op, predict)
     if norm == L1:
         return _mc_estimate(gaps, draw, cfg.samples, gen)

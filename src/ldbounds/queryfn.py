@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -223,6 +224,14 @@ def sample_range_queries(
     R = gen.random((count, dq))
     C = gen.random((count, dq)) - R
     return C, R
+
+
+def uniform_sampler(op: OpKind, data_d: int) -> Callable:
+    """(count, gen) -> a batch of uniform queries for `op` over d-attribute data."""
+    if op is OpKind.INDEX:
+        return sample_rank_queries
+    dq = query_dims(op, data_d)
+    return lambda count, gen: sample_range_queries(count, dq, gen)
 
 
 def sample_easy_queries(

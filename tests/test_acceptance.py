@@ -16,13 +16,13 @@ import numpy as np
 
 import ldbounds.bounds as bnd
 from conftest import random_dataset, random_sorted
+from ldbounds.bounds import covering_count_log2
 from ldbounds.constructions import (
     PackingFamily,
     certify,
     cover_decode,
     cover_encode,
     cover_error_bound,
-    covering_count_log2,
     packing_l1_ce,
     packing_l1_index,
     packing_linf,

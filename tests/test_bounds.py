@@ -187,6 +187,14 @@ def test_huge_parameters_stay_finite():
     assert res.bits == pytest.approx(float(mp_inf_lower(10**6, 1, 2**32, 8)), rel=1e-9)
 
 
+def test_ce_l1_window_past_float_range():
+    # 4**d overflows a double at d = 512; the window is then empty, not an error
+    res = _lower(OpKind.CARD_EST, "l1", 100, 600, 0.1)
+    assert res.validity == "out_of_range" and res.reason is not None
+    with pytest.raises(InvalidRequest):
+        eps_star(64.0, OpKind.CARD_EST, "l1", 100, 600)
+
+
 # -- eps_star ---------------------------------------------------------------
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import os
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,7 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_dataset, random_sorted
-from ldbounds.bounds import covering_count_log2
+from ldbounds.bounds import (
+    LOWER,
+    NORM_INF,
+    NORM_L1,
+    NORM_MU,
+    OUT_OF_RANGE,
+    BoundRequest,
+    covering_count_log2,
+    log2_binomial,
+    lower_bound_bits,
+)
 from ldbounds.constructions import (
     CoverCode,
     certify,
@@ -170,6 +181,66 @@ def test_packing_member_structure(n, build):
         assert np.all(mult >= 0) and np.all(mult % copies == 0)
         assert mult.sum() == fam.params["multiset_size"] * copies
     assert len({ds.values.tobytes() for ds in fam.datasets}) == len(fam.datasets)
+
+
+def _edge_eps(*edges: float) -> list[float]:
+    """Interior eps values plus each window edge and the floats beside it."""
+    out = {0.0, 0.01, 0.05, 0.1, 0.5, 1.0, 2.0, 5.0}
+    for e in edges:
+        out.update((e, math.nextafter(e, 0.0), math.nextafter(e, math.inf)))
+    return sorted(out)
+
+
+def _backed_requests():
+    """(bound request, family constructor, family -> alphabet size)."""
+    for n in (100, 400, 1000):
+        rn = math.sqrt(n)
+        for eps in _edge_eps(rn / 2):
+            yield (
+                BoundRequest(OpKind.INDEX, NORM_L1, LOWER, n, 1, eps),
+                partial(packing_l1_index, n, eps, 2, 1),
+                lambda fam: fam.params["grid_points"],
+            )
+            yield (
+                BoundRequest(OpKind.INDEX, NORM_MU, LOWER, n, 1, eps),
+                partial(packing_mu_index, n, eps, np.square, 2, 1),
+                lambda fam: fam.params["grid_points"],
+            )
+        for d in (1, 2):
+            for delta in _edge_eps(rn / 4.0**d):
+                yield (
+                    BoundRequest(OpKind.CARD_EST, NORM_L1, LOWER, n, d, delta),
+                    partial(packing_l1_ce, n, d, delta, 2, 1),
+                    lambda fam: (fam.params["u"] // 2 + 1) ** fam.params["d"],
+                )
+            for op in OpKind:
+                if op is OpKind.INDEX and d != 1:
+                    continue
+                for u in (10, 100):
+                    for eps in _edge_eps(1.0, n / 2.0):
+                        yield (
+                            BoundRequest(op, NORM_INF, LOWER, n, d, eps, u),
+                            partial(packing_linf, op, n, d, eps, u, 2, 1),
+                            lambda fam: (fam.params["u"] + 1) ** fam.params["d"],
+                        )
+
+
+def test_every_lower_bound_is_backed_by_a_family():
+    # a construction accepts exactly its bound's eps window, and where the
+    # bound is positive the family it builds has at least 2**bits members
+    in_range = 0
+    for req, build, alphabet in _backed_requests():
+        bound = lower_bound_bits(req)
+        if bound.validity == OUT_OF_RANGE:
+            with pytest.raises(InvalidParams):
+                build()
+            continue
+        if bound.bits > 0.0:
+            fam = build()
+            m = fam.params["multiset_size"]
+            assert log2_binomial(m + alphabet(fam) - 1, m) >= bound.bits, req
+            in_range += 1
+    assert in_range == 219
 
 
 def test_packing_l1_index_certificate():

@@ -1,0 +1,60 @@
+"""Static checks on the package source that need no linter."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ldbounds"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never references.
+
+    A name counts as referenced when it appears as an identifier anywhere
+    in the module, annotations included, or inside a string annotation.
+    `from __future__ import ...` is exempt.
+    """
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        annotations = []
+        if isinstance(node, ast.arg | ast.AnnAssign):
+            annotations.append(node.annotation)
+        if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef):
+            annotations.append(node.returns)
+        for ann in annotations:
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                parsed = ast.parse(ann.value, mode="eval")
+                used.update(n.id for n in ast.walk(parsed) if isinstance(n, ast.Name))
+    return sorted(
+        f"{name} (line {line})" for name, line in imported.items() if name not in used
+    )
+
+
+def test_unused_imports_detects_an_unused_name():
+    source = (
+        "from __future__ import annotations\n"
+        "import math\n"
+        "from typing import Callable\n"
+        "from .bounds import ceil_ratio, covering_count_log2\n"
+        "def f(g: 'Callable') -> int:\n"
+        "    return ceil_ratio(1, math.pi)\n"
+    )
+    assert unused_imports(source) == ["covering_count_log2 (line 4)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
