@@ -9,12 +9,20 @@ a concrete collision with a large measured error.
 
 Multisets are encoded in colexicographic order: a sorted tuple
 x_1 <= ... <= x_m over {0..A-1} maps to rank sum_i C(x_i + i - 1, i),
-a bijection onto {0 .. C(m + A - 1, m) - 1}.
+a bijection onto {0 .. C(m + A - 1, m) - 1}.  Rank and unrank walk that
+sum with one running binomial C(y, i), updated exactly in integers:
+C(y+1, i+1) = C(y, i) (y+1) / (i+1) from one record to the next, and
+C(y+1, i) = C(y, i) (y+1) / (y+1-i) along a gap (downward when
+unranking).  A term in the zero region (x_i = 0, so C(y, i) = 0) carries
+nothing to update from, so the walk restarts with `math.comb` on leaving
+it; a gap longer than _WALK costs one `math.comb` (rank) or an lgamma
+guess checked exactly (unrank) instead of unit steps.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass, field
 from functools import partial
@@ -69,6 +77,10 @@ MAGIC = b"LDBC"
 VERSION = 1
 # .ldbc header: magic, version, op byte, n, d, resolution, payload length
 _HEADER = struct.Struct("<4sBBQHQI")
+# longest gap in y the codec crosses by exact unit steps; a longer one costs
+# one math.comb (rank) or an lgamma-guided search (unrank)
+_WALK = 64
+_FLOAT_SAFE = 2**1000  # lgamma takes its argument as a float
 
 
 # -- multiset codec ----------------------------------------------------------
@@ -81,38 +93,94 @@ def multiset_count(m: int, alphabet: int) -> int:
 
 
 def multiset_rank(items, alphabet: int) -> int:
-    """Colex rank of a sorted multiset over {0..alphabet-1}."""
-    rank = 0
-    prev = 0
+    """Colex rank of a sorted multiset over {0..alphabet-1}.
+
+    c = C(y, i), y = x_i + i - 1, walked upward as the module describes.
+    """
+    if alphabet < 1:
+        raise InvalidParams("need alphabet >= 1")
+    rank = c = y = prev = 0
     for i, x in enumerate(items, start=1):
-        x = int(x)
+        try:
+            x = operator.index(x)
+        except TypeError:
+            raise InvalidParams(f"items must be integers, got {x!r}") from None
         if x < prev or x >= alphabet:
             raise InvalidParams("items must be sorted ascending within the alphabet")
         prev = x
-        rank += math.comb(x + i - 1, i)
+        target = x + i - 1
+        if c:
+            c, y = c * (y + 1) // i, y + 1  # C(y+1, i) = C(y, i-1) (y+1) / i
+        if c and target - y <= _WALK:
+            while y < target:
+                y += 1
+                c = c * y // (y - i)  # C(y, i) = C(y-1, i) y / (y - i)
+        elif x:  # a long gap, or leaving the zero region where C(y, i) = 0
+            c, y = math.comb(target, i), target
+        rank += c
     return rank
 
 
+def _crossing(rem: int, k: int, hi: int) -> tuple[int, int]:
+    """(y, C(y, k)) for the largest y <= hi with C(y, k) <= rem, given 1 <= rem.
+
+    A float guess from lgamma, then exact unit steps from it; y is returned
+    only once C(y, k) <= rem < C(y+1, k) holds exactly.  A guess more than
+    _WALK steps off falls back to bisection over what the steps left open.
+    """
+    log_rem = math.log(rem)
+    y, top = k, hi
+    lg_k = math.lgamma(k + 1)
+    while top - y > 1 and hi < _FLOAT_SAFE:  # float bisection: no big integers
+        mid = (y + top) // 2
+        if math.lgamma(mid + 1) - math.lgamma(mid - k + 1) - lg_k <= log_rem:
+            y = mid
+        else:
+            top = mid
+    lo, c = k, math.comb(y, k)
+    for _ in range(_WALK):
+        if c > rem:
+            hi, c, y = y - 1, c * (y - k) // y, y - 1
+        elif y == hi or (up := c * (y + 1) // (y + 1 - k)) > rem:
+            return y, c
+        else:
+            lo, c, y = y + 1, up, y + 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if math.comb(mid, k) <= rem:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo, math.comb(lo, k)
+
+
 def multiset_unrank(rank: int, m: int, alphabet: int) -> tuple[int, ...]:
-    """Inverse of multiset_rank; returns the sorted multiset."""
+    """Inverse of multiset_rank; returns the sorted multiset.
+
+    The same walk downward from C(alphabet + m - 1, m), the code-space
+    size: record i takes the largest y with C(y, i) <= the remaining rank,
+    by unit steps down y, or by `_crossing` once _WALK steps have not
+    reached it.
+    """
     total = multiset_count(m, alphabet)
     if not 0 <= rank < total:
         raise IndexOutOfRange(f"rank {rank} outside [0, {total})")
     out = [0] * m
-    remaining = rank
-    hi_c = alphabet + m - 2
+    rem = rank
+    y = alphabet + m - 1
+    c = total  # C(y, m)
     for i in range(m, 0, -1):
-        # largest c with C(c, i) <= remaining
-        lo, hi = i - 1, hi_c
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if math.comb(mid, i) <= remaining:
-                lo = mid
-            else:
-                hi = mid - 1
-        remaining -= math.comb(lo, i)
-        out[i - 1] = lo - (i - 1)
-        hi_c = lo
+        if not rem:
+            break  # every record left is symbol 0
+        for _ in range(_WALK):
+            if c <= rem:
+                break
+            c, y = c * (y - i) // y, y - 1  # C(y-1, i) = C(y, i) (y - i) / y
+        if c > rem:
+            y, c = _crossing(rem, i, y - 1)
+        rem -= c
+        out[i - 1] = y - (i - 1)
+        c, y = c * i // y, y - 1  # C(y-1, i-1) = C(y, i) i / y
     return tuple(out)
 
 
@@ -153,22 +221,23 @@ def _mixed_radix_digits(values, d: int, base: int) -> np.ndarray:
 
 
 def _packing_members(
-    n: int, copies: int, grid: np.ndarray, d: int, count: int, seed: int
+    n: int, copies: int, levels: int, grid: Callable, d: int, count: int, seed: int
 ) -> tuple[list[np.ndarray], int, int]:
     """The one packing construction: (member row matrices, m, pad).
 
     Each member is `copies` copies of a distinct multiset of m = n // copies
-    symbols over the alphabet of len(grid)**d grid points (a symbol's
-    mixed-radix digits index `grid` per axis), padded with n - copies * m
-    all-ones rows and sorted in the canonical record order: lexicographic
-    from axis 0 outward.
+    symbols over the alphabet of levels**d grid points (a symbol's
+    mixed-radix digits j become the coordinates grid(j)), padded with
+    n - copies * m all-ones rows and sorted in the canonical record order:
+    lexicographic from axis 0 outward.  Only the drawn digits are mapped,
+    so no member costs memory in proportion to the grid.
     """
     m = n // copies
     if m < 1:
         raise InvalidParams(f"n too small: need n >= {copies} copies of one point")
     if count < 2:
         raise InvalidParams("a packing family needs at least 2 members")
-    alphabet = grid.size**d
+    alphabet = levels**d
     total = multiset_count(m, alphabet)
     if count > total:
         raise FamilyTooLarge(
@@ -178,7 +247,7 @@ def _packing_members(
     members = []
     for r in _distinct_below(total, count, make_generator(seed)):
         ms = multiset_unrank(r, m, alphabet)
-        points = grid[_mixed_radix_digits(ms, d, grid.size)]
+        points = grid(_mixed_radix_digits(ms, d, levels))
         rows = np.vstack([np.repeat(points, copies, axis=0), np.ones((pad, d))])
         members.append(rows[np.lexsort(rows.T[::-1])])
     return members, m, pad
@@ -198,8 +267,9 @@ def packing_linf(
     """
     require_in_range(BoundRequest(op, NORM_INF, LOWER, n, d, eps, u))
     eb = int(math.floor(eps)) + 1
-    grid = np.arange(u + 1) / float(u)
-    members, m, pad = _packing_members(n, eb, grid, d, count, seed)
+    members, m, pad = _packing_members(
+        n, eb, u + 1, lambda j: j / float(u), d, count, seed
+    )
     if op is OpKind.RANGE_SUM:
         members = [np.hstack([rows, np.ones((n, 1))]) for rows in members]
     return PackingFamily(
@@ -241,8 +311,9 @@ def packing_l1_ce(n: int, d: int, delta: float, count: int, seed: int) -> Packin
             f"grid collapses: derived resolution u = {u} < 2 "
             f"(delta * 4^d = {eps:g} is too close to sqrt(n))"
         )
-    grid = np.arange(half + 1) / float(u)
-    members, m, pad = _packing_members(n, k, grid, d, count, seed)
+    members, m, pad = _packing_members(
+        n, k, half + 1, lambda j: j / float(u), d, count, seed
+    )
     return PackingFamily(
         op=OpKind.CARD_EST,
         norm=L1,
@@ -299,10 +370,13 @@ def _index_packing(
     k = math.ceil(math.sqrt(n))
     levels = math.ceil(k / eps)
     if cdf is None:
-        grid = np.linspace(0.0, 1.0, levels)
+        def grid(j):  # np.linspace(0.0, 1.0, levels)[j], bit for bit
+            return np.where(j == levels - 1, 1.0, j * (1.0 / (levels - 1)))
     else:
-        grid = quantile_points(cdf, np.arange(levels) / (levels - 1))
-    members, m, pad = _packing_members(n, k, grid, 1, count, seed)
+        # bisection narrows every target alike, so a subset gets the same points
+        def grid(j):
+            return quantile_points(cdf, j / (levels - 1))
+    members, m, pad = _packing_members(n, k, levels, grid, 1, count, seed)
     return PackingFamily(
         op=OpKind.INDEX,
         norm=L1 if cdf is None else MU,

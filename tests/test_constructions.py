@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import math
 import os
+import random
+import time
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -103,6 +106,95 @@ def test_multiset_codec_huge_index():
         assert multiset_rank(ms, alphabet) == index
 
 
+def _colex_rank_oracle(items) -> int:
+    """The defining sum: rank = sum_i C(x_i + i - 1, i), one math.comb per term."""
+    return sum(math.comb(x + i - 1, i) for i, x in enumerate(items, start=1))
+
+
+@st.composite
+def _multisets(draw):
+    """(alphabet, sorted multiset): a zero prefix, then values drawn from the
+    whole alphabet or from a pool of at most three symbols (long equal runs)."""
+    alphabet = draw(st.integers(1, 140) | st.integers(10**5, 10**9))
+    m = draw(st.integers(0, 300))
+    zeros = draw(st.integers(0, m))
+    gen = random.Random(draw(st.integers(0, 2**32)))
+    pool = [gen.randrange(alphabet) for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        rest = [gen.randrange(alphabet) for _ in range(m - zeros)]
+    else:
+        rest = [gen.choice(pool) for _ in range(m - zeros)]
+    return alphabet, sorted([0] * zeros + rest)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_multisets(), st.data())
+def test_multiset_codec_matches_oracle(case, data):
+    alphabet, items = case
+    m = len(items)
+    rank = multiset_rank(items, alphabet)
+    assert rank == _colex_rank_oracle(items)
+    assert multiset_unrank(rank, m, alphabet) == tuple(items)
+    total = multiset_count(m, alphabet)
+    other = data.draw(st.sampled_from([0, total - 1]) | st.integers(0, total - 1))
+    assert multiset_rank(multiset_unrank(other, m, alphabet), alphabet) == other
+
+
+@pytest.mark.parametrize(
+    "items, alphabet",
+    [
+        ([], 1),
+        ([], 10**9),
+        ([0] * 300, 1),
+        ([0] * 250 + [1, 7], 10**9),  # a long run in the zero region
+        ([0] * 100 + [5] * 100 + [10**8] * 100, 10**9),  # equal runs, long gaps
+        ([3] * 200, 4),
+        (list(range(300)), 300),
+        ([10**9 - 1] * 300, 10**9),  # the last rank
+        ([0, 5, 2**1099, 2**1100 - 1], 2**1100),  # past float range: no lgamma guess
+    ],
+)
+def test_multiset_codec_edge_cases(items, alphabet):
+    m = len(items)
+    rank = multiset_rank(items, alphabet)
+    assert rank == _colex_rank_oracle(items)
+    assert multiset_unrank(rank, m, alphabet) == tuple(items)
+    total = multiset_count(m, alphabet)
+    assert multiset_unrank(0, m, alphabet) == (0,) * m
+    assert multiset_unrank(total - 1, m, alphabet) == (alphabet - 1,) * m
+    for out_of_space in (-1, total):
+        with pytest.raises(IndexOutOfRange):
+            multiset_unrank(out_of_space, m, alphabet)
+
+
+@pytest.mark.parametrize(
+    "items, alphabet",
+    [([0.5, 1.7], 3), ([1.0], 3), ([np.float64(2.0)], 3), ([], 0), ([0], 0), ([2, 1], 3)],
+)
+def test_multiset_rank_rejects_bad_input(items, alphabet):
+    with pytest.raises(InvalidParams):
+        multiset_rank(items, alphabet)
+
+
+def test_multiset_rank_accepts_numpy_integers():
+    items = np.array([1, 1, 4], dtype=np.int64)
+    assert multiset_rank(items, 5) == _colex_rank_oracle([1, 1, 4])
+
+
+def test_cover_codec_scale():
+    # alphabet 5001; a per-record math.comb search needs over a minute, the walk
+    # well under the 2 s budget, which leaves room for slow or noisy hosts
+    ds = random_dataset(5000, 1, seed=5000)
+    start = time.perf_counter()
+    code = cover_encode(ds, 1.0, OpKind.INDEX)
+    dec = cover_decode(code)
+    elapsed = time.perf_counter() - start
+    q = quantize(ds, GridSpec(resolution=code.resolution))
+    assert code.resolution == 5000
+    assert np.array_equal(dec.values, np.sort(q.values, axis=0))
+    assert elapsed < 2.0, f"encode + decode took {elapsed:.2f} s"
+
+
 # -- packing families --------------------------------------------------------
 
 
@@ -181,6 +273,29 @@ def test_packing_member_structure(n, build):
         assert np.all(mult >= 0) and np.all(mult % copies == 0)
         assert mult.sum() == fam.params["multiset_size"] * copies
     assert len({ds.values.tobytes() for ds in fam.datasets}) == len(fam.datasets)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        partial(packing_l1_index, 100, 1e-9, 2, 1),  # 1e10 grid points
+        partial(packing_linf, OpKind.INDEX, 100, 1, 1.0, 2**32, 2, 1),
+        partial(packing_l1_ce, 100, 1, 1e-9, 2, 1),  # 1.4e9 grid points
+    ],
+)
+def test_packing_memory_independent_of_grid(build):
+    # a member maps only its m = n // copies drawn symbols to coordinates
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        fam = build()
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(fam.datasets) == 2
+    assert elapsed < 2.0, f"built in {elapsed:.2f} s"
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def _edge_eps(*edges: float) -> list[float]:
