@@ -15,7 +15,7 @@ C(y+1, i+1) = C(y, i) (y+1) / (i+1) from one record to the next, and
 C(y+1, i) = C(y, i) (y+1) / (y+1-i) along a gap (downward when
 unranking).  A term in the zero region (x_i = 0, so C(y, i) = 0) carries
 nothing to update from, so the walk restarts with `math.comb` on leaving
-it; a gap longer than _WALK costs one `math.comb` (rank) or an lgamma
+it; a gap longer than _WALK costs one `math.comb` (rank) or a float
 guess checked exactly (unrank) instead of unit steps.
 """
 
@@ -78,9 +78,9 @@ VERSION = 1
 # .ldbc header: magic, version, op byte, n, d, resolution, payload length
 _HEADER = struct.Struct("<4sBBQHQI")
 # longest gap in y the codec crosses by exact unit steps; a longer one costs
-# one math.comb (rank) or an lgamma-guided search (unrank)
+# one math.comb (rank) or a float-guided search (unrank)
 _WALK = 64
-_FLOAT_SAFE = 2**1000  # lgamma takes its argument as a float
+_FLOAT_SAFE = 2**1000  # the guess takes y as a float
 
 
 # -- multiset codec ----------------------------------------------------------
@@ -121,19 +121,34 @@ def multiset_rank(items, alphabet: int) -> int:
     return rank
 
 
+def _log_falling(y: int, k: int) -> float:
+    """log(y! / (y - k)!) for 1 <= k <= y, without cancellation.
+
+    lgamma(y + 1) - lgamma(y - k + 1) loses the difference when k is small
+    against y.  With a = y + 1 and b = y - k + 1 >= 16, Stirling's series
+    gives it from terms of size about k: (a - 1/2) log1p(k / b)
+    + k (log b - 1) + (1/a - 1/b) / 12, within 1 / (360 b^3).
+    """
+    b = y - k + 1
+    if b < 16:
+        return math.lgamma(y + 1) - math.lgamma(b)
+    stirling = (y + 0.5) * math.log1p(k / b) + k * (math.log(b) - 1)
+    return stirling + (1 / (y + 1) - 1 / b) / 12
+
+
 def _crossing(rem: int, k: int, hi: int) -> tuple[int, int]:
     """(y, C(y, k)) for the largest y <= hi with C(y, k) <= rem, given 1 <= rem.
 
-    A float guess from lgamma, then exact unit steps from it; y is returned
-    only once C(y, k) <= rem < C(y+1, k) holds exactly.  A guess more than
-    _WALK steps off falls back to bisection over what the steps left open.
+    A float guess from `_log_falling`, then exact unit steps from it; y is
+    returned only once C(y, k) <= rem < C(y+1, k) holds exactly.  A guess
+    more than _WALK steps off falls back to bisection over what the steps
+    left open.
     """
-    log_rem = math.log(rem)
+    log_rem = math.log(rem) + math.lgamma(k + 1)
     y, top = k, hi
-    lg_k = math.lgamma(k + 1)
     while top - y > 1 and hi < _FLOAT_SAFE:  # float bisection: no big integers
         mid = (y + top) // 2
-        if math.lgamma(mid + 1) - math.lgamma(mid - k + 1) - lg_k <= log_rem:
+        if _log_falling(mid, k) <= log_rem:
             y = mid
         else:
             top = mid

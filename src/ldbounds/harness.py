@@ -193,6 +193,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRun:
             row = attempt(cell, lambda: measure(op, dist, n, tmpl, norm, cell, *fitted))
             if row is not None:
                 rows.append(row)
+        fitted = None  # frees this cell's datasets and kernels before the next fit
     return ExperimentRun(rows=tuple(rows), failures=tuple(failures))
 
 

@@ -7,16 +7,25 @@ are legal and are never clamped.  When a point has more attributes than
 the predicate, the extra trailing attributes are ignored.
 
 Batched range queries share one weighted box-sum kernel (`BoxSum`;
-cardinality weighs records by 1, range-sum by the last attribute).  With
-one predicate axis (ce at d = 1, rs at d = 2) m queries over n records
-cost O((n + m) log n): two binary searches into prefix sums.  With dq >= 2
-axes they cost O(m * u * dq), where u is the number of distinct predicate
-rows.
+cardinality weighs records by 1, range-sum by the last attribute).  Over
+n records with u distinct predicate rows and u_j distinct values on axis
+j, it is one of two structures, built once per dataset:
+
+- a summed-area table: O(n log n + prod_j (u_j + 1)) to build, and
+  O(m * (dq log u + 2**dq)) for m queries (two binary searches per axis,
+  then 2**dq table cells);
+- a mask over the distinct rows: O(n log n) to build, O(m * u * dq) for m
+  queries.
+
+One predicate axis (ce at d = 1, rs at d = 2) always takes the table.
+dq >= 2 axes take it when u > 32 and the table has at most _CHUNK_CELLS
+cells, else the mask.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -133,34 +142,77 @@ def range_sum(dataset: Dataset, query: RangeQuery) -> float:
 # arrays.
 
 _CHUNK_CELLS = 4_000_000
+# Up to this many distinct predicate rows a dq >= 2 box sum stays on the
+# mask: below it the mask is faster at dq = 3 (the measured crossover, in
+# the README's "Query kernel costs").
+_TABLE_MIN_ROWS = 32
 
 
 class BoxSum:
     """Weighted records prepared once for closed-box sums.
 
-    One predicate axis: sorted keys and prefix sums of the weights.  Two
-    or more: distinct rows with summed weights, stored column by column.
+    Table: a summed-area table over rank-compressed coordinates.  Axis j
+    has the sorted distinct values of column j as levels; table cell
+    (i_0, .., i_{dq-1}) holds the weight of the records whose value on
+    every axis j is at or below level i_j - 1 (row 0 on each axis is the
+    zero pad), so a box sum is an inclusion-exclusion over 2**dq cells.
+    Mask: distinct rows with summed weights, stored column by column.
+
+    One axis always uses the table.  More axes use it when there are over
+    _TABLE_MIN_ROWS distinct rows and it has at most _CHUNK_CELLS cells, as
+    many as one mask chunk, so it never needs more memory than the mask.
     """
 
     def __init__(self, points: np.ndarray, weights: np.ndarray) -> None:
         self.dq = points.shape[1]
-        if self.dq == 1:
-            order = np.argsort(points[:, 0], kind="stable")
-            self.keys = points[order, 0]
-            self.prefix = np.concatenate([[0.0], np.cumsum(weights[order])])
-        else:
-            rows, inverse = np.unique(points, axis=0, return_inverse=True)
-            self.columns = np.ascontiguousarray(rows.T)
-            self.weights = np.bincount(
-                inverse.ravel(), weights=weights, minlength=rows.shape[0]
-            )
+        self.table = None
+        axes = [np.unique(col, return_inverse=True) for col in points.T]
+        shape = tuple(levels.shape[0] + 1 for levels, _ in axes)
+        size = math.prod(shape)
+        if self.dq == 1 or size <= _CHUNK_CELLS:
+            codes = tuple(code + 1 for _, code in axes)  # + 1: past the zero pad
+            cell = np.ravel_multi_index(codes, shape)
+            if self.dq == 1 or np.unique(cell).shape[0] > _TABLE_MIN_ROWS:
+                self.table = np.bincount(cell, weights=weights, minlength=size)
+                grid = self.table.reshape(shape)  # a view: sums in place
+                for j in range(self.dq):
+                    np.cumsum(grid, axis=j, out=grid)
+                self.levels = [levels for levels, _ in axes]
+                self.strides = [math.prod(shape[j + 1 :]) for j in range(self.dq)]
+                return
+        rows, inverse = np.unique(points, axis=0, return_inverse=True)
+        self.columns = np.ascontiguousarray(rows.T)
+        self.weights = np.bincount(
+            inverse.ravel(), weights=weights, minlength=rows.shape[0]
+        )
+
+    def _corners(self, edges: list, j: int, base: np.ndarray | None) -> np.ndarray:
+        """Inclusion-exclusion over axes j.. at flat table offset `base`.
+
+        Differenced axis by axis, so a box empty on any axis sums to
+        exactly 0.
+        """
+        lo, top = edges[j]
+        if j:
+            lo, top = base + lo, base + top
+        if j == self.dq - 1:
+            return self.table[top] - self.table[lo]
+        return self._corners(edges, j + 1, top) - self._corners(edges, j + 1, lo)
 
     def __call__(self, C: np.ndarray, R: np.ndarray) -> np.ndarray:
         hi = C + R
-        if self.dq == 1:
-            i = np.searchsorted(self.keys, C[:, 0], side="left")
-            j = np.searchsorted(self.keys, hi[:, 0], side="right")
-            return self.prefix[j] - self.prefix[i]
+        if self.table is not None:
+            edges = []
+            for j, levels in enumerate(self.levels):
+                lo = np.searchsorted(levels, C[:, j], side="left")
+                top = np.searchsorted(levels, hi[:, j], side="right")
+                # the last axis has stride 1; skipping its multiply keeps a
+                # one-axis call as cheap as a plain prefix-sum lookup
+                if self.strides[j] != 1:
+                    lo *= self.strides[j]
+                    top *= self.strides[j]
+                edges.append((lo, top))
+            return self._corners(edges, 0, None)
         # one (chunk, u) mask per block of queries, AND-ed axis by axis
         out = np.empty(C.shape[0], dtype=np.float64)
         step = max(1, _CHUNK_CELLS // max(1, self.weights.shape[0]))

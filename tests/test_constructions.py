@@ -7,12 +7,14 @@ import time
 import tracemalloc
 from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_dataset, random_sorted
+from ldbounds import constructions
 from ldbounds.bounds import (
     LOWER,
     NORM_INF,
@@ -193,6 +195,39 @@ def test_cover_codec_scale():
     assert code.resolution == 5000
     assert np.array_equal(dec.values, np.sort(q.values, axis=0))
     assert elapsed < 2.0, f"encode + decode took {elapsed:.2f} s"
+
+
+def test_crossing_guess_lands_near_the_crossing(monkeypatch):
+    # at y near 2**32 and small k a guess from lgamma(y + 1) - lgamma(y - k + 1)
+    # cancels, misses by thousands of cells and ends in bisection: about 19
+    # math.comb calls per crossing
+    calls = {"comb": 0, "crossing": 0}
+    comb, crossing = math.comb, constructions._crossing
+
+    def counting_comb(*args):
+        calls["comb"] += 1
+        return comb(*args)
+
+    def counting_crossing(*args):
+        calls["crossing"] += 1
+        return crossing(*args)
+
+    monkeypatch.setattr(math, "comb", counting_comb)
+    monkeypatch.setattr(constructions, "_crossing", counting_crossing)
+    packing_linf(OpKind.INDEX, 100, 1, 1.0, 2**32, 2, 1)
+    assert calls["crossing"] >= 50
+    assert calls["comb"] <= 5 * calls["crossing"]
+
+
+@pytest.mark.parametrize("e", [4, 20, 32, 45])
+def test_log_falling_matches_mpmath(e):
+    # within a tenth of one step in y, for small and large k
+    y = 2**e + 5
+    for k in (1, 2, 7, 2 ** (e - 2), y - 20, y - 3, y):
+        with mpmath.workdps(60):
+            want = mpmath.loggamma(y + 1) - mpmath.loggamma(y - k + 1)
+            step = mpmath.log(mpmath.mpf(y + 1) / (y - k + 1))  # d/dy of the log
+            assert abs(constructions._log_falling(y, k) - want) <= 0.1 * step
 
 
 # -- packing families --------------------------------------------------------

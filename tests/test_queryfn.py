@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_dataset, random_sorted
+from ldbounds import queryfn
 from ldbounds.data import empty_dataset, make_dataset
 from ldbounds.errors import (
     DimensionMismatch,
@@ -13,6 +16,7 @@ from ldbounds.errors import (
     NotSorted,
 )
 from ldbounds.queryfn import (
+    BoxSum,
     OpKind,
     RangeQuery,
     RankQuery,
@@ -177,18 +181,21 @@ def test_easy_query_density_integrates_to_one():
 
 
 @st.composite
-def box_cases(draw):
+def box_cases(draw, dqs=(1, 2, 3), levels=(1, 5), sizes=(0, 40)):
     """Duplicate-heavy data and queries whose edges sit on data values.
 
-    At most 5 values per axis; widths include 0 and left edges may be
-    negative.  n = 0 gives the empty dataset.
+    `levels` bounds the number of values per axis; widths include 0 and
+    left edges may be negative.  n = 0 gives the empty dataset.
     """
     op = draw(st.sampled_from([OpKind.CARD_EST, OpKind.RANGE_SUM]))
-    dq = draw(st.integers(1, 3))
+    dq = draw(st.sampled_from(dqs))
     d = dq if op is OpKind.CARD_EST else dq + 1
     unit = st.floats(0.0, 1.0, allow_subnormal=False)
-    levels = [draw(st.lists(unit, min_size=1, max_size=5, unique=True)) for _ in range(d)]
-    n = draw(st.integers(0, 40))
+    lo, hi = levels
+    levels = [
+        draw(st.lists(unit, min_size=lo, max_size=hi, unique=True)) for _ in range(d)
+    ]
+    n = draw(st.integers(*sizes))
     rows = [[draw(st.sampled_from(levels[j])) for j in range(d)] for _ in range(n)]
     m = draw(st.integers(1, 12))
     C = np.empty((m, dq))
@@ -203,10 +210,8 @@ def box_cases(draw):
     return op, ds, C, R
 
 
-@settings(max_examples=300, deadline=None)
-@given(box_cases())
-def test_box_kernel_matches_scalar(case):
-    op, ds, C, R = case
+def check_box_kernel(op, ds, C, R):
+    """eval_batch and the batch helpers against the scalar definitions."""
     queries = [RangeQuery(c=C[i], r=R[i]) for i in range(C.shape[0])]
     got = eval_batch(ds, op, (C, R))
     if op is OpKind.CARD_EST:
@@ -219,6 +224,73 @@ def test_box_kernel_matches_scalar(case):
     tol = ds.n * 2.0**-50 * np.abs(ds.values[:, -1]).sum()
     assert np.all(np.abs(got - want) <= tol)
     assert np.all(np.abs(range_sum_batch(ds.values, C, R) - want) <= tol)
+
+
+@settings(max_examples=300, deadline=None)
+@given(box_cases())
+def test_box_kernel_matches_scalar(case):
+    check_box_kernel(*case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(box_cases(dqs=(2, 3), levels=(8, 12), sizes=(60, 100)))
+def test_box_table_matches_scalar(case):
+    # over _TABLE_MIN_ROWS distinct predicate rows: the summed-area table
+    op, ds, C, R = case
+    dq = C.shape[1]
+    assume(np.unique(ds.values[:, :dq], axis=0).shape[0] > queryfn._TABLE_MIN_ROWS)
+    kernel = ds.count_index if op is OpKind.CARD_EST else ds.sum_index
+    assert kernel.table is not None
+    check_box_kernel(op, ds, C, R)
+
+
+def _distinct_rows(count, repeat, gen):
+    """`count` distinct 2-d rows on a 0.1 grid, each `repeat` times."""
+    cells = gen.choice(100, size=count, replace=False)
+    rows = np.column_stack([cells // 10, cells % 10]) / 10.0
+    return np.repeat(rows, repeat, axis=0)
+
+
+def test_box_route_boundary(gen):
+    C, R = sample_range_queries(200, 2, gen)
+    for extra, table in ((0, False), (1, True)):
+        ds = make_dataset(_distinct_rows(queryfn._TABLE_MIN_ROWS + extra, 3, gen))
+        assert (ds.count_index.table is not None) is table
+        check_box_kernel(OpKind.CARD_EST, ds, C, R)
+
+
+def test_box_table_over_cap_falls_back_to_mask(monkeypatch, gen):
+    points = _distinct_rows(60, 2, gen)
+    ones = np.ones(points.shape[0])
+    weights = gen.random(points.shape[0])
+    C, R = sample_range_queries(300, 2, gen)
+    count_table, sum_table = BoxSum(points, ones), BoxSum(points, weights)
+    assert sum_table.table is not None
+    monkeypatch.setattr(queryfn, "_CHUNK_CELLS", sum_table.table.size - 1)
+    count_mask, sum_mask = BoxSum(points, ones), BoxSum(points, weights)
+    assert sum_mask.table is None
+    assert np.array_equal(count_mask(C, R), count_table(C, R))
+    assert np.allclose(sum_mask(C, R), sum_table(C, R), rtol=0.0, atol=1e-12)
+    # one predicate axis keeps the table whatever its size
+    assert BoxSum(points[:, :1], weights).table is not None
+
+
+def test_box_build_memory_within_cap(monkeypatch, gen):
+    cap = 40_000
+    monkeypatch.setattr(queryfn, "_CHUNK_CELLS", cap)
+    BoxSum(gen.random((50, 2)), np.ones(50))  # first-call set-up outside the trace
+    cases = ((199, 2, True), (33, 3, True), (3000, 2, False), (3000, 3, False))
+    for n, dq, table in cases:
+        points = gen.random((n, dq))
+        weights = np.ones(n)
+        tracemalloc.start()
+        try:
+            kernel = BoxSum(points, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (kernel.table is not None) is table
+        assert peak <= 8 * cap + 256 * n, f"n={n} dq={dq}: peak {peak} bytes"
 
 
 def test_box_sum_weights_collapsed_duplicates():
