@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .errors import InvalidParams, InvalidRequest
 from .queryfn import OpKind
 
@@ -304,12 +302,27 @@ def eps_star(
 # -- combinatorial counts ----------------------------------------------------
 
 
-def log2_binomial(a: int, b: int) -> float:
-    """log2 of C(a, b) by three mutually checking routes.
+def log_falling(y: int, k: int) -> float:
+    """log(y! / (y - k)!) for 1 <= k <= y, without cancellation.
 
-    Exact integer arithmetic up to a = 1e4; a log2-term sum while
-    min(b, a-b) stays enumerable (the log-gamma difference cancels badly
-    when b << a); the log-gamma identity for the huge symmetric cases.
+    lgamma(y + 1) - lgamma(y - k + 1) loses the difference when k is small
+    against y.  With a = y + 1 and b = y - k + 1 >= 16, Stirling's series
+    gives it from terms of size about k: (a - 1/2) log1p(k / b)
+    + k (log b - 1) + (1/a - 1/b) / 12, within 1 / (360 b^3).
+    """
+    b = y - k + 1
+    if b < 16:
+        return math.lgamma(y + 1) - math.lgamma(b)
+    stirling = (y + 0.5) * math.log1p(k / b) + k * (math.log(b) - 1)
+    return stirling + (1 / (y + 1) - 1 / b) / 12
+
+
+def log2_binomial(a: int, b: int) -> float:
+    """log2 of C(a, b).
+
+    Exact integer arithmetic up to a = 1e4; above it log_falling(a, m) -
+    lgamma(m + 1) with m = min(b, a - b), which keeps full precision when
+    m << a, where a difference of log-gammas cancels.
     """
     if b < 0 or b > a:
         raise InvalidRequest("need 0 <= b <= a")
@@ -318,12 +331,7 @@ def log2_binomial(a: int, b: int) -> float:
     if a <= 10_000:
         return math.log2(math.comb(a, b))
     m = min(b, a - b)
-    if m <= 2_000_000:
-        i = np.arange(1, m + 1, dtype=np.float64)
-        return float(np.log2((a - m) + i).sum() - np.log2(i).sum())
-    return (
-        math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
-    ) / _LN2
+    return (log_falling(a, m) - math.lgamma(m + 1)) / _LN2
 
 
 def ceil_ratio(n: int, eps: float) -> int:

@@ -5,7 +5,8 @@ in a chosen distance, so no small code can tell them all apart; the cover
 codec realizes the matching upper bound by quantizing a dataset and
 encoding it as one integer index over all quantized possibilities; the
 pigeonhole witness turns an undersized encoder plus a packing family into
-a concrete collision with a large measured error.
+a concrete collision with a large measured error.  `certify` checks a
+family's separation on sampled pairs, each measured by `norms.distance`.
 
 Multisets are encoded in colexicographic order: a sorted tuple
 x_1 <= ... <= x_m over {0..A-1} maps to rank sum_i C(x_i + i - 1, i),
@@ -25,7 +26,6 @@ import math
 import operator
 import struct
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -38,7 +38,7 @@ from .bounds import (
     UPPER,
     BoundRequest,
     ceil_ratio,
-    log2_binomial,
+    log_falling,
     require_in_range,
 )
 from .data import Dataset, grid_digits, make_dataset
@@ -59,15 +59,10 @@ from .norms import (
     DistanceEstimate,
     _gaps,
     _mc_estimate,
-    card1d_l1,
-    card1d_linf,
-    mc_l1,
+    distance,
     model_error,
-    rank_l1,
-    rank_linf,
-    rank_mu,
 )
-from .queryfn import OpKind, eval_batch, query_dims, sample_range_queries
+from .queryfn import OpKind, query_dims
 from .rng import make_generator, rand_below
 
 _OP_BYTE = {OpKind.INDEX: 0, OpKind.CARD_EST: 1, OpKind.RANGE_SUM: 2}
@@ -121,25 +116,10 @@ def multiset_rank(items, alphabet: int) -> int:
     return rank
 
 
-def _log_falling(y: int, k: int) -> float:
-    """log(y! / (y - k)!) for 1 <= k <= y, without cancellation.
-
-    lgamma(y + 1) - lgamma(y - k + 1) loses the difference when k is small
-    against y.  With a = y + 1 and b = y - k + 1 >= 16, Stirling's series
-    gives it from terms of size about k: (a - 1/2) log1p(k / b)
-    + k (log b - 1) + (1/a - 1/b) / 12, within 1 / (360 b^3).
-    """
-    b = y - k + 1
-    if b < 16:
-        return math.lgamma(y + 1) - math.lgamma(b)
-    stirling = (y + 0.5) * math.log1p(k / b) + k * (math.log(b) - 1)
-    return stirling + (1 / (y + 1) - 1 / b) / 12
-
-
 def _crossing(rem: int, k: int, hi: int) -> tuple[int, int]:
     """(y, C(y, k)) for the largest y <= hi with C(y, k) <= rem, given 1 <= rem.
 
-    A float guess from `_log_falling`, then exact unit steps from it; y is
+    A float guess from `log_falling`, then exact unit steps from it; y is
     returned only once C(y, k) <= rem < C(y+1, k) holds exactly.  A guess
     more than _WALK steps off falls back to bisection over what the steps
     left open.
@@ -148,7 +128,7 @@ def _crossing(rem: int, k: int, hi: int) -> tuple[int, int]:
     y, top = k, hi
     while top - y > 1 and hi < _FLOAT_SAFE:  # float bisection: no big integers
         mid = (y + top) // 2
-        if _log_falling(mid, k) <= log_rem:
+        if log_falling(mid, k) <= log_rem:
             y = mid
         else:
             top = mid
@@ -433,64 +413,15 @@ def _pair_indices(members: int, pairs: int, gen) -> list[tuple[int, int]]:
     return out
 
 
-def _linf_probe(a: Dataset, b: Dataset, op: OpKind, samples: int, seed: int) -> float:
-    """Deterministic lower bound on the worst-case distance.
-
-    Point queries at every distinct predicate projection of both datasets
-    (closed intervals make a zero-width box a point probe) plus uniform
-    random queries.
-    """
-    gaps = _gaps(a, op, partial(eval_batch, b, op))
-    dq = query_dims(op, a.d)
-    pts = np.unique(np.vstack([a.values[:, :dq], b.values[:, :dq]]), axis=0)
-    best = float(gaps((pts, np.zeros_like(pts))).max())
-    if samples > 0:
-        batch = sample_range_queries(samples, dq, make_generator(seed))
-        best = max(best, float(gaps(batch).max()))
-    return best
-
-
-def _pair_route(
-    family: PackingFamily, mc_samples: int
-) -> tuple[Callable[[Dataset, Dataset, int], float], str, int]:
-    """(observed lower bound of a pair given its seed, method, samples).
-
-    Every member shares the family's op, norm and d, so one route serves
-    every pair.
-    """
-    op, norm = family.op, family.norm
-    exact = {}
-    if op is OpKind.INDEX:
-        if norm == MU and family.cdf is None:
-            raise InvalidRequest("mu-norm family carries no cdf")
-        exact = {L1: rank_l1, LINF: rank_linf, MU: partial(rank_mu, cdf=family.cdf)}
-    elif op is OpKind.CARD_EST and family.datasets[0].d == 1:
-        exact = {L1: card1d_l1, LINF: card1d_linf}
-    if norm in exact:
-        return (lambda a, b, seed: exact[norm](a, b)), "exact", 0
-
-    def probe(a, b, seed):
-        return _linf_probe(a, b, op, mc_samples, seed)
-
-    def lower(a, b, seed):
-        est = mc_l1(a, b, op, mc_samples, seed)
-        return est.value - 3.0 * est.std_error
-
-    if norm == LINF:
-        return probe, "probe", mc_samples
-    if norm == L1:
-        return lower, "monte_carlo", mc_samples
-    raise InvalidRequest(f"no certification route for op={op.value} norm={norm}")
-
-
 def certify(
     family: PackingFamily, pairs: int, seed: int, mc_samples: int = 50_000
 ) -> SeparationCertificate:
     """Check pairwise separation on up to `pairs` random distinct pairs.
 
-    Exact routes where they exist; otherwise a probe (worst case) or a
-    Monte Carlo mean minus three standard errors (average case), both of
-    which only under-report, so a passing certificate is sound either way.
+    `norms.distance` measures each pair: exactly where it can, otherwise
+    by a probe (worst case) or a Monte Carlo mean, taken here minus three
+    standard errors (average case).  Both only under-report, so a passing
+    certificate is sound either way.
     """
     members = len(family.datasets)
     if members < 2:
@@ -499,19 +430,23 @@ def certify(
         raise InvalidParams("pairs must be >= 1")
     if mc_samples < 0:
         raise InvalidParams("mc_samples must be >= 0")
-    distance, method, samples = _pair_route(family, mc_samples)
     chosen = _pair_indices(members, pairs, make_generator(seed))
     worst = math.inf
     for t, (i, j) in enumerate(chosen):
-        a, b = family.datasets[i], family.datasets[j]
-        worst = min(worst, distance(a, b, seed + t + 1))
+        est = distance(
+            family.datasets[i], family.datasets[j], family.op, family.norm,
+            mc_samples, seed + t + 1, family.cdf,
+        )
+        worst = min(worst, est.value - 3.0 * est.std_error)
+    # every member shares the family's op, norm and d, so one route serves every pair
+    method = "exact" if est.exact else "probe" if family.norm == LINF else "monte_carlo"
     return SeparationCertificate(
         passed=bool(worst > family.claimed_separation),
         pairs_checked=len(chosen),
         min_observed=float(worst),
         claimed=family.claimed_separation,
         method=method,
-        samples=samples,
+        samples=est.samples,
         confidence=0.99865 if method == "monte_carlo" else 1.0,
     )
 
@@ -532,10 +467,7 @@ class CoverCode:
 def _code_space(n: int, alphabet: int) -> tuple[int, int]:
     """(count of n-multisets over the alphabet, bit width indexing them all)."""
     total = multiset_count(n, alphabet)
-    approx = math.ceil(log2_binomial(alphabet + n - 1, n))
-    # the float route and the integer route agree on every feasible size;
-    # keep the larger defensively so the index always fits
-    return total, max((total - 1).bit_length(), approx)
+    return total, (total - 1).bit_length()
 
 
 def _width_holds_count(n: int, alphabet: int, bits: int) -> bool:

@@ -14,10 +14,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, make_dataset
 from .errors import DivergenceDetected, FormatError, InvalidParams, InvalidRequest
 from .queryfn import OpKind, eval_batch, query_dims, uniform_sampler
 from .rng import make_generator
@@ -75,6 +76,13 @@ class TrainedModel:
     records: np.ndarray | None = None
     n_train: int = 0
     loss_trace: tuple[float, ...] = ()
+
+    @cached_property
+    def sample_data(self) -> Dataset:
+        """A sample model's records as a Dataset, so its query kernel is built once."""
+        if self.records is None:
+            raise InvalidRequest("sample model is untrained")
+        return make_dataset(self.records)
 
 
 def param_count(spec: ModelSpec) -> int:
@@ -177,10 +185,8 @@ def predict_raw(model: TrainedModel, op: OpKind, batch) -> np.ndarray:
 def predict(model: TrainedModel, op: OpKind, batch) -> np.ndarray:
     """Unnormalized predicted answers for a query batch."""
     if model.spec.kind == SAMPLE:
-        if model.records is None:
-            raise InvalidRequest("sample model is untrained")
         scale = model.n_train / model.spec.m
-        return scale * eval_batch(Dataset(values=model.records), op, batch)
+        return scale * eval_batch(model.sample_data, op, batch)
     return model.n_train * predict_raw(model, op, batch)
 
 
@@ -331,9 +337,7 @@ def load_model(path: str) -> TrainedModel:
     )
     if spec.kind == SAMPLE:
         rows = [[float(x) for x in row] for row in doc["records"]]
-        rec = np.asarray(rows, dtype=np.float64)
-        if rec.size == 0:
-            rec = None
+        rec = make_dataset(rows).values if rows else None
         return TrainedModel(spec=spec, records=rec, n_train=doc["n_train"])
     params = {
         k: np.asarray([float(x) for x in v["data"]], dtype=np.float64).reshape(

@@ -8,7 +8,9 @@ integrates against a supplied measure.
 
 Two independent routes exist wherever feasible (closed form vs piecewise
 integration vs Monte Carlo) so each can check the other; callers should
-not collapse them.
+not collapse them.  `distance` is the one place that picks a route for a
+pair of datasets: exact where a closed form serves the pair, otherwise a
+probe lower bound (worst case) or a Monte Carlo mean (average case).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import (
     NotSorted,
     SizeMismatch,
 )
-from .queryfn import OpKind, eval_batch, uniform_sampler
+from .queryfn import OpKind, eval_batch, query_dims, uniform_sampler
 from .rng import make_generator
 
 L1 = "l1"
@@ -315,3 +317,51 @@ def model_error(
         return DistanceEstimate(value=worst, exact=False, std_error=0.0, samples=qs.size)
     worst = float(gaps(draw(cfg.samples, gen)).max())
     return DistanceEstimate(value=worst, exact=False, std_error=0.0, samples=cfg.samples)
+
+
+# -- the route table ---------------------------------------------------------
+
+
+def distance(
+    a: Dataset,
+    b: Dataset,
+    op: OpKind,
+    norm: str,
+    samples: int,
+    seed: int,
+    cdf: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> DistanceEstimate:
+    """Distance between two datasets' query functions, by the first route serving it.
+
+    Exact: rank_l1, rank_linf and rank_mu (needs `cdf`) for index, and
+    card1d_l1 and card1d_linf for ce at d = 1.  Otherwise, worst case: a
+    probe lower bound from point queries at every distinct predicate
+    projection of both datasets (closed intervals make a zero-width box a
+    point) plus model_error's sampled probe over `samples` uniform queries
+    from `seed`.  Otherwise, average case: mc_l1.  Anything else raises
+    InvalidRequest.  Each route is looked up in this module's globals at
+    call time.
+    """
+    route = None
+    if op is OpKind.INDEX and norm == MU:
+        if cdf is None:
+            raise InvalidRequest("a mu distance needs a cdf")
+        route = partial(rank_mu, cdf=cdf)
+    elif op is OpKind.INDEX:
+        route = {L1: rank_l1, LINF: rank_linf}.get(norm)
+    elif op is OpKind.CARD_EST and a.d == 1:
+        route = {L1: card1d_l1, LINF: card1d_linf}.get(norm)
+    if route is not None:
+        return DistanceEstimate(value=route(a, b), exact=True)
+    if norm == LINF:
+        predict = partial(eval_batch, b, op)
+        dq = query_dims(op, a.d)
+        pts = np.unique(np.vstack([a.values[:, :dq], b.values[:, :dq]]), axis=0)
+        worst = float(_gaps(a, op, predict)((pts, np.zeros_like(pts))).max())
+        if samples > 0:
+            sampled = model_error(a, op, predict, LINF, EvalConfig(samples, seed=seed))
+            worst = max(worst, sampled.value)
+        return DistanceEstimate(value=worst, exact=False, samples=samples)
+    if norm == L1:
+        return mc_l1(a, b, op, samples, seed)
+    raise InvalidRequest(f"no distance route for op={op.value} norm={norm}")

@@ -279,6 +279,14 @@ def test_log2_binomial_huge_no_cancellation():
     assert log2_binomial(a, b) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("a, b", [(10**15, 3 * 10**6), (10**18, 10**9)])
+def test_log2_binomial_matches_mpmath(a, b):
+    # min(b, a - b) past any enumerable range, yet b << a: a log-gamma
+    # difference cancels here
+    want = (mp.loggamma(a + 1) - mp.loggamma(b + 1) - mp.loggamma(a - b + 1)) / mp.log(2)
+    assert log2_binomial(a, b) == pytest.approx(float(want), rel=1e-12)
+
+
 def test_ceil_ratio():
     assert ceil_ratio(10, 3) == 4
     assert ceil_ratio(10, 2.5) == 4

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,29 @@ def run_cli(capsys, *argv):
     out = capsys.readouterr().out
     doc = json.loads(out) if out.strip() else None
     return code, doc
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_examples() -> dict[str, tuple[list[str], str]]:
+    """subcommand -> (argv, printed JSON) for each one-command README example."""
+    out = {}
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S):
+        cmd, _, printed = block.replace("\\\n", " ").partition("\n")
+        argv = shlex.split(cmd.removeprefix("$ "))
+        if argv[:1] == ["ldbounds"] and printed.startswith("{"):
+            out[argv[1]] = (argv[1:], printed)
+    return out
+
+
+@pytest.mark.parametrize("command", ["bounds", "eps-star", "certify"])
+def test_readme_examples(capsys, command):
+    # the README's printed JSON is what the command prints today
+    argv, printed = _readme_examples()[command]
+    code, doc = run_cli(capsys, *argv)
+    assert code == 0
+    assert doc == json.loads(printed)
 
 
 def test_bounds_lower(capsys):

@@ -24,6 +24,7 @@ from ldbounds.bounds import (
     BoundRequest,
     covering_count_log2,
     log2_binomial,
+    log_falling,
     lower_bound_bits,
 )
 from ldbounds.constructions import (
@@ -227,7 +228,7 @@ def test_log_falling_matches_mpmath(e):
         with mpmath.workdps(60):
             want = mpmath.loggamma(y + 1) - mpmath.loggamma(y - k + 1)
             step = mpmath.log(mpmath.mpf(y + 1) / (y - k + 1))  # d/dy of the log
-            assert abs(constructions._log_falling(y, k) - want) <= 0.1 * step
+            assert abs(log_falling(y, k) - want) <= 0.1 * step
 
 
 # -- packing families --------------------------------------------------------

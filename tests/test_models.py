@@ -7,7 +7,13 @@ import pytest
 
 from conftest import random_dataset, random_sorted
 from ldbounds import queryfn
-from ldbounds.errors import DivergenceDetected, InvalidParams, InvalidRequest, ValidationError
+from ldbounds.errors import (
+    DivergenceDetected,
+    EntryOutOfRange,
+    InvalidParams,
+    InvalidRequest,
+    ValidationError,
+)
 from ldbounds.models import (
     ModelSpec,
     TrainConfig,
@@ -220,6 +226,39 @@ def test_load_model_rejects_other_precision(tmp_path):
             json.dump(doc, fh)
         with pytest.raises(ValidationError):
             load_model(path)
+
+
+@pytest.mark.parametrize("bad", ["2.5", "nan"])
+def test_load_model_rejects_bad_sample_records(tmp_path, bad):
+    path = str(tmp_path / "sample.json")
+    spec = ModelSpec(kind="sample", input_dim=1, m=2)
+    model = train(init_model(spec, 1), random_sorted(5, seed=2), OpKind.INDEX, TrainConfig(steps=0))
+    save_model(model, path)
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["records"] = [["0.5"], [bad]]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(EntryOutOfRange):
+        load_model(path)
+
+
+def test_sample_model_builds_one_kernel(monkeypatch):
+    built = []
+    box_sum = queryfn.BoxSum
+
+    def counting(*args):
+        built.append(args)
+        return box_sum(*args)
+
+    monkeypatch.setattr(queryfn, "BoxSum", counting)
+    spec = ModelSpec(kind="sample", input_dim=4, m=50)
+    ds = random_dataset(200, 2, seed=41)
+    model = train(init_model(spec, 42), ds, OpKind.CARD_EST, TrainConfig(steps=0, seed=42))
+    gen = make_generator(43)
+    for _ in range(2):
+        predict(model, OpKind.CARD_EST, sample_range_queries(64, 2, gen))
+    assert len(built) == 1
 
 
 def test_predictor_feeds_model_error():

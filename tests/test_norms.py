@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_dataset, random_sorted
+from ldbounds.constructions import PackingFamily, certify
 from ldbounds.data import empty_dataset, make_dataset, sort_dataset_1d
 from ldbounds.errors import (
     CdfNotMonotone,
@@ -18,6 +19,7 @@ from ldbounds.norms import (
     EvalConfig,
     card1d_l1,
     card1d_linf,
+    distance,
     mc_l1,
     mc_mu,
     model_error,
@@ -344,3 +346,53 @@ def test_model_error_range_norms():
 def test_eval_config_rejects_nonpositive_samples(samples):
     with pytest.raises(InvalidParams):
         EvalConfig(samples=samples)
+
+
+# -- the route table ---------------------------------------------------------
+
+
+def _square(x):
+    return np.asarray(x) ** 2
+
+
+_INDEX_PAIR = _pair(12, seed=21)
+_CE1_PAIR = (random_dataset(15, 1, seed=22), random_dataset(11, 1, seed=23))
+_CE2_PAIR = (random_dataset(30, 2, seed=1), random_dataset(30, 2, seed=2))
+
+
+@pytest.mark.parametrize(
+    "pair, op, norm, samples, cdf, want",
+    [
+        # exact rows: the function's own value
+        (_INDEX_PAIR, OpKind.INDEX, "l1", 0, None, rank_l1(*_INDEX_PAIR)),
+        (_INDEX_PAIR, OpKind.INDEX, "linf", 0, None, rank_linf(*_INDEX_PAIR)),
+        (_INDEX_PAIR, OpKind.INDEX, "mu", 0, _square, rank_mu(*_INDEX_PAIR, _square)),
+        (_CE1_PAIR, OpKind.CARD_EST, "l1", 0, None, card1d_l1(*_CE1_PAIR)),
+        (_CE1_PAIR, OpKind.CARD_EST, "linf", 0, None, card1d_linf(*_CE1_PAIR)),
+        # the probe row: point queries alone, then with the sampled probe
+        (_CE2_PAIR, OpKind.CARD_EST, "linf", 0, None, (1.0, 0.0)),
+        (_CE2_PAIR, OpKind.CARD_EST, "linf", 2000, None, (10.0, 0.0)),
+        # the Monte Carlo row
+        (_CE2_PAIR, OpKind.CARD_EST, "l1", 2000, None, (1.998, 0.046787739272945605)),
+    ],
+)
+def test_distance_routes(pair, op, norm, samples, cdf, want):
+    est = distance(*pair, op, norm, samples, 5, cdf)
+    if isinstance(want, tuple):  # probe and Monte Carlo rows: pinned (value, std_error)
+        assert not est.exact
+        assert (est.value, est.std_error, est.samples) == (*want, samples)
+    else:
+        assert est.exact
+        assert (est.value, est.std_error, est.samples) == (want, 0.0, 0)
+
+
+@pytest.mark.parametrize(
+    "pair, op, cdf",
+    [(_INDEX_PAIR, OpKind.INDEX, None), (_CE1_PAIR, OpKind.CARD_EST, _square)],
+)
+def test_distance_mu_needs_index_and_cdf(pair, op, cdf):
+    with pytest.raises(InvalidRequest):
+        distance(*pair, op, "mu", 100, 5, cdf)
+    family = PackingFamily(op=op, norm="mu", datasets=pair, claimed_separation=0.1, cdf=cdf)
+    with pytest.raises(InvalidRequest):
+        certify(family, pairs=1, seed=5, mc_samples=100)
