@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import Dataset, make_dataset
 from .errors import DivergenceDetected, FormatError, InvalidParams, InvalidRequest
-from .queryfn import OpKind, eval_batch, query_dims, uniform_sampler
+from .queryfn import OpKind, eval_batch, query_dims, uniform_block
 from .rng import make_generator
 
 LINEAR = "linear"
@@ -34,6 +34,10 @@ PRECISION_BITS = 32
 
 # hidden width of each named network preset
 PRESET_HIDDEN = {"nn-s1": 3, "nn-s2": 16}
+
+# queries `train` draws and answers at once; bounds a block's memory at any
+# step count
+_BLOCK_QUERIES = 65_536
 
 
 @dataclass(frozen=True)
@@ -67,6 +71,11 @@ class TrainConfig:
             raise InvalidParams("steps must be >= 0")
         if self.batch < 1:
             raise InvalidParams("batch must be >= 1")
+        # chained comparisons: nan fails both
+        if not 0.0 <= self.lr < math.inf:
+            raise InvalidParams("lr must be finite and >= 0")
+        if not 0.0 <= self.momentum < 1.0:
+            raise InvalidParams("momentum must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -195,6 +204,21 @@ def predictor(model: TrainedModel, op: OpKind):
     return lambda batch: predict(model, op, batch)
 
 
+def _flatten(spec: ModelSpec, params: dict) -> np.ndarray:
+    return np.concatenate([params[k].ravel() for k in _PARAM_ORDER[spec.kind]])
+
+
+def _unflatten(spec: ModelSpec, flat: np.ndarray, like: dict) -> dict:
+    """Views into `flat`, shaped as the arrays of `like`."""
+    out = {}
+    pos = 0
+    for k in _PARAM_ORDER[spec.kind]:
+        size = like[k].size
+        out[k] = flat[pos : pos + size].reshape(like[k].shape)
+        pos += size
+    return out
+
+
 def train(
     model: TrainedModel, dataset: Dataset, op: OpKind, cfg: TrainConfig
 ) -> TrainedModel:
@@ -210,50 +234,43 @@ def train(
         m = model.spec.m
         idx = gen.choice(n, size=m, replace=bool(m > n))
         return replace(model, records=dataset.values[np.sort(idx)], n_train=n)
-    draw = uniform_sampler(op, dataset.d)
     expected = input_dim_for(op, dataset.d)
     if model.spec.input_dim != expected:
         raise InvalidParams(
             f"model input_dim {model.spec.input_dim} != {expected} required "
             f"for {op.value} over {dataset.d}-attribute data"
         )
-    params = {k: v.copy() for k, v in model.params.items()}
-    velocity = {k: np.zeros_like(v) for k, v in params.items()}
+    spec, B = model.spec, cfg.batch
+    # one flat vector holds every parameter; `params` are views into it
+    flat = _flatten(spec, model.params)
+    params = _unflatten(spec, flat, model.params)
+    velocity = np.zeros_like(flat)
     trace = []
-    for _ in range(cfg.steps):
-        batch = draw(cfg.batch, gen)
-        target = eval_batch(dataset, op, batch) / n
-        X = _features(op, batch)
-        # overflow here is the signal the next line turns into an error
+    per_block = max(1, _BLOCK_QUERIES // B)
+    while len(trace) < cfg.steps:
+        # a block's queries are the same stream as one draw per step
+        k = min(per_block, cfg.steps - len(trace))
+        block = uniform_block(op, dataset.d, k, B, gen)
+        targets = eval_batch(dataset, op, block) / n
+        features = _features(op, block)
+        # overflow here is the signal the loss check turns into an error
         with np.errstate(over="ignore", invalid="ignore"):
-            out, cache = _forward(model.spec, params, X)
-            residual = out - target
-            loss = float(np.mean(residual * residual))
-        if not math.isfinite(loss):
-            raise DivergenceDetected(f"loss became {loss} at step {len(trace)}")
-        trace.append(loss)
-        grads = _backward(model.spec, params, X, cache, residual)
-        for k in params:
-            velocity[k] = cfg.momentum * velocity[k] - cfg.lr * grads[k]
-            params[k] += velocity[k]
+            for s in range(0, k * B, B):
+                X = features[s : s + B]
+                out, cache = _forward(spec, params, X)
+                residual = out - targets[s : s + B]
+                loss = float(np.add.reduce(residual * residual) / B)
+                if not math.isfinite(loss):
+                    raise DivergenceDetected(f"loss became {loss} at step {len(trace)}")
+                trace.append(loss)
+                grads = _backward(spec, params, X, cache, residual)
+                velocity *= cfg.momentum
+                velocity -= cfg.lr * _flatten(spec, grads)
+                flat += velocity
     return replace(model, params=params, n_train=n, loss_trace=tuple(trace))
 
 
 # -- gradient verification ---------------------------------------------------
-
-
-def _flatten(spec: ModelSpec, params: dict) -> np.ndarray:
-    return np.concatenate([params[k].ravel() for k in _PARAM_ORDER[spec.kind]])
-
-
-def _unflatten(spec: ModelSpec, flat: np.ndarray, like: dict) -> dict:
-    out = {}
-    pos = 0
-    for k in _PARAM_ORDER[spec.kind]:
-        size = like[k].size
-        out[k] = flat[pos : pos + size].reshape(like[k].shape).copy()
-        pos += size
-    return out
 
 
 def grad_check(

@@ -286,6 +286,22 @@ def uniform_sampler(op: OpKind, data_d: int) -> Callable:
     return lambda count, gen: sample_range_queries(count, dq, gen)
 
 
+def uniform_block(op: OpKind, data_d: int, k: int, count: int, gen: np.random.Generator):
+    """k consecutive `uniform_sampler(op, data_d)(count, gen)` draws, concatenated.
+
+    One call consumes the same stream as the k draws: a rank draw is
+    `count` points, and a range draw is its widths R, then its left edges
+    plus R, as in `sample_range_queries`.
+    """
+    if op is OpKind.INDEX:
+        return gen.random(k * count)
+    dq = query_dims(op, data_d)
+    blk = gen.random((k, 2, count, dq))
+    R = blk[:, 0]
+    C = blk[:, 1] - R
+    return C.reshape(k * count, dq), R.reshape(k * count, dq)
+
+
 def sample_easy_queries(
     n: int, k: int, count: int, gen: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -243,7 +243,17 @@ def test_train_sample_with_m(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags", [("--batch", "0"), ("--batch", "-1"), ("--steps", "-1")]
+    "flags",
+    [
+        ("--batch", "0"),
+        ("--batch", "-1"),
+        ("--steps", "-1"),
+        ("--lr", "nan"),
+        ("--lr", "inf"),
+        ("--lr", "-0.5"),
+        ("--momentum", "nan"),
+        ("--momentum", "1.5"),
+    ],
 )
 def test_train_rejects_bad_schedule(tmp_path, capsys, flags):
     src = str(tmp_path / "train.csv")

@@ -314,6 +314,14 @@ def test_parse_config_overlays_defaults():
             "models": ["linear"],
             "train": {"batch": 0},
         },
+        {
+            "ops": ["index"],
+            "norms": ["l1"],
+            "distributions": [{"kind": "uniform"}],
+            "n_values": [10],
+            "models": ["linear"],
+            "train": {"lr": "nan"},
+        },
     ],
 )
 def test_parse_config_rejects(doc):

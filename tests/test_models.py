@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_dataset, random_sorted
-from ldbounds import queryfn
+from ldbounds import models, queryfn
 from ldbounds.errors import (
     DivergenceDetected,
     EntryOutOfRange,
@@ -72,11 +72,27 @@ def test_spec_validation():
         ModelSpec(kind="nonsense", input_dim=1)
 
 
-@pytest.mark.parametrize("bad", [{"batch": 0}, {"batch": -1}, {"steps": -1}])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"batch": 0},
+        {"batch": -1},
+        {"steps": -1},
+        {"lr": -0.5},
+        {"lr": float("nan")},
+        {"lr": float("inf")},
+        {"momentum": -0.1},
+        {"momentum": 1.0},
+        {"momentum": 1.5},
+        {"momentum": float("nan")},
+        {"momentum": float("inf")},
+    ],
+)
 def test_train_config_validation(bad):
     with pytest.raises(InvalidParams):
         TrainConfig(**bad)
     assert TrainConfig(steps=0, batch=1).steps == 0  # an untrained model is legal
+    assert TrainConfig(lr=0.0, momentum=0.0).lr == 0.0  # a frozen model too
 
 
 def test_init_deterministic():
@@ -132,7 +148,7 @@ def test_training_rejects_wrong_input_dim():
 def test_training_divergence_detected():
     ds = random_sorted(100, seed=10)
     cfg = TrainConfig(steps=3000, batch=32, lr=1e6, momentum=0.99, seed=11)
-    with pytest.raises(DivergenceDetected):
+    with pytest.raises(DivergenceDetected, match="at step 24"):
         train(init_model(nn_s2(1), 11), ds, OpKind.INDEX, cfg)
 
 
@@ -293,3 +309,88 @@ def test_train_prepares_each_dataset_once(monkeypatch):
     for seed in (0, 1):
         train(model, ds, OpKind.CARD_EST, TrainConfig(steps=25, batch=16, seed=seed))
     assert builds == [(50, 2)]
+
+
+def _reference_train(model, dataset, op, cfg):
+    """The per-step loop: one draw, one eval_batch and one update per name."""
+    n = dataset.n
+    gen = make_generator(cfg.seed)
+    draw = queryfn.uniform_sampler(op, dataset.d)
+    params = {k: v.copy() for k, v in model.params.items()}
+    velocity = {k: np.zeros_like(v) for k, v in params.items()}
+    trace = []
+    for _ in range(cfg.steps):
+        batch = draw(cfg.batch, gen)
+        target = eval_batch(dataset, op, batch) / n
+        X = models._features(op, batch)
+        out, cache = models._forward(model.spec, params, X)
+        residual = out - target
+        trace.append(float(np.mean(residual * residual)))
+        grads = models._backward(model.spec, params, X, cache, residual)
+        for k in params:
+            velocity[k] = cfg.momentum * velocity[k] - cfg.lr * grads[k]
+            params[k] += velocity[k]
+    return params, tuple(trace)
+
+
+# (op, d): n = 200 puts ce at d = 3 on the mask kernel, the rest on the table
+REFERENCE_CASES = [
+    (OpKind.INDEX, 1),
+    (OpKind.CARD_EST, 1),
+    (OpKind.CARD_EST, 2),
+    (OpKind.CARD_EST, 3),
+    (OpKind.RANGE_SUM, 2),
+    (OpKind.RANGE_SUM, 3),
+]
+
+
+@pytest.mark.parametrize("steps,batch", [(40, 5000), (7, 1), (300, 64), (0, 3)])
+@pytest.mark.parametrize("op,d", REFERENCE_CASES)
+@pytest.mark.parametrize("preset", ["linear", "nn-s1", "nn-s2"])
+def test_train_matches_reference_loop(preset, op, d, steps, batch):
+    ds = random_sorted(200, seed=d) if op is OpKind.INDEX else random_dataset(200, d, seed=d)
+    dim = input_dim_for(op, d)
+    spec = {"linear": ModelSpec(kind="linear", input_dim=dim), "nn-s1": nn_s1(dim), "nn-s2": nn_s2(dim)}
+    model = init_model(spec[preset], seed=3)
+    cfg = TrainConfig(steps=steps, batch=batch, lr=0.05, momentum=0.9, seed=17)
+    got = train(model, ds, op, cfg)
+    params, trace = _reference_train(model, ds, op, cfg)
+    assert got.loss_trace == trace
+    assert got.params.keys() == params.keys()
+    for k in params:
+        assert got.params[k].shape == params[k].shape
+        assert got.params[k].dtype == params[k].dtype
+        assert np.array_equal(got.params[k], params[k])
+
+
+@pytest.mark.parametrize("op,d", [(OpKind.INDEX, 1), (OpKind.CARD_EST, 1), (OpKind.RANGE_SUM, 3)])
+def test_uniform_block_equals_consecutive_draws(op, d):
+    block_gen, gen = make_generator(8), make_generator(8)
+    block = queryfn.uniform_block(op, d, 5, 7, block_gen)
+    draw = queryfn.uniform_sampler(op, d)
+    draws = [draw(7, gen) for _ in range(5)]
+    if op is OpKind.INDEX:
+        assert np.array_equal(block, np.concatenate(draws))
+    else:
+        C, R = block
+        assert np.array_equal(C, np.concatenate([c for c, _ in draws]))
+        assert np.array_equal(R, np.concatenate([r for _, r in draws]))
+    # both leave the generator at the same point of its stream
+    assert block_gen.random() == gen.random()
+
+
+@pytest.mark.parametrize("steps,batch,calls", [(1000, 64, 1), (40, 5000, 4)])
+def test_train_answers_one_batch_per_block(monkeypatch, steps, batch, calls):
+    seen = []
+
+    def counting(*args):
+        seen.append(args)
+        return eval_batch(*args)
+
+    monkeypatch.setattr(models, "eval_batch", counting)
+    ds = random_dataset(100, 2, seed=51)
+    spec = nn_s1(input_dim_for(OpKind.CARD_EST, 2))
+    cfg = TrainConfig(steps=steps, batch=batch, seed=52)
+    model = train(init_model(spec, 52), ds, OpKind.CARD_EST, cfg)
+    assert len(model.loss_trace) == steps
+    assert len(seen) == calls
