@@ -7,6 +7,10 @@ every number bit for bit and adding cells never perturbs existing ones.
 Training seeds deliberately exclude the norm coordinate: the norm only
 changes how a trained model is measured, so both norm rows of a cell
 share one trained model.
+
+The cells of one (operation, model) pair train in lockstep, up to
+_STACK_JOBS replicates at a time (`models.train_many`); a model trained in
+a stack equals the one trained alone, so stacking changes no number.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .models import (
     matching_sample_m,
     model_bits,
     predictor,
-    train,
+    train_many,
 )
 from .norms import EvalConfig, model_error
 from .queryfn import OpKind, query_dims
@@ -40,6 +44,11 @@ from .rng import mix64, stable_text_hash
 log = logging.getLogger(__name__)
 
 DEFAULT_DOMAIN_U = 2**32
+
+# replicates trained in one lockstep stack.  Per model, 1,000 nn-s1 steps
+# of 64 queries cost 32, 13, 10 and 9.3 ms at K = 1, 4, 8 and 16: 8 is the
+# knee, and it bounds the datasets a stack holds at once.
+_STACK_JOBS = 8
 
 
 @dataclass(frozen=True)
@@ -125,44 +134,35 @@ def _prep_dataset(op: OpKind, dataset: Dataset) -> Dataset:
 def run_experiment(config: ExperimentConfig) -> ExperimentRun:
     """Execute every cell; failed cells are recorded, not fatal.
 
-    A cell is fitted once (replicates sampled, prepared and trained) and
-    then measured under each norm.  A fit failure is recorded under the
-    cell's base key and skips all its norms; a measure failure is recorded
-    under `base|norm` and drops only that row.
+    Cells sharing an op and a model template form a group, whose models
+    are trained in lockstep (`train_many`): up to _STACK_JOBS replicates,
+    of as many whole cells as fit, per stack.  Each cell of a stack is then
+    measured under each norm, and the stack is freed before the next is
+    fitted.  A fit failure (sampling, preparing or training one replicate)
+    is recorded under the cell's base key and skips all its norms; a
+    measure failure is recorded under `base|norm` and drops only that row.
+    Rows and failures come out in `itertools.product` order of (op,
+    distribution, n, model), then norm.
     """
     if config.datasets_per_cell < 1:
         raise InvalidParams("datasets_per_cell must be >= 1")
-    rows: list[ResultRow] = []
-    failures: list[tuple[str, str]] = []
+    reps = config.datasets_per_cell
+    # each keyed by its cell's index in the product, then its norm's index
+    rows: list[tuple[tuple, ResultRow]] = []
+    failures: list[tuple[tuple, tuple[str, str]]] = []
 
     def seed(key: str) -> int:
         return mix64(config.master_seed, stable_text_hash(key))
 
-    def attempt(key: str, work):
-        try:
-            return work()
-        except LdboundsError as exc:
-            log.warning("cell %s failed: %s", key, exc)
-            failures.append((key, str(exc)))
-            return None
-
-    def fit(op, dist, n, tmpl, base):
-        spec = tmpl.resolve(op, config.d)
-        trained = []
-        for rep in range(config.datasets_per_cell):
-            data_seed = seed(f"{base}|{rep}|data")
-            dataset = _prep_dataset(op, dist.sample(n, config.d, data_seed))
-            train_seed = seed(f"{base}|{rep}|train")
-            model = init_model(spec, train_seed)
-            cfg = replace(config.train, seed=train_seed)
-            trained.append((dataset, predictor(train(model, dataset, op, cfg), op)))
-        return model_bits(spec, config.d), trained
+    def fail(pos: tuple, key: str, exc: LdboundsError) -> None:
+        log.warning("cell %s failed: %s", key, exc)
+        failures.append((pos, (key, str(exc))))
 
     def measure(op, dist, n, tmpl, norm, cell, bits, trained):
         estimates = []
-        for rep, (dataset, predict) in enumerate(trained):
+        for rep, (dataset, model) in enumerate(trained):
             cfg = replace(config.eval, seed=seed(f"{cell}|{rep}|eval"))
-            estimates.append(model_error(dataset, op, predict, norm, cfg))
+            estimates.append(model_error(dataset, op, predictor(model, op), norm, cfg))
         worst = max(estimates, key=lambda est: est.value)  # first of equal maxima
         norm_id = bnd.NORM_INF if norm == "linf" else bnd.NORM_L1
         dq = query_dims(op, config.d)
@@ -181,20 +181,64 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRun:
             exact=worst.exact,
         )
 
-    for op, dist, n, tmpl in itertools.product(
-        config.ops, config.distributions, config.n_values, config.models
+    def run_stack(op, tmpl, spec, cells):
+        """Fit `cells` in lockstep, then measure each; all is freed on return."""
+        jobs, owner, errors = [], [], {}
+        for c, (_, dist, n, base) in enumerate(cells):
+            for rep in range(reps):
+                try:
+                    data_seed = seed(f"{base}|{rep}|data")
+                    dataset = _prep_dataset(op, dist.sample(n, config.d, data_seed))
+                except LdboundsError as exc:
+                    errors[c] = exc  # unless an earlier replicate fails to train
+                    break
+                train_seed = seed(f"{base}|{rep}|train")
+                cfg = replace(config.train, seed=train_seed)
+                jobs.append((init_model(spec, train_seed), dataset, cfg))
+                owner.append(c)
+        trained = [[] for _ in cells]
+        for s in range(0, len(jobs), _STACK_JOBS):
+            stack = jobs[s : s + _STACK_JOBS]
+            for c, (_, dataset, _), model in zip(owner[s:], stack, train_many(stack, op)):
+                trained[c].append((dataset, model))
+        bits = model_bits(spec, config.d)
+        for c, (pos, dist, n, base) in enumerate(cells):
+            diverged = (m for _, m in trained[c] if isinstance(m, LdboundsError))
+            error = next(diverged, errors.get(c))
+            if error is not None:
+                fail(pos, base, error)
+                continue
+            for k, norm in enumerate(config.norms):
+                cell = f"{base}|{norm}"
+                try:
+                    row = measure(op, dist, n, tmpl, norm, cell, bits, trained[c])
+                except LdboundsError as exc:
+                    fail(pos + (k,), cell, exc)
+                else:
+                    rows.append((pos + (k,), row))
+
+    per_stack = max(1, _STACK_JOBS // reps)
+    for (oi, op), (ti, tmpl) in itertools.product(
+        enumerate(config.ops), enumerate(config.models)
     ):
-        base = f"{op.value}|{dist.name}|{n}|{tmpl.model_id}"
-        fitted = attempt(base, lambda: fit(op, dist, n, tmpl, base))
-        if fitted is None:
+        group = [
+            ((oi, di, ni, ti), dist, n, f"{op.value}|{dist.name}|{n}|{tmpl.model_id}")
+            for (di, dist), (ni, n) in itertools.product(
+                enumerate(config.distributions), enumerate(config.n_values)
+            )
+        ]
+        try:
+            spec = tmpl.resolve(op, config.d)
+        except LdboundsError as exc:
+            for pos, _, _, base in group:
+                fail(pos, base, exc)
             continue
-        for norm in config.norms:
-            cell = f"{base}|{norm}"
-            row = attempt(cell, lambda: measure(op, dist, n, tmpl, norm, cell, *fitted))
-            if row is not None:
-                rows.append(row)
-        fitted = None  # frees this cell's datasets and kernels before the next fit
-    return ExperimentRun(rows=tuple(rows), failures=tuple(failures))
+        for s in range(0, len(group), per_stack):
+            run_stack(op, tmpl, spec, group[s : s + per_stack])
+    return ExperimentRun(
+        rows=tuple(row for _, row in sorted(rows, key=lambda item: item[0])),
+        failures=tuple(f for _, f in sorted(failures, key=lambda item: item[0])),
+    )
 
 
 CSV_HEADER = ",".join(f.name for f in fields(ResultRow))

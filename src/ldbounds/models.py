@@ -7,6 +7,12 @@ and widths for range queries) and emit answers normalized by the record
 count; predictions scale back up by n.  Training is plain minibatch SGD
 with momentum on squared error against normalized true answers, fully
 deterministic given its seed.
+
+`train_many` fits K models of one spec and setting in lockstep: their
+parameters are the rows of one (K, P) array, and each step is one stacked
+forward pass, backward pass and update for all K.  `train`, `predict_raw`
+and `grad_check` run the same kernels with K = 1, and a model's numbers do
+not depend on the stack it is trained in.
 """
 
 from __future__ import annotations
@@ -27,16 +33,14 @@ LINEAR = "linear"
 MLP = "mlp"
 SAMPLE = "sample"
 
-_PARAM_ORDER = {LINEAR: ("w", "b"), MLP: ("W1", "b1", "W2", "b2")}
-
 # storage charged per parameter, and per coordinate of a stored record
 PRECISION_BITS = 32
 
 # hidden width of each named network preset
 PRESET_HIDDEN = {"nn-s1": 3, "nn-s2": 16}
 
-# queries `train` draws and answers at once; bounds a block's memory at any
-# step count
+# queries a training stack draws and answers at once, over all its models;
+# bounds a block's memory at any step count and stack size
 _BLOCK_QUERIES = 65_536
 
 
@@ -95,11 +99,9 @@ class TrainedModel:
 
 
 def param_count(spec: ModelSpec) -> int:
-    if spec.kind == LINEAR:
-        return spec.input_dim + 1
-    if spec.kind == MLP:
-        return spec.hidden * spec.input_dim + 2 * spec.hidden + 1
-    raise InvalidRequest("sample models store records, not parameters")
+    if spec.kind == SAMPLE:
+        raise InvalidRequest("sample models store records, not parameters")
+    return sum(math.prod(shape) for _, shape in _shapes(spec))
 
 
 def model_bits(spec: ModelSpec, data_d: int = 1) -> int:
@@ -149,46 +151,82 @@ def init_model(spec: ModelSpec, seed: int) -> TrainedModel:
     return TrainedModel(spec=spec, params=params)
 
 
-def _features(op: OpKind, batch) -> np.ndarray:
+def _features(op: OpKind, batch, out: np.ndarray | None = None) -> np.ndarray:
+    """One row per query: its point, or its left edges then its widths."""
     if op is OpKind.INDEX:
-        return np.asarray(batch, dtype=np.float64).reshape(-1, 1)
-    C, R = batch
-    return np.hstack([C, R])
+        batch = (np.asarray(batch, dtype=np.float64).reshape(-1, 1),)
+    return np.concatenate(batch, axis=1, out=out)
 
 
-def _forward(spec: ModelSpec, params: dict, X: np.ndarray):
+def _shapes(spec: ModelSpec) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """Each parameter's name and shape, in flat-vector order."""
     if spec.kind == LINEAR:
-        out = X @ params["w"] + params["b"][0]
-        return out, None
-    Z1 = X @ params["W1"].T + params["b1"]
+        return (("w", (spec.input_dim,)), ("b", (1,)))
+    h = spec.hidden
+    return (("W1", (h, spec.input_dim)), ("b1", (h,)), ("W2", (1, h)), ("b2", (1,)))
+
+
+def _flatten(spec: ModelSpec, params: dict) -> np.ndarray:
+    return np.concatenate([params[name].ravel() for name, _ in _shapes(spec)])
+
+
+def _views(spec: ModelSpec, flat: np.ndarray) -> dict:
+    """Per-name views into a (K, P) stack of flat vectors, stack axis first."""
+    out = {}
+    pos = 0
+    for name, shape in _shapes(spec):
+        size = math.prod(shape)
+        out[name] = flat[:, pos : pos + size].reshape(-1, *shape)
+        pos += size
+    return out
+
+
+# The kernels below run K models at once: features X are (K, B, D), outputs
+# and residuals (K, B), and each parameter view has the stack as its leading
+# axis.  Every stacked matmul and reduction makes, per model, the same BLAS
+# call or summation as it would for that model alone, so a model's numbers
+# do not depend on the stack it runs in.
+
+
+def _forward(spec: ModelSpec, p: dict, X: np.ndarray):
+    if spec.kind == LINEAR:
+        return (X @ p["w"][:, :, None])[:, :, 0] + p["b"], None
+    Z1 = X @ p["W1"].transpose(0, 2, 1) + p["b1"][:, None, :]
     A1 = np.maximum(Z1, 0.0)
-    out = (A1 @ params["W2"].T)[:, 0] + params["b2"][0]
+    out = (A1 @ p["W2"].transpose(0, 2, 1))[:, :, 0] + p["b2"]
     return out, (Z1, A1)
 
 
 def _backward(
-    spec: ModelSpec, params: dict, X: np.ndarray, cache, residual: np.ndarray
-) -> dict:
-    """Gradients of mean squared error; `residual` is (out - target)."""
-    B = X.shape[0]
+    spec: ModelSpec, p: dict, X: np.ndarray, cache, residual: np.ndarray, g: dict
+) -> None:
+    """Gradients of mean squared error, written into the views `g`.
+
+    `residual` is (out - target).
+    """
+    B = X.shape[1]
     dout = 2.0 * residual / B
     if spec.kind == LINEAR:
-        return {"w": X.T @ dout, "b": np.array([dout.sum()])}
+        np.matmul(X.transpose(0, 2, 1), dout[:, :, None], out=g["w"][:, :, None])
+        np.add.reduce(dout, axis=1, out=g["b"][:, 0])
+        return
     Z1, A1 = cache
-    dW2 = (dout[None, :] @ A1).reshape(1, -1)
-    db2 = np.array([dout.sum()])
-    dA1 = dout[:, None] * params["W2"][0][None, :]
-    dZ1 = dA1 * (Z1 > 0.0)
-    return {"W1": dZ1.T @ X, "b1": dZ1.sum(axis=0), "W2": dW2, "b2": db2}
+    np.matmul(dout[:, None, :], A1, out=g["W2"])
+    np.add.reduce(dout, axis=1, out=g["b2"][:, 0])
+    dZ1 = dout[:, :, None] * p["W2"]
+    dZ1 *= Z1 > 0.0
+    np.matmul(dZ1.transpose(0, 2, 1), X, out=g["W1"])
+    np.add.reduce(dZ1, axis=1, out=g["b1"])
 
 
 def predict_raw(model: TrainedModel, op: OpKind, batch) -> np.ndarray:
     """Normalized network output in answer-fraction units."""
-    if model.spec.kind == SAMPLE:
+    spec = model.spec
+    if spec.kind == SAMPLE:
         raise InvalidRequest("sample models have no network output")
-    X = _features(op, batch)
-    out, _ = _forward(model.spec, model.params, X)
-    return out
+    flat = _flatten(spec, model.params)[None]
+    out, _ = _forward(spec, _views(spec, flat), _features(op, batch)[None])
+    return out[0]
 
 
 def predict(model: TrainedModel, op: OpKind, batch) -> np.ndarray:
@@ -204,21 +242,6 @@ def predictor(model: TrainedModel, op: OpKind):
     return lambda batch: predict(model, op, batch)
 
 
-def _flatten(spec: ModelSpec, params: dict) -> np.ndarray:
-    return np.concatenate([params[k].ravel() for k in _PARAM_ORDER[spec.kind]])
-
-
-def _unflatten(spec: ModelSpec, flat: np.ndarray, like: dict) -> dict:
-    """Views into `flat`, shaped as the arrays of `like`."""
-    out = {}
-    pos = 0
-    for k in _PARAM_ORDER[spec.kind]:
-        size = like[k].size
-        out[k] = flat[pos : pos + size].reshape(like[k].shape)
-        pos += size
-    return out
-
-
 def train(
     model: TrainedModel, dataset: Dataset, op: OpKind, cfg: TrainConfig
 ) -> TrainedModel:
@@ -226,48 +249,100 @@ def train(
 
     Returns a new model carrying the per-step loss trace.  The sample
     baseline just draws its records (without replacement when m <= n) and
-    has an empty trace.
+    has an empty trace.  This is `train_many` with one job; it raises the
+    job's `DivergenceDetected`.
     """
-    n = dataset.n
-    gen = make_generator(cfg.seed)
-    if model.spec.kind == SAMPLE:
-        m = model.spec.m
-        idx = gen.choice(n, size=m, replace=bool(m > n))
-        return replace(model, records=dataset.values[np.sort(idx)], n_train=n)
-    expected = input_dim_for(op, dataset.d)
-    if model.spec.input_dim != expected:
-        raise InvalidParams(
-            f"model input_dim {model.spec.input_dim} != {expected} required "
-            f"for {op.value} over {dataset.d}-attribute data"
-        )
-    spec, B = model.spec, cfg.batch
-    # one flat vector holds every parameter; `params` are views into it
-    flat = _flatten(spec, model.params)
-    params = _unflatten(spec, flat, model.params)
+    result = train_many([(model, dataset, cfg)], op)[0]
+    if isinstance(result, DivergenceDetected):
+        raise result
+    return result
+
+
+def train_many(jobs, op: OpKind) -> list:
+    """Fit K (model, dataset, cfg) jobs in lockstep, one stacked step at a time.
+
+    The jobs share one ModelSpec and one steps/batch/lr/momentum setting;
+    they differ in seed and dataset.  Each job draws its queries from its
+    own generator and answers them on its own dataset, in blocks of at most
+    _BLOCK_QUERIES queries across the stack, and its parameters are one row
+    of a (K, P) array.  Returns, per job in order, the trained model, or the
+    `DivergenceDetected` for the first step whose loss was not finite; that
+    job leaves the stack and the others go on.  A job's result equals that
+    of the same job trained alone, bit for bit.
+    """
+    if not jobs:
+        return []
+    spec, cfg = jobs[0][0].spec, jobs[0][2]
+    for model, dataset, job_cfg in jobs:
+        if model.spec != spec or replace(job_cfg, seed=cfg.seed) != cfg:
+            raise InvalidParams("stacked jobs must share one model spec and setting")
+        expected = input_dim_for(op, dataset.d)
+        if spec.kind != SAMPLE and spec.input_dim != expected:
+            raise InvalidParams(
+                f"model input_dim {spec.input_dim} != {expected} required "
+                f"for {op.value} over {dataset.d}-attribute data"
+            )
+    gens = [make_generator(job_cfg.seed) for _, _, job_cfg in jobs]
+    results = []
+    if spec.kind == SAMPLE:
+        for (model, dataset, _), gen in zip(jobs, gens):
+            n, m = dataset.n, spec.m
+            idx = gen.choice(n, size=m, replace=bool(m > n))
+            results.append(replace(model, records=dataset.values[np.sort(idx)], n_train=n))
+        return results
+    B, steps = cfg.batch, cfg.steps
+    flat = np.stack([_flatten(spec, model.params) for model, _, _ in jobs])
     velocity = np.zeros_like(flat)
-    trace = []
-    per_block = max(1, _BLOCK_QUERIES // B)
-    while len(trace) < cfg.steps:
-        # a block's queries are the same stream as one draw per step
-        k = min(per_block, cfg.steps - len(trace))
-        block = uniform_block(op, dataset.d, k, B, gen)
-        targets = eval_batch(dataset, op, block) / n
-        features = _features(op, block)
-        # overflow here is the signal the loss check turns into an error
-        with np.errstate(over="ignore", invalid="ignore"):
-            for s in range(0, k * B, B):
-                X = features[s : s + B]
-                out, cache = _forward(spec, params, X)
-                residual = out - targets[s : s + B]
-                loss = float(np.add.reduce(residual * residual) / B)
-                if not math.isfinite(loss):
-                    raise DivergenceDetected(f"loss became {loss} at step {len(trace)}")
-                trace.append(loss)
-                grads = _backward(spec, params, X, cache, residual)
+    grads = np.empty_like(flat)
+    losses = np.empty((len(jobs), steps))
+    results = [None] * len(jobs)
+    live = np.arange(len(jobs))  # jobs still training: the rows of `flat`
+    done = 0
+    # overflow here is the signal the loss check turns into an error
+    with np.errstate(over="ignore", invalid="ignore"):
+        while done < steps and live.size:
+            # a block's queries are the same stream as one draw per step
+            k = min(max(1, _BLOCK_QUERIES // (live.size * B)), steps - done)
+            X = np.empty((live.size, k * B, spec.input_dim))
+            T = np.empty((live.size, k * B))
+            for row, j in enumerate(live):
+                _, dataset, _ = jobs[j]
+                block = uniform_block(op, dataset.d, k, B, gens[j])
+                _features(op, block, out=X[row])
+                np.divide(eval_batch(dataset, op, block), dataset.n, out=T[row])
+            p, g = _views(spec, flat), _views(spec, grads)
+            block_loss = np.empty((live.size, k))
+            for t in range(k):
+                s = t * B
+                Xt = X[:, s : s + B]
+                out, cache = _forward(spec, p, Xt)
+                residual = out - T[:, s : s + B]
+                block_loss[:, t] = np.add.reduce(residual * residual, axis=1) / B
+                _backward(spec, p, Xt, cache, residual, g)
                 velocity *= cfg.momentum
-                velocity -= cfg.lr * _flatten(spec, grads)
+                velocity -= cfg.lr * grads
                 flat += velocity
-    return replace(model, params=params, n_train=n, loss_trace=tuple(trace))
+            losses[live, done : done + k] = block_loss
+            finite = np.isfinite(block_loss)
+            ok = finite.all(axis=1)
+            for row in np.flatnonzero(~ok):
+                t = int(np.argmin(finite[row]))
+                results[live[row]] = DivergenceDetected(
+                    f"loss became {float(block_loss[row, t])} at step {done + t}"
+                )
+            live, flat, velocity = live[ok], flat[ok], velocity[ok]
+            grads = grads[: live.size]
+            done += k
+    params = _views(spec, flat)
+    for row, j in enumerate(live):
+        model, dataset, _ = jobs[j]
+        results[j] = replace(
+            model,
+            params={name: view[row] for name, view in params.items()},
+            n_train=dataset.n,
+            loss_trace=tuple(losses[j].tolist()),
+        )
+    return results
 
 
 # -- gradient verification ---------------------------------------------------
@@ -290,27 +365,22 @@ def grad_check(
     spec = model.spec
     if spec.kind == SAMPLE:
         raise InvalidRequest("gradient checks apply to differentiable kinds only")
-    X = _features(op, batch)
+    X = _features(op, batch)[None]
     target = np.asarray(target, dtype=np.float64)
-    out, cache = _forward(spec, model.params, X)
+    flat = _flatten(spec, model.params)[None]
+    p = _views(spec, flat)
+    out, cache = _forward(spec, p, X)
     if spec.kind == MLP and bool(np.any(np.abs(cache[0]) < kink_tol)):
         return math.nan, True
-    grads = _backward(spec, model.params, X, cache, out - target)
-    analytic = _flatten(spec, grads)
-    flat = _flatten(spec, model.params)
-    def loss_at(vec: np.ndarray) -> float:
-        p = _unflatten(spec, vec, model.params)
-        o, _ = _forward(spec, p, X)
-        r = o - target
-        return float(np.mean(r * r))
-
-    numeric = np.empty_like(flat)
-    for i in range(flat.size):
-        up = flat.copy()
-        up[i] += h
-        down = flat.copy()
-        down[i] -= h
-        numeric[i] = (loss_at(up) - loss_at(down)) / (2.0 * h)
+    grads = np.empty_like(flat)
+    _backward(spec, p, X, cache, out - target, _views(spec, grads))
+    analytic = grads[0]
+    # every parameter nudged up, then down: one stack of 2P models
+    P = flat.shape[1]
+    nudged = np.concatenate([flat + h * np.eye(P), flat - h * np.eye(P)])
+    r = _forward(spec, _views(spec, nudged), X)[0] - target
+    loss = np.mean(r * r, axis=1)
+    numeric = (loss[:P] - loss[P:]) / (2.0 * h)
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
     return float((np.abs(analytic - numeric) / scale).max()), False
 

@@ -13,7 +13,7 @@ j, it is one of two structures, built once per dataset:
 
 - a summed-area table: O(n log n + prod_j (u_j + 1)) to build, and
   O(m * (dq log u + 2**dq)) for m queries (two binary searches per axis,
-  then 2**dq table cells);
+  run in key order, then 2**dq table cells);
 - a mask over the distinct rows: O(n log n) to build, O(m * u * dq) for m
   queries.
 
@@ -160,7 +160,8 @@ class BoxSum:
 
     One axis always uses the table.  More axes use it when there are over
     _TABLE_MIN_ROWS distinct rows and it has at most _CHUNK_CELLS cells, as
-    many as one mask chunk, so it never needs more memory than the mask.
+    many as one range-sum mask chunk, so it needs no more memory than that
+    chunk's float64 product.
     """
 
     def __init__(self, points: np.ndarray, weights: np.ndarray) -> None:
@@ -185,6 +186,14 @@ class BoxSum:
         self.weights = np.bincount(
             inverse.ravel(), weights=weights, minlength=rows.shape[0]
         )
+        # The product casts a chunk's bool mask to float64: 8 more bytes a
+        # cell.  Whole-number weights (counts) sum exactly in any grouping,
+        # so their chunks are sized to hold that copy too.  Other weights
+        # keep one byte a cell: BLAS rounds a row's product by how its call
+        # blocks the rows, so other chunks would move range sums by rounding.
+        w = self.weights
+        exact = bool(np.all(np.floor(w) == w)) and float(np.abs(w).sum()) < 2.0**53
+        self.cell_bytes = 9 if exact else 1
 
     def _corners(self, edges: list, j: int, base: np.ndarray | None) -> np.ndarray:
         """Inclusion-exclusion over axes j.. at flat table offset `base`.
@@ -204,8 +213,8 @@ class BoxSum:
         if self.table is not None:
             edges = []
             for j, levels in enumerate(self.levels):
-                lo = np.searchsorted(levels, C[:, j], side="left")
-                top = np.searchsorted(levels, hi[:, j], side="right")
+                lo = search_sorted(levels, C[:, j], "left")
+                top = search_sorted(levels, hi[:, j], "right")
                 # the last axis has stride 1; skipping its multiply keeps a
                 # one-axis call as cheap as a plain prefix-sum lookup
                 if self.strides[j] != 1:
@@ -215,7 +224,7 @@ class BoxSum:
             return self._corners(edges, 0, None)
         # one (chunk, u) mask per block of queries, AND-ed axis by axis
         out = np.empty(C.shape[0], dtype=np.float64)
-        step = max(1, _CHUNK_CELLS // max(1, self.weights.shape[0]))
+        step = max(1, _CHUNK_CELLS // (self.cell_bytes * max(1, self.weights.shape[0])))
         for s in range(0, C.shape[0], step):
             lo, top = C[s : s + step], hi[s : s + step]
             mask = self.columns[0] >= lo[:, 0, None]
@@ -227,6 +236,20 @@ class BoxSum:
         return out
 
 
+def search_sorted(levels: np.ndarray, keys: np.ndarray, side: str) -> np.ndarray:
+    """`np.searchsorted(levels, keys, side=side)`, searched in key order.
+
+    The keys are sorted, searched and scattered back: numpy narrows each
+    search from the one before when keys ascend, and the walk over `levels`
+    stays in cache.  The same integers, faster from about 2,048 random keys
+    up (the README's "Query kernel costs").
+    """
+    order = np.argsort(keys)
+    out = np.empty(keys.shape, dtype=np.intp)
+    out[order] = np.searchsorted(levels, keys[order], side=side)
+    return out
+
+
 def box_sum(
     points: np.ndarray, weights: np.ndarray, C: np.ndarray, R: np.ndarray
 ) -> np.ndarray:
@@ -235,7 +258,7 @@ def box_sum(
 
 
 def rank_batch(sorted_values: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    return np.searchsorted(sorted_values, qs, side="right").astype(np.float64)
+    return search_sorted(sorted_values, qs, "right").astype(np.float64)
 
 
 def cardinality_batch(values: np.ndarray, C: np.ndarray, R: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import replace
 
@@ -337,3 +338,68 @@ def test_gmm_cells_run():
     run = run_experiment(small_config(distributions=(dist,), n_values=(40,)))
     assert run.failures == ()
     assert run.rows[0].distribution == "bimodal"
+
+
+GMM2 = DistSpec(name="gmm2", gmm=GmmParams(components=((0.25, 0.05, 0.5), (0.75, 0.1, 0.5))))
+THREE_MODELS = (PRESET_MODELS["linear"], PRESET_MODELS["nn-s1"], PRESET_MODELS["sample"])
+
+
+@pytest.mark.parametrize("reps", [1, 3])
+def test_rows_equal_single_cell_runs(reps):
+    # a group's cells train in stacks (all 6 at once, or 2 cells of 3
+    # replicates each), yet each row is the row of a run holding only its cell
+    dists, ns = (DistSpec(name="uniform"), GMM2), (40, 60, 80)
+    cfg = small_config(
+        norms=("l1", "linf"), distributions=dists, n_values=ns,
+        models=THREE_MODELS, datasets_per_cell=reps,
+    )
+    run = run_experiment(cfg)
+    assert run.failures == ()
+    want = []
+    for dist, n in itertools.product(dists, ns):
+        lone = run_experiment(replace(cfg, distributions=(dist,), n_values=(n,)))
+        want += lone.rows
+    # `want` is in product order too: (distribution, n), then model, then norm
+    assert run.rows == tuple(want)
+
+
+def test_failures_come_out_in_product_order():
+    # d = 2: every rank cell fails to fit; ce cells at n = 2 fail under linf
+    cfg = small_config(
+        ops=(OpKind.INDEX, OpKind.CARD_EST), norms=("l1", "linf"), d=2,
+        n_values=(2, 40), models=THREE_MODELS[:2],
+    )
+    run = run_experiment(cfg)
+    assert [key for key, _ in run.failures] == [
+        "index|uniform|2|linear",
+        "index|uniform|2|nn-s1",
+        "index|uniform|40|linear",
+        "index|uniform|40|nn-s1",
+        "ce|uniform|2|linear|linf",
+        "ce|uniform|2|nn-s1|linf",
+    ]
+    assert [(r.n, r.model_id, r.norm) for r in run.rows] == [
+        (2, "linear", "l1"),
+        (2, "nn-s1", "l1"),
+        (40, "linear", "l1"),
+        (40, "linear", "linf"),
+        (40, "nn-s1", "l1"),
+        (40, "nn-s1", "linf"),
+    ]
+
+
+def test_diverging_cell_fails_only_itself():
+    # near the step-size edge one cell of the stack overflows at step 838;
+    # the others would last past step 894, so they stay finite for 840 steps
+    train_cfg = replace(FAST_TRAIN, steps=840, batch=4, lr=1.6)
+    cfg = small_config(master_seed=2, n_values=(40, 60, 80, 100), train=train_cfg)
+    run = run_experiment(cfg)
+    assert len(run.failures) == 1
+    (key, message), = run.failures
+    n = int(key.split("|")[2])
+    assert message == "loss became inf at step 838"
+    assert run_experiment(replace(cfg, n_values=(n,))).failures == run.failures
+    for other in {40, 60, 80, 100} - {n}:
+        assert [r for r in run.rows if r.n == other] == list(
+            run_experiment(replace(cfg, n_values=(other,))).rows
+        )

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import random_dataset, random_sorted
 from ldbounds import models, queryfn
+from ldbounds.data import GmmParams, sample_gmm, sort_dataset_1d
 from ldbounds.errors import (
     DivergenceDetected,
     EntryOutOfRange,
@@ -30,6 +32,7 @@ from ldbounds.models import (
     predictor,
     save_model,
     train,
+    train_many,
 )
 from ldbounds.norms import EvalConfig, model_error
 from ldbounds.queryfn import OpKind, eval_batch, sample_range_queries
@@ -312,7 +315,11 @@ def test_train_prepares_each_dataset_once(monkeypatch):
 
 
 def _reference_train(model, dataset, op, cfg):
-    """The per-step loop: one draw, one eval_batch and one update per name."""
+    """The per-step loop: one draw, one eval_batch and one update per name.
+
+    Its forward and backward passes are written out here for one model, so
+    the oracle shares no code with the stacked kernels it checks.
+    """
     n = dataset.n
     gen = make_generator(cfg.seed)
     draw = queryfn.uniform_sampler(op, dataset.d)
@@ -322,11 +329,30 @@ def _reference_train(model, dataset, op, cfg):
     for _ in range(cfg.steps):
         batch = draw(cfg.batch, gen)
         target = eval_batch(dataset, op, batch) / n
-        X = models._features(op, batch)
-        out, cache = models._forward(model.spec, params, X)
+        if op is OpKind.INDEX:
+            X = np.asarray(batch, dtype=np.float64).reshape(-1, 1)
+        else:
+            X = np.hstack(batch)
+        if model.spec.kind == "linear":
+            out = X @ params["w"] + params["b"][0]
+        else:
+            Z1 = X @ params["W1"].T + params["b1"]
+            A1 = np.maximum(Z1, 0.0)
+            out = (A1 @ params["W2"].T)[:, 0] + params["b2"][0]
         residual = out - target
         trace.append(float(np.mean(residual * residual)))
-        grads = models._backward(model.spec, params, X, cache, residual)
+        dout = 2.0 * residual / X.shape[0]
+        if model.spec.kind == "linear":
+            grads = {"w": X.T @ dout, "b": np.array([dout.sum()])}
+        else:
+            dA1 = dout[:, None] * params["W2"][0][None, :]
+            dZ1 = dA1 * (Z1 > 0.0)
+            grads = {
+                "W1": dZ1.T @ X,
+                "b1": dZ1.sum(axis=0),
+                "W2": (dout[None, :] @ A1).reshape(1, -1),
+                "b2": np.array([dout.sum()]),
+            }
         for k in params:
             velocity[k] = cfg.momentum * velocity[k] - cfg.lr * grads[k]
             params[k] += velocity[k]
@@ -394,3 +420,97 @@ def test_train_answers_one_batch_per_block(monkeypatch, steps, batch, calls):
     model = train(init_model(spec, 52), ds, OpKind.CARD_EST, cfg)
     assert len(model.loss_trace) == steps
     assert len(seen) == calls
+
+
+_GMM = GmmParams(components=((0.25, 0.05, 0.5), (0.75, 0.1, 0.5)))
+
+
+def _mixed_jobs(spec, op, d, cfg):
+    """Jobs under one spec and setting that differ in n, data and seed."""
+    sets = [
+        random_dataset(50, d, seed=1),
+        sample_gmm(200, d, _GMM, seed=2),
+        random_dataset(1000, d, seed=3),
+        sample_gmm(7, d, _GMM, seed=4),
+    ]
+    if op is OpKind.INDEX:
+        sets = [sort_dataset_1d(ds) for ds in sets]
+    return [
+        (init_model(spec, seed=10 + i), ds, replace(cfg, seed=20 + i))
+        for i, ds in enumerate(sets)
+    ]
+
+
+@pytest.mark.parametrize("steps,batch", [(300, 64), (40, 5000)])
+@pytest.mark.parametrize("op,d", [(OpKind.INDEX, 1), (OpKind.CARD_EST, 2), (OpKind.RANGE_SUM, 3)])
+@pytest.mark.parametrize("preset", ["linear", "nn-s1", "nn-s2"])
+def test_stacked_job_equals_job_alone(preset, op, d, steps, batch):
+    dim = input_dim_for(op, d)
+    spec = {"linear": ModelSpec(kind="linear", input_dim=dim), "nn-s1": nn_s1(dim), "nn-s2": nn_s2(dim)}
+    cfg = TrainConfig(steps=steps, batch=batch, lr=0.05, momentum=0.9)
+    jobs = _mixed_jobs(spec[preset], op, d, cfg)
+    stacked = train_many(jobs, op)
+    assert len(stacked) == len(jobs)
+    for (model, ds, job_cfg), got in zip(jobs, stacked):
+        alone = train(model, ds, op, job_cfg)
+        assert got.n_train == ds.n
+        assert got.loss_trace == alone.loss_trace
+        for k in alone.params:
+            assert got.params[k].shape == alone.params[k].shape
+            assert np.array_equal(got.params[k], alone.params[k])
+
+
+def test_train_many_sample_jobs_and_empty_stack():
+    spec = ModelSpec(kind="sample", input_dim=1, m=5)
+    jobs = _mixed_jobs(spec, OpKind.INDEX, 1, TrainConfig(steps=0))
+    for (model, ds, cfg), got in zip(jobs, train_many(jobs, OpKind.INDEX)):
+        assert np.array_equal(got.records, train(model, ds, OpKind.INDEX, cfg).records)
+    assert train_many([], OpKind.INDEX) == []
+
+
+def test_train_many_rejects_mixed_settings():
+    cfg = TrainConfig(steps=5, batch=4)
+    jobs = _mixed_jobs(nn_s1(1), OpKind.INDEX, 1, cfg)
+    with pytest.raises(InvalidParams):
+        train_many(jobs[:1] + [(init_model(nn_s2(1), 0), jobs[1][1], cfg)], OpKind.INDEX)
+    with pytest.raises(InvalidParams):
+        train_many(jobs[:1] + [(jobs[1][0], jobs[1][1], replace(cfg, lr=0.5))], OpKind.INDEX)
+
+
+@pytest.mark.parametrize("slot", [0, 2])
+def test_diverging_job_fails_only_itself(slot):
+    # lr = 1.8 sits near the edge: an affine model starting 1e100 away from
+    # its fit overflows mid-run, the others stay finite for 300 steps
+    cfg = TrainConfig(steps=300, batch=4, lr=1.8, momentum=0.9)
+    jobs = _mixed_jobs(ModelSpec(kind="linear", input_dim=1), OpKind.INDEX, 1, cfg)
+    model, ds, job_cfg = jobs[slot]
+    far = replace(model, params={k: 1e100 * v for k, v in model.params.items()})
+    jobs[slot] = (far, ds, job_cfg)
+    with pytest.raises(DivergenceDetected, match="at step 1[0-9][0-9]$") as alone:
+        train(far, ds, OpKind.INDEX, job_cfg)
+    stacked = train_many(jobs, OpKind.INDEX)
+    assert isinstance(stacked[slot], DivergenceDetected)
+    assert str(stacked[slot]) == str(alone.value)
+    for j, (model, ds, job_cfg) in enumerate(jobs):
+        if j != slot:
+            want = train(model, ds, OpKind.INDEX, job_cfg)
+            assert stacked[j].loss_trace == want.loss_trace
+            assert all(np.array_equal(stacked[j].params[k], want.params[k]) for k in want.params)
+
+
+@pytest.mark.parametrize("stack", [1, 2])
+def test_divergence_in_a_later_block_keeps_its_step(stack):
+    # 4,096 queries a step: blocks of 16 steps alone, 8 in a stack of two;
+    # the per-step loop's first non-finite loss is at step 24 either way
+    ds = random_sorted(100, seed=10)
+    cfg = TrainConfig(steps=200, batch=4096, lr=1e6, momentum=0.99, seed=11)
+    model = init_model(nn_s2(1), 11)
+    with np.errstate(all="ignore"):
+        _, trace = _reference_train(model, ds, OpKind.INDEX, cfg)
+    step = int(np.argmin(np.isfinite(trace)))
+    assert step == 24 and step >= models._BLOCK_QUERIES // (stack * cfg.batch)
+    other = (init_model(nn_s2(1), 12), random_sorted(100, seed=12), replace(cfg, seed=12))
+    jobs = [(model, ds, cfg), other][:stack]
+    got = train_many(jobs, OpKind.INDEX)[0]
+    assert isinstance(got, DivergenceDetected)
+    assert str(got) == f"loss became {trace[step]} at step {step}"

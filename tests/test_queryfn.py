@@ -34,6 +34,7 @@ from ldbounds.queryfn import (
     sample_easy_queries,
     sample_range_queries,
     sample_rank_queries,
+    search_sorted,
 )
 
 
@@ -293,6 +294,46 @@ def test_box_build_memory_within_cap(monkeypatch, gen):
         assert peak <= 8 * cap + 256 * n, f"n={n} dq={dq}: peak {peak} bytes"
 
 
+def test_mask_product_memory_within_cap(monkeypatch, gen):
+    # a count kernel's chunk holds its bool mask and the product's float64
+    # copy of it within the cap; the rest is the (m, dq) right edges, the
+    # (m,) answers and one chunk's product
+    cap = 400_000
+    monkeypatch.setattr(queryfn, "_CHUNK_CELLS", cap)
+    BoxSum(gen.random((50, 2)), np.ones(50))(*sample_range_queries(5, 2, gen))
+    for n, dq, m in ((200, 3, 20_000), (3000, 2, 5000), (20, 2, 50_000)):
+        kernel = BoxSum(gen.random((n, dq)), np.ones(n))
+        assert kernel.table is None
+        C, R = sample_range_queries(m, dq, gen)
+        tracemalloc.start()
+        try:
+            got = kernel(C, R)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cap + 8 * (dq + 2) * m, f"n={n} dq={dq}: peak {peak} bytes"
+        monkeypatch.setattr(queryfn, "_CHUNK_CELLS", 4_000_000)
+        assert np.array_equal(got, kernel(C, R))  # chunking moves no count
+        monkeypatch.setattr(queryfn, "_CHUNK_CELLS", cap)
+
+
+def test_mask_sum_chunks_keep_one_byte_a_cell(monkeypatch, gen):
+    # range sums round by how the product blocks its rows, so their chunks
+    # stay at _CHUNK_CELLS // u rows: here 10 rows of 25 distinct points
+    points = np.round(gen.random((300, 2)) * 4) / 4
+    kernel = BoxSum(points, gen.random(300))
+    assert kernel.table is None and kernel.weights.shape == (25,)
+    monkeypatch.setattr(queryfn, "_CHUNK_CELLS", 25 * 10)
+    C, R = sample_range_queries(995, 2, gen)
+    rows = kernel.columns.T
+    want = []
+    for s in range(0, 995, 10):
+        lo, hi = C[s : s + 10, None], C[s : s + 10, None] + R[s : s + 10, None]
+        mask = np.all((rows >= lo) & (rows <= hi), axis=2)
+        want.append(mask @ kernel.weights)
+    assert np.array_equal(kernel(C, R), np.concatenate(want))
+
+
 def test_box_sum_weights_collapsed_duplicates():
     points = np.array([[0.5, 0.5], [0.5, 0.5], [0.2, 0.9], [0.5, 0.5]])
     weights = np.array([1.0, 2.0, 4.0, 8.0])
@@ -301,6 +342,33 @@ def test_box_sum_weights_collapsed_duplicates():
     want = [11.0, 15.0, 0.0]
     assert np.array_equal(box_sum(points, weights, C, R), want)
     assert np.array_equal(box_sum(points[:, :1], weights, C[:, :1], R[:, :1]), want)
+
+
+# a small pool of values, negative ones included, so that levels repeat
+# and keys land exactly on levels
+_POOL = st.sampled_from([-0.75, -0.5, -0.0, 0.0, 0.125, 0.25, 0.5, 1.0, 1.5])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_POOL, max_size=12),
+    st.lists(_POOL | st.floats(-2.0, 2.0), max_size=40),
+    st.sampled_from(["left", "right"]),
+)
+def test_search_sorted_matches_numpy(levels, keys, side):
+    levels = np.sort(np.array(levels, dtype=np.float64))
+    keys = np.array(keys, dtype=np.float64)
+    got = search_sorted(levels, keys, side)
+    assert got.shape == keys.shape
+    assert np.array_equal(got, np.searchsorted(levels, keys, side=side))
+
+
+def test_key_order_lookups_take_an_empty_batch(gen):
+    assert rank_batch(np.array([0.0, 0.5]), np.empty(0)).shape == (0,)
+    for dq in (1, 2):
+        kernel = BoxSum(gen.random((40, dq)), np.ones(40))
+        assert kernel.table is not None
+        assert kernel(np.empty((0, dq)), np.empty((0, dq))).shape == (0,)
 
 
 def test_index_batches_reuse_sorted_column():
