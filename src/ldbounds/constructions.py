@@ -389,6 +389,7 @@ def _index_packing(
 class SeparationCertificate:
     passed: bool
     pairs_checked: int
+    pairs_total: int
     min_observed: float
     claimed: float
     method: str
@@ -421,7 +422,9 @@ def certify(
     `norms.distance` measures each pair: exactly where it can, otherwise
     by a probe (worst case) or a Monte Carlo mean, taken here minus three
     standard errors (average case).  Both only under-report, so a passing
-    certificate is sound either way.
+    certificate is sound either way.  `passed` covers only the
+    `pairs_checked` pairs drawn, out of the family's `pairs_total`
+    (members * (members - 1) / 2); the pairs not drawn are not checked.
     """
     members = len(family.datasets)
     if members < 2:
@@ -443,6 +446,7 @@ def certify(
     return SeparationCertificate(
         passed=bool(worst > family.claimed_separation),
         pairs_checked=len(chosen),
+        pairs_total=members * (members - 1) // 2,
         min_observed=float(worst),
         claimed=family.claimed_separation,
         method=method,

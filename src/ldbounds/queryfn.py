@@ -19,7 +19,10 @@ j, it is one of two structures, built once per dataset:
 
 One predicate axis (ce at d = 1, rs at d = 2) always takes the table.
 dq >= 2 axes take it when u > 32 and the table has at most _CHUNK_CELLS
-cells, else the mask.
+cells, else the mask.  A count mask over at most 32 rows is laid out
+query-major, (u, chunk), so numpy's inner loops run over the queries
+rather than over the rows; range-sum masks and masks over more rows stay
+row-major, (chunk, u), which keeps range-sum rounding fixed.
 """
 
 from __future__ import annotations
@@ -143,8 +146,8 @@ def range_sum(dataset: Dataset, query: RangeQuery) -> float:
 
 _CHUNK_CELLS = 4_000_000
 # Up to this many distinct predicate rows a dq >= 2 box sum stays on the
-# mask: below it the mask is faster at dq = 3 (the measured crossover, in
-# the README's "Query kernel costs").
+# mask, query-major for counts: below it the row-major mask is faster at
+# dq = 3 (the measured crossover, in the README's "Query kernel costs").
 _TABLE_MIN_ROWS = 32
 
 
@@ -162,6 +165,12 @@ class BoxSum:
     _TABLE_MIN_ROWS distinct rows and it has at most _CHUNK_CELLS cells, as
     many as one range-sum mask chunk, so it needs no more memory than that
     chunk's float64 product.
+
+    The mask is laid out query-major, (u, chunk), for counts over at most
+    _TABLE_MIN_ROWS rows: comparisons and ANDs then run a chunk of queries
+    per inner loop instead of u rows.  Range sums stay row-major, (chunk,
+    u), because BLAS rounds a product by how it blocks the rows, and so do
+    masks over more rows, where row-major is faster.
     """
 
     def __init__(self, points: np.ndarray, weights: np.ndarray) -> None:
@@ -209,12 +218,11 @@ class BoxSum:
         return self._corners(edges, j + 1, top) - self._corners(edges, j + 1, lo)
 
     def __call__(self, C: np.ndarray, R: np.ndarray) -> np.ndarray:
-        hi = C + R
         if self.table is not None:
             edges = []
             for j, levels in enumerate(self.levels):
                 lo = search_sorted(levels, C[:, j], "left")
-                top = search_sorted(levels, hi[:, j], "right")
+                top = search_sorted(levels, C[:, j] + R[:, j], "right")
                 # the last axis has stride 1; skipping its multiply keeps a
                 # one-axis call as cheap as a plain prefix-sum lookup
                 if self.strides[j] != 1:
@@ -222,17 +230,25 @@ class BoxSum:
                     top *= self.strides[j]
                 edges.append((lo, top))
             return self._corners(edges, 0, None)
-        # one (chunk, u) mask per block of queries, AND-ed axis by axis
+        # one mask per block of queries, AND-ed axis by axis, laid out and
+        # summed as the class docstring says (counts are exact in any order)
+        u = self.weights.shape[0]
+        qmajor = self.cell_bytes == 9 and u <= _TABLE_MIN_ROWS
+        cols = self.columns[:, :, None] if qmajor else self.columns[:, None, :]
         out = np.empty(C.shape[0], dtype=np.float64)
-        step = max(1, _CHUNK_CELLS // (self.cell_bytes * max(1, self.weights.shape[0])))
+        step = max(1, _CHUNK_CELLS // (self.cell_bytes * max(1, u)))
         for s in range(0, C.shape[0], step):
-            lo, top = C[s : s + step], hi[s : s + step]
-            mask = self.columns[0] >= lo[:, 0, None]
-            mask &= self.columns[0] <= top[:, 0, None]
-            for j in range(1, self.dq):
-                mask &= self.columns[j] >= lo[:, j, None]
-                mask &= self.columns[j] <= top[:, j, None]
-            out[s : s + step] = mask @ self.weights
+            for j in range(self.dq):
+                lo = C[s : s + step, j].copy()
+                top = lo + R[s : s + step, j]
+                if not qmajor:
+                    lo, top = lo[:, None], top[:, None]
+                if j:
+                    mask &= cols[j] >= lo
+                else:
+                    mask = cols[j] >= lo
+                mask &= cols[j] <= top
+            out[s : s + step] = self.weights @ mask if qmajor else mask @ self.weights
         return out
 
 

@@ -127,8 +127,20 @@ def test_certify_passes(capsys):
     assert code == 0
     assert doc["passed"] is True
     assert doc["pairs_checked"] == 3
+    assert doc["pairs_total"] == 3
     assert doc["min_observed"] > doc["claimed"]
     assert doc["members"] == 3
+
+
+def test_certify_reports_its_scope(capsys):
+    # `passed` covers the drawn pairs only: 2 of the 4 * 3 / 2 pairs here
+    code, doc = run_cli(
+        capsys,
+        "certify", "--construction", "packing-l1-index", "--n", "100",
+        "--eps", "0.5", "--count", "4", "--pairs", "2", "--seed", "1",
+    )
+    assert code == 0
+    assert (doc["pairs_checked"], doc["pairs_total"], doc["members"]) == (2, 6, 4)
 
 
 def test_certify_linf_needs_u(capsys):

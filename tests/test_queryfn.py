@@ -125,6 +125,8 @@ def test_batch_empty_dataset():
     assert np.array_equal(
         range_sum_batch(empty_dataset(2).values, C, R), [0.0, 0.0]
     )
+    C2, R2 = np.hstack([C, C]), np.hstack([R, R])
+    assert np.array_equal(cardinality_batch(empty_dataset(2).values, C2, R2), [0.0, 0.0])
 
 
 def test_eval_batch_dispatch():
@@ -182,13 +184,16 @@ def test_easy_query_density_integrates_to_one():
 
 
 @st.composite
-def box_cases(draw, dqs=(1, 2, 3), levels=(1, 5), sizes=(0, 40)):
+def box_cases(
+    draw, dqs=(1, 2, 3), levels=(1, 5), sizes=(0, 40),
+    ops=(OpKind.CARD_EST, OpKind.RANGE_SUM),
+):
     """Duplicate-heavy data and queries whose edges sit on data values.
 
     `levels` bounds the number of values per axis; widths include 0 and
     left edges may be negative.  n = 0 gives the empty dataset.
     """
-    op = draw(st.sampled_from([OpKind.CARD_EST, OpKind.RANGE_SUM]))
+    op = draw(st.sampled_from(ops))
     dq = draw(st.sampled_from(dqs))
     d = dq if op is OpKind.CARD_EST else dq + 1
     unit = st.floats(0.0, 1.0, allow_subnormal=False)
@@ -245,6 +250,16 @@ def test_box_table_matches_scalar(case):
     check_box_kernel(op, ds, C, R)
 
 
+@settings(max_examples=200, deadline=None)
+@given(box_cases(dqs=(2, 3), sizes=(1, 40), ops=(OpKind.CARD_EST,)))
+def test_few_row_count_mask_matches_scalar(case):
+    # 1 to _TABLE_MIN_ROWS distinct rows: the query-major count mask
+    op, ds, C, R = case
+    assume(np.unique(ds.values, axis=0).shape[0] <= queryfn._TABLE_MIN_ROWS)
+    assert ds.count_index.table is None
+    check_box_kernel(op, ds, C, R)
+
+
 def _distinct_rows(count, repeat, gen):
     """`count` distinct 2-d rows on a 0.1 grid, each `repeat` times."""
     cells = gen.choice(100, size=count, replace=False)
@@ -276,6 +291,36 @@ def test_box_table_over_cap_falls_back_to_mask(monkeypatch, gen):
     assert BoxSum(points[:, :1], weights).table is not None
 
 
+@pytest.mark.parametrize("dq", [2, 3])
+@pytest.mark.parametrize("rows", [8, 45])
+def test_count_mask_chunks_give_one_chunks_answers(monkeypatch, gen, dq, rows):
+    # 8 distinct rows take the query-major mask; 45 rows take the table, or
+    # with the table over the cap the row-major mask.  No chunk divides 101.
+    points = np.repeat(np.unique(np.round(gen.random((rows, dq)), 2), axis=0), 3, axis=0)
+    u = points.shape[0] // 3
+    ones = np.ones(points.shape[0])
+    C, R = sample_range_queries(101, dq, gen)
+    ds = make_dataset(points)
+    want = [cardinality(ds, RangeQuery(c=C[i], r=R[i])) for i in range(101)]
+    whole = BoxSum(points, ones)
+    assert (whole.table is not None) is (u > queryfn._TABLE_MIN_ROWS)
+    assert np.array_equal(whole(C, R), want)
+    cap = 9 * u * 7
+    if whole.table is not None:
+        cap = min(cap, whole.table.size - 1)
+    monkeypatch.setattr(queryfn, "_CHUNK_CELLS", cap)
+    chunked = BoxSum(points, ones)
+    step = cap // (9 * u)
+    assert chunked.table is None and step > 1 and 101 % step
+    assert np.array_equal(chunked(C, R), want)
+
+
+def test_mask_takes_an_empty_batch(gen):
+    kernel = BoxSum(np.repeat(gen.random((8, 2)), 2, axis=0), np.ones(16))
+    assert kernel.table is None
+    assert kernel(np.empty((0, 2)), np.empty((0, 2))).shape == (0,)
+
+
 def test_box_build_memory_within_cap(monkeypatch, gen):
     cap = 40_000
     monkeypatch.setattr(queryfn, "_CHUNK_CELLS", cap)
@@ -296,7 +341,7 @@ def test_box_build_memory_within_cap(monkeypatch, gen):
 
 def test_mask_product_memory_within_cap(monkeypatch, gen):
     # a count kernel's chunk holds its bool mask and the product's float64
-    # copy of it within the cap; the rest is the (m, dq) right edges, the
+    # copy of it within the cap; the rest is one chunk's per-axis edges, the
     # (m,) answers and one chunk's product
     cap = 400_000
     monkeypatch.setattr(queryfn, "_CHUNK_CELLS", cap)
