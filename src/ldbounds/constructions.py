@@ -17,7 +17,11 @@ C(y+1, i) = C(y, i) (y+1) / (y+1-i) along a gap (downward when
 unranking).  A term in the zero region (x_i = 0, so C(y, i) = 0) carries
 nothing to update from, so the walk restarts with `math.comb` on leaving
 it; a gap longer than _WALK costs one `math.comb` (rank) or a float
-guess checked exactly (unrank) instead of unit steps.
+guess checked exactly (unrank) instead of unit steps.  Unrank does not
+wait for _WALK steps to fail: after two, a bound on how fast C(y, i) can
+fall (`_walk_reaches`) tells whether the rest could reach the crossing,
+and if not it jumps there at once.  The guess is closed-form, refined by
+at most three Newton steps on `bounds.log_falling`.
 """
 
 from __future__ import annotations
@@ -116,22 +120,45 @@ def multiset_rank(items, alphabet: int) -> int:
     return rank
 
 
+def _walk_reaches(c: int, rem: int, y: int, i: int) -> bool:
+    """False only if _WALK unit steps down from c = C(y, i) cannot reach rem.
+
+    A step from y' divides by y' / (y' - i), at most a / (a - i) with
+    a = y - _WALK + 1, so the walk lowers log2 c by at most
+    drop = -_WALK log2(1 - i/a) >= _WALK i / a bits.  It surely misses when
+    log2 c - log2 rem > drop: bit lengths settle most cases, `math.log2`
+    the rest.
+    """
+    a = y - _WALK + 1
+    gap = c.bit_length() - rem.bit_length()  # log2 c - log2 rem lies in (gap-1, gap+1)
+    if a <= i or (gap + 1) * a <= _WALK * i:  # the zero region, or a steep walk
+        return True
+    drop = -_WALK * math.log1p(-i / a) / math.log(2) + 1e-6  # margin for rounding
+    return gap - 1 < drop and math.log2(c) - math.log2(rem) <= drop
+
+
 def _crossing(rem: int, k: int, hi: int) -> tuple[int, int]:
     """(y, C(y, k)) for the largest y <= hi with C(y, k) <= rem, given 1 <= rem.
 
-    A float guess from `log_falling`, then exact unit steps from it; y is
-    returned only once C(y, k) <= rem < C(y+1, k) holds exactly.  A guess
-    more than _WALK steps off falls back to bisection over what the steps
-    left open.
+    A float guess, then exact unit steps from it; y is returned only once
+    C(y, k) <= rem < C(y+1, k) holds exactly.  The guess starts at
+    y0 = exp(log(rem k!) / k) + (k-1)/2, where (y - (k-1)/2)^k, an upper
+    bound on y!/(y-k)!, equals rem k!, so y0 lies at or below the crossing;
+    at most 3 Newton steps on `log_falling(y, k) = log(rem k!)` follow,
+    with slope log1p(k / (y - k + 1/2)).  A guess more than _WALK steps
+    off falls back to bisection over what the steps left open.
     """
-    log_rem = math.log(rem) + math.lgamma(k + 1)
-    y, top = k, hi
-    while top - y > 1 and hi < _FLOAT_SAFE:  # float bisection: no big integers
-        mid = (y + top) // 2
-        if log_falling(mid, k) <= log_rem:
-            y = mid
-        else:
-            top = mid
+    y = k
+    if hi < _FLOAT_SAFE:  # the guess takes y as a float
+        log_rem = math.log(rem) + math.lgamma(k + 1)
+        g = math.exp(min(log_rem / k, math.log(hi))) + (k - 1) / 2
+        for _ in range(3):
+            g = min(max(g, k), hi)
+            step = (log_falling(g, k) - log_rem) / math.log1p(k / (g - k + 0.5))
+            g -= step
+            if abs(step) < 0.5:
+                break
+        y = int(min(max(g, k), hi))
     lo, c = k, math.comb(y, k)
     for _ in range(_WALK):
         if c > rem:
@@ -155,7 +182,8 @@ def multiset_unrank(rank: int, m: int, alphabet: int) -> tuple[int, ...]:
     The same walk downward from C(alphabet + m - 1, m), the code-space
     size: record i takes the largest y with C(y, i) <= the remaining rank,
     by unit steps down y, or by `_crossing` once _WALK steps have not
-    reached it.
+    reached it, or at once when two steps have not and `_walk_reaches`
+    shows the rest cannot.
     """
     total = multiset_count(m, alphabet)
     if not 0 <= rank < total:
@@ -167,12 +195,13 @@ def multiset_unrank(rank: int, m: int, alphabet: int) -> tuple[int, ...]:
     for i in range(m, 0, -1):
         if not rem:
             break  # every record left is symbol 0
-        for _ in range(_WALK):
-            if c <= rem:
+        steps = 0
+        while c > rem:
+            if steps == _WALK or steps == 2 and not _walk_reaches(c, rem, y, i):
+                y, c = _crossing(rem, i, y - 1)
                 break
             c, y = c * (y - i) // y, y - 1  # C(y-1, i) = C(y, i) (y - i) / y
-        if c > rem:
-            y, c = _crossing(rem, i, y - 1)
+            steps += 1
         rem -= c
         out[i - 1] = y - (i - 1)
         c, y = c * i // y, y - 1  # C(y-1, i-1) = C(y, i) i / y
@@ -203,15 +232,14 @@ class PackingFamily:
 def _mixed_radix_digits(values, d: int, base: int) -> np.ndarray:
     """Decode alphabet symbols into d base-`base` digits (axis 0 least significant).
 
-    Pure-int arithmetic: cell ids may exceed 64 bits even though every
-    digit is small.
+    Pure-int arithmetic on an object array: cell ids may exceed 64 bits
+    even though every digit is small.
     """
-    digits = np.empty((len(values), d), dtype=np.int64)
-    for i, v in enumerate(values):
-        rem = int(v)
-        for j in range(d):
-            digits[i, j] = rem % base
-            rem //= base
+    rem = np.array(values, dtype=object)
+    digits = np.empty((len(rem), d), dtype=np.int64)
+    for j in range(d):
+        digits[:, j] = rem % base
+        rem //= base
     return digits
 
 

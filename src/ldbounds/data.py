@@ -216,8 +216,15 @@ def quantize(dataset: Dataset, grid: GridSpec) -> Dataset:
 
 
 def save_csv(dataset: Dataset, path: str) -> None:
-    """One record per line, comma-separated %.17g decimals, no header."""
-    np.savetxt(path, dataset.values, fmt="%.17g", delimiter=",")
+    """One record per line, comma-separated %.17g decimals, no header.
+
+    The bytes of np.savetxt(fmt="%.17g", delimiter=","), from one format
+    string over every row and one write.
+    """
+    n, d = dataset.values.shape
+    line = ",".join(["%.17g"] * d) + "\n"
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        fh.write((line * n) % tuple(dataset.values.ravel().tolist()))
 
 
 def load_csv(path: str) -> Dataset:

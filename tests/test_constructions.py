@@ -10,7 +10,7 @@ from functools import partial
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_dataset, random_sorted
@@ -218,6 +218,136 @@ def test_crossing_guess_lands_near_the_crossing(monkeypatch):
     packing_linf(OpKind.INDEX, 100, 1, 1.0, 2**32, 2, 1)
     assert calls["crossing"] >= 50
     assert calls["comb"] <= 5 * calls["crossing"]
+
+
+def _crossing_oracle(rem: int, k: int, hi: int) -> tuple[int, int]:
+    """Largest y in [k, hi] with C(y, k) <= rem, by bisection over math.comb."""
+    lo = k
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if math.comb(mid, k) <= rem:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo, math.comb(lo, k)
+
+
+@st.composite
+def _crossing_cases(draw):
+    """(rem, k, hi): the answer at k, at hi, or strictly between, with hi up
+    to 2^64 and past the float guess at _FLOAT_SAFE (small k only, where
+    math.comb stays cheap)."""
+    huge = draw(st.integers(0, 5)) == 0
+    k = draw(st.integers(1, 3)) if huge else draw(st.integers(1, 3) | st.integers(1, 300))
+    if huge:
+        hi = draw(st.integers(constructions._FLOAT_SAFE, 2 * constructions._FLOAT_SAFE))
+    else:
+        hi = k + draw(st.integers(0, 70) | st.integers(0, 2**32) | st.integers(0, 2**64 - k))
+    where = draw(st.sampled_from(["k", "hi", "between"]))
+    if where == "k" or hi == k:
+        return draw(st.integers(1, k)), k, hi  # C(k, k) = 1 <= rem < k + 1 = C(k+1, k)
+    if where == "hi":
+        low = math.comb(hi, k)
+        return draw(st.integers(low, 3 * low)), k, hi
+    y = draw(st.integers(k, hi - 1))
+    return draw(st.integers(math.comb(y, k), math.comb(y + 1, k) - 1)), k, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(_crossing_cases())
+@example((1, 1, 1))
+@example((1, 1, 2**64))
+@example((2**64, 1, 2**64))
+@example((1, 5, 2**40))
+@example((7, 3, 3))
+def test_crossing_matches_bisection_oracle(case):
+    rem, k, hi = case
+    assert constructions._crossing(rem, k, hi) == _crossing_oracle(rem, k, hi)
+
+
+@pytest.mark.parametrize("k, y", [(5000, 10000), (20000, 60000)])
+def test_crossing_newton_steps_fix_a_far_start(monkeypatch, k, y):
+    # at y = 2k or 3k the closed-form start lies 85-570 cells low, past the
+    # unit steps; Newton's steps bring it within one, so one math.comb
+    # confirms it instead of a bisection
+    rem = math.comb(y, k) + 12345
+    calls = {"comb": 0}
+    comb = math.comb
+
+    def counting_comb(*args):
+        calls["comb"] += 1
+        return comb(*args)
+
+    monkeypatch.setattr(math, "comb", counting_comb)
+    assert constructions._crossing(rem, k, 2 * y) == (y, comb(y, k))
+    assert calls["comb"] == 1
+
+
+@st.composite
+def _walk_states(draw):
+    """(c, rem, y, i) with c = C(y, i) > rem >= 1 and the crossing t cells down,
+    t drawn around _WALK so both answers of the reach check occur."""
+    i = draw(st.integers(1, 400))
+    y = i + draw(st.integers(1, 200) | st.integers(1, 10**6) | st.integers(1, 2**48))
+    t = draw(st.integers(1, 3 * constructions._WALK))
+    c = math.comb(y, i)  # >= i + 1 >= 2
+    rem = min(max(1, math.comb(max(y - t, 0), i) + draw(st.integers(0, 3))), c - 1)
+    return c, rem, y, i
+
+
+@settings(max_examples=300, deadline=None)
+@given(_walk_states())
+def test_reach_check_never_skips_a_walk_that_reaches(state):
+    c, rem, y, i = state
+    if not constructions._walk_reaches(c, rem, y, i):
+        # the walk it skips would have ended above rem: C(y - _WALK, i) > rem
+        assert math.comb(max(y - constructions._WALK, 0), i) > rem
+
+
+def test_sparse_crossings_skip_the_walk_and_guess_in_few_steps(monkeypatch):
+    # alphabet far above m: almost every record lies hundreds of thousands of
+    # cells below the last, so each crossing should come straight from the
+    # reach check and cost at most 4 log_falling calls (a float bisection
+    # over y < 2^30 makes about 30)
+    calls = {"log_falling": 0, "crossing": 0, "skipped": 0}
+    falling, crossing, reaches = (
+        constructions.log_falling, constructions._crossing, constructions._walk_reaches,
+    )
+
+    def counting_falling(*args):
+        calls["log_falling"] += 1
+        return falling(*args)
+
+    def counting_crossing(*args):
+        calls["crossing"] += 1
+        return crossing(*args)
+
+    def counting_reaches(*args):
+        out = reaches(*args)
+        calls["skipped"] += not out
+        return out
+
+    monkeypatch.setattr(constructions, "log_falling", counting_falling)
+    monkeypatch.setattr(constructions, "_crossing", counting_crossing)
+    monkeypatch.setattr(constructions, "_walk_reaches", counting_reaches)
+    m, alphabet = 200, 10**9
+    gen = random.Random(3)
+    items = sorted(gen.randrange(alphabet) for _ in range(m))
+    assert multiset_unrank(multiset_rank(items, alphabet), m, alphabet) == tuple(items)
+    assert calls["crossing"] >= 0.9 * m
+    assert calls["skipped"] >= 0.9 * calls["crossing"]
+    assert calls["log_falling"] <= 4 * calls["crossing"]
+
+
+def test_mixed_radix_digits_match_integer_loop():
+    # ids past 64 bits must keep every digit exact
+    base, d = 2**30 + 3, 4
+    gen = random.Random(11)
+    ids = tuple(sorted(gen.randrange(base**d) for _ in range(300))) + (base**d - 1, 0)
+    want = [[(v // base**j) % base for j in range(d)] for v in ids]
+    got = constructions._mixed_radix_digits(ids, d, base)
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert constructions._mixed_radix_digits((), 2, 5).shape == (0, 2)
 
 
 @pytest.mark.parametrize("e", [4, 20, 32, 45])

@@ -139,6 +139,23 @@ def test_csv_roundtrip_1d(tmp_path):
     assert np.array_equal(back.values, ds.values)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_save_csv_bytes_match_savetxt(tmp_path, d):
+    special = [0.0, 1.0, 1 / 3, 5e-324, 1 - 2.0**-53]
+    rows = np.resize(np.array(special), (len(special) * 2, d))
+    cases = [
+        make_dataset(rows),
+        make_dataset(np.vstack([rows, sample_uniform(40, d, seed=d).values])),
+        empty_dataset(d),
+    ]
+    for ds in cases:
+        ours, oracle = str(tmp_path / "ours.csv"), str(tmp_path / "oracle.csv")
+        save_csv(ds, ours)
+        np.savetxt(oracle, ds.values, fmt="%.17g", delimiter=",")
+        with open(ours, "rb") as a, open(oracle, "rb") as b:
+            assert a.read() == b.read()
+
+
 def test_unit_interval_mass_matches_quadrature():
     params = GmmParams(components=((0.7, 0.3, 0.2), (0.3, 0.9, 0.05)))
     xs = np.linspace(0.0, 1.0, 200_001)
