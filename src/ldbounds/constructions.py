@@ -61,10 +61,9 @@ from .norms import (
     LINF,
     MU,
     DistanceEstimate,
-    _gaps,
-    _mc_estimate,
     distance,
     model_error,
+    quantile_points,
 )
 from .queryfn import OpKind, query_dims
 from .rng import make_generator, rand_below
@@ -353,24 +352,6 @@ def packing_l1_ce(n: int, d: int, delta: float, count: int, seed: int) -> Packin
     )
 
 
-def quantile_points(cdf: Callable, targets: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Leftmost x with cdf(x) >= target, by bisection on [0, 1]."""
-    t = np.asarray(targets, dtype=np.float64)
-    lo = np.zeros_like(t)
-    hi = np.ones_like(t)
-    for _ in range(64):
-        if float((hi - lo).max(initial=0.0)) <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        below = np.asarray(cdf(mid), dtype=np.float64) < t
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    out = 0.5 * (lo + hi)
-    out[t <= 0.0] = 0.0
-    out[t >= 1.0] = 1.0
-    return out
-
-
 def packing_mu_index(
     n: int, eps: float, cdf: Callable, count: int, seed: int
 ) -> PackingFamily:
@@ -653,25 +634,6 @@ class PigeonholeWitness:
         return max(self.err_first.value, self.err_second.value)
 
 
-def _decoded_error(
-    family: PackingFamily,
-    member: Dataset,
-    predict: Callable,
-    cfg: EvalConfig,
-) -> DistanceEstimate:
-    if family.norm in (L1, LINF):
-        return model_error(member, family.op, predict, family.norm, cfg)
-    if family.norm == MU:
-        if family.cdf is None or family.op is not OpKind.INDEX:
-            raise InvalidRequest("mu-norm witness needs an indexing family with a cdf")
-        def draw(count, gen):
-            return quantile_points(family.cdf, gen.random(count), tol=1e-10)
-
-        gaps = _gaps(member, family.op, predict)
-        return _mc_estimate(gaps, draw, cfg.samples, make_generator(cfg.seed))
-    raise InvalidRequest(f"unsupported norm {family.norm!r}")
-
-
 def pigeonhole_witness(
     family: PackingFamily,
     sigma_bits: int,
@@ -683,7 +645,8 @@ def pigeonhole_witness(
 
     Needs strictly more members than 2**sigma_bits codes, which forces a
     collision; the shared decoded answer function is then measured against
-    both members.  By the triangle inequality its error must exceed half
+    both members by `norms.model_error` in the family's norm (a mu family
+    passes its cdf).  By the triangle inequality its error must exceed half
     the family's separation on at least one of them.
 
     `encoder` maps a dataset to a hashable code; `decoder_eval(code)`
@@ -713,8 +676,10 @@ def pigeonhole_witness(
             "encoder produced distinct codes; its width must exceed sigma_bits"
         )
     predict = decoder_eval(code)
-    err_a = _decoded_error(family, family.datasets[pair[0]], predict, cfg)
-    err_b = _decoded_error(family, family.datasets[pair[1]], predict, cfg)
+    err_a, err_b = (
+        model_error(family.datasets[i], family.op, predict, family.norm, cfg, family.cdf)
+        for i in pair
+    )
     return PigeonholeWitness(
         first=pair[0], second=pair[1], code=code, err_first=err_a, err_second=err_b
     )

@@ -8,9 +8,9 @@ Training seeds deliberately exclude the norm coordinate: the norm only
 changes how a trained model is measured, so both norm rows of a cell
 share one trained model.
 
-The cells of one (operation, model) pair train in lockstep, up to
-_STACK_JOBS replicates at a time (`models.train_many`); a model trained in
-a stack equals the one trained alone, so stacking changes no number.
+The cells of one (operation, model) pair train in lockstep, a few whole
+cells at a time (`models.train_many`); a model trained in a stack equals
+the one trained alone, so stacking changes no number.
 """
 
 from __future__ import annotations
@@ -45,9 +45,9 @@ log = logging.getLogger(__name__)
 
 DEFAULT_DOMAIN_U = 2**32
 
-# replicates trained in one lockstep stack.  Per model, 1,000 nn-s1 steps
-# of 64 queries cost 32, 13, 10 and 9.3 ms at K = 1, 4, 8 and 16: 8 is the
-# knee, and it bounds the datasets a stack holds at once.
+# replicates per lockstep stack, or one cell's if more (a cell is measured
+# over all of them at once).  Per model, 1,000 nn-s1 steps of 64 queries
+# cost 32, 13, 10 and 9.3 ms at K = 1, 4, 8 and 16: 8 is the knee.
 _STACK_JOBS = 8
 
 
@@ -136,13 +136,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRun:
 
     Cells sharing an op and a model template form a group, whose models
     are trained in lockstep (`train_many`): up to _STACK_JOBS replicates,
-    of as many whole cells as fit, per stack.  Each cell of a stack is then
-    measured under each norm, and the stack is freed before the next is
-    fitted.  A fit failure (sampling, preparing or training one replicate)
-    is recorded under the cell's base key and skips all its norms; a
-    measure failure is recorded under `base|norm` and drops only that row.
-    Rows and failures come out in `itertools.product` order of (op,
-    distribution, n, model), then norm.
+    of as many whole cells as fit, per stack (a cell with more is a stack
+    alone).  Each cell of a stack is then measured under each norm, and the
+    stack is freed before the next is fitted.  A fit failure (sampling,
+    preparing or training one replicate) is recorded under the cell's base
+    key and skips all its norms; a measure failure is recorded under
+    `base|norm` and drops only that row.  Rows and failures come out in
+    `itertools.product` order of (op, distribution, n, model), then norm.
     """
     if config.datasets_per_cell < 1:
         raise InvalidParams("datasets_per_cell must be >= 1")
@@ -197,10 +197,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRun:
                 jobs.append((init_model(spec, train_seed), dataset, cfg))
                 owner.append(c)
         trained = [[] for _ in cells]
-        for s in range(0, len(jobs), _STACK_JOBS):
-            stack = jobs[s : s + _STACK_JOBS]
-            for c, (_, dataset, _), model in zip(owner[s:], stack, train_many(stack, op)):
-                trained[c].append((dataset, model))
+        for c, (_, dataset, _), model in zip(owner, jobs, train_many(jobs, op)):
+            trained[c].append((dataset, model))
         bits = model_bits(spec, config.d)
         for c, (pos, dist, n, base) in enumerate(cells):
             diverged = (m for _, m in trained[c] if isinstance(m, LdboundsError))

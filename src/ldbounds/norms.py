@@ -11,6 +11,8 @@ integration vs Monte Carlo) so each can check the other; callers should
 not collapse them.  `distance` is the one place that picks a route for a
 pair of datasets: exact where a closed form serves the pair, otherwise a
 probe lower bound (worst case) or a Monte Carlo mean (average case).
+Every sampled estimate, a mean or a maximum, is drawn and reduced here, by
+one chunk loop over 65,536-query chunks.
 """
 
 from __future__ import annotations
@@ -67,6 +69,8 @@ class EvalConfig:
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise InvalidParams("samples must be >= 1")
+        if self.grid < 0:
+            raise InvalidParams("grid must be >= 0")
 
 
 def _sorted_column(dataset: Dataset, who: str) -> np.ndarray:
@@ -218,20 +222,47 @@ def card1d_linf(a: Dataset, b: Dataset) -> float:
 # -- Monte Carlo routes ------------------------------------------------------
 
 
-def _mc_estimate(gaps: Callable, draw: Callable, samples: int, gen) -> DistanceEstimate:
-    """Mean and standard error of gaps(draw(m, gen)) over `samples` queries.
+def quantile_points(cdf: Callable, targets: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Leftmost x with cdf(x) >= target, by bisection on [0, 1]."""
+    t = np.asarray(targets, dtype=np.float64)
+    lo = np.zeros_like(t)
+    hi = np.ones_like(t)
+    for _ in range(64):
+        if float((hi - lo).max(initial=0.0)) <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        below = np.asarray(cdf(mid), dtype=np.float64) < t
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    out = 0.5 * (lo + hi)
+    out[t <= 0.0] = 0.0
+    out[t >= 1.0] = 1.0
+    return out
 
+
+def _mc_estimate(
+    gaps: Callable, draw: Callable, samples: int, gen, norm: str = L1
+) -> DistanceEstimate:
+    """Reduce gaps(draw(m, gen)) over `samples` queries, drawn in chunks.
+
+    The mean and its standard error, or for `norm` LINF the maximum.
     Fixed-size chunks keep memory bounded and the result independent of
     execution order.
     """
     sums: list[float] = []
     sumsqs: list[float] = []
+    maxima: list[float] = []
     count = 0
     while count < samples:
         chunk = gaps(draw(min(_MC_CHUNK, samples - count), gen))
-        sums.append(float(np.add.reduce(chunk)))
-        sumsqs.append(float(np.add.reduce(chunk * chunk)))
+        if norm == LINF:
+            maxima.append(float(chunk.max()))
+        else:
+            sums.append(float(np.add.reduce(chunk)))
+            sumsqs.append(float(np.add.reduce(chunk * chunk)))
         count += chunk.size
+    if norm == LINF:
+        return DistanceEstimate(value=float(np.max(maxima)), exact=False, samples=count)
     mean = math.fsum(sums) / count
     var = max(0.0, (math.fsum(sumsqs) - count * mean * mean) / max(1, count - 1))
     return DistanceEstimate(
@@ -287,24 +318,34 @@ def model_error(
     predict: Callable,
     norm: str,
     cfg: EvalConfig,
+    cdf: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> DistanceEstimate:
     """Error of a prediction function against the true query function.
 
-    `predict` maps a query batch to unnormalized answers.  For the
-    average case this is a Monte Carlo mean; for the worst case over rank
-    queries the probe set is every data value, a point 1e-12 left of it,
-    and `cfg.grid` extra points per gap (the truth is constant between
-    data values, so probes bound the supremum from below); range-kind
-    worst case falls back to sampled probes.  None of these are exact.
+    `predict` maps a query batch to unnormalized answers.  The average
+    case (l1) is a Monte Carlo mean over `cfg.samples` uniform queries; the
+    distribution-weighted case (mu, indexing only, needs `cdf`) is one over
+    queries drawn from the measure whose distribution function is `cdf`.
+    For the worst case over rank queries the probe set is every data value,
+    a point 1e-12 left of it, and `cfg.grid` extra points per gap (the
+    truth is constant between data values, so probes bound the supremum
+    from below); range-kind worst case is the maximum over `cfg.samples`
+    uniform queries.  Every sampled estimate, mean or maximum, is drawn in
+    _MC_CHUNK = 65,536-query chunks.  None of these are exact.
     """
-    gen = make_generator(cfg.seed)
-    draw = uniform_sampler(op, dataset.d)
     gaps = _gaps(dataset, op, predict)
-    if norm == L1:
-        return _mc_estimate(gaps, draw, cfg.samples, gen)
-    if norm != LINF:
-        raise InvalidRequest(f"model_error supports norms {L1!r} and {LINF!r}, got {norm!r}")
-    if op is OpKind.INDEX:
+    uniform = uniform_sampler(op, dataset.d)
+    if norm == MU:
+        if cdf is None or op is not OpKind.INDEX:
+            raise InvalidRequest("a mu error needs an indexing op and a cdf")
+
+        def draw(count, gen):
+            return quantile_points(cdf, uniform(count, gen), tol=1e-10)
+    elif norm in (L1, LINF):
+        draw = uniform
+    else:
+        raise InvalidRequest(f"model_error supports norms l1, linf and mu, got {norm!r}")
+    if norm == LINF and op is OpKind.INDEX:
         col = dataset.sorted_column
         probes = [np.array([0.0, 1.0]), col, np.clip(col - 1e-12, 0.0, 1.0)]
         edges = np.unique(np.concatenate([[0.0], col, [1.0]]))
@@ -315,8 +356,7 @@ def model_error(
         qs = np.unique(np.concatenate(probes))
         worst = float(gaps(qs).max())
         return DistanceEstimate(value=worst, exact=False, std_error=0.0, samples=qs.size)
-    worst = float(gaps(draw(cfg.samples, gen)).max())
-    return DistanceEstimate(value=worst, exact=False, std_error=0.0, samples=cfg.samples)
+    return _mc_estimate(gaps, draw, cfg.samples, make_generator(cfg.seed), norm)
 
 
 # -- the route table ---------------------------------------------------------

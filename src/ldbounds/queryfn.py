@@ -301,43 +301,37 @@ def eval_batch(dataset: Dataset, op: OpKind, batch) -> np.ndarray:
 
 
 def sample_rank_queries(count: int, gen: np.random.Generator) -> np.ndarray:
-    return gen.random(count)
+    return uniform_block(OpKind.INDEX, 1, 1, count, gen)
 
 
 def sample_range_queries(
     count: int, dq: int, gen: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform on the legal query set: r_j ~ U[0,1], c_j | r_j ~ U[-r_j, 1-r_j].
-
-    The conditional left-edge interval always has length 1, so the joint
-    density is 1 and sample means are unbiased integral estimates.
-    """
-    R = gen.random((count, dq))
-    C = gen.random((count, dq)) - R
-    return C, R
+    """`count` uniform range queries over `dq` predicate axes (see uniform_block)."""
+    return uniform_block(OpKind.CARD_EST, dq, 1, count, gen)
 
 
 def uniform_sampler(op: OpKind, data_d: int) -> Callable:
     """(count, gen) -> a batch of uniform queries for `op` over d-attribute data."""
-    if op is OpKind.INDEX:
-        return sample_rank_queries
-    dq = query_dims(op, data_d)
-    return lambda count, gen: sample_range_queries(count, dq, gen)
+    return lambda count, gen: uniform_block(op, data_d, 1, count, gen)
 
 
 def uniform_block(op: OpKind, data_d: int, k: int, count: int, gen: np.random.Generator):
-    """k consecutive `uniform_sampler(op, data_d)(count, gen)` draws, concatenated.
+    """k consecutive draws of `count` uniform queries, concatenated.
 
-    One call consumes the same stream as the k draws: a rank draw is
-    `count` points, and a range draw is its widths R, then its left edges
-    plus R, as in `sample_range_queries`.
+    A rank draw is `count` points in [0, 1].  A range draw is uniform on
+    the legal query set: widths r_j ~ U[0,1], then left edges c_j | r_j ~
+    U[-r_j, 1-r_j].  The conditional left-edge interval always has length
+    1, so the joint density is 1 and sample means are unbiased integral
+    estimates.  One call consumes the same stream as k calls with k = 1:
+    each draw takes its widths R, then its left edges plus R.
     """
     if op is OpKind.INDEX:
         return gen.random(k * count)
     dq = query_dims(op, data_d)
     blk = gen.random((k, 2, count, dq))
-    R = blk[:, 0]
-    C = blk[:, 1] - R
+    R, C = blk[:, 0], blk[:, 1]
+    C -= R
     return C.reshape(k * count, dq), R.reshape(k * count, dq)
 
 

@@ -341,6 +341,14 @@ def test_experiment_nonpositive_eval_samples(tmp_path, capsys, samples):
     assert code == 1
 
 
+def test_experiment_negative_eval_grid(tmp_path, capsys):
+    cfg = str(tmp_path / "cfg.json")
+    json.dump(dict(EXPERIMENT_CONFIG, eval={"grid": -1}), open(cfg, "w"))
+    code = main(["experiment", "--config", cfg, "--out", str(tmp_path / "o.csv")])
+    assert capsys.readouterr().out == ""
+    assert code == 1
+
+
 def test_experiment_all_cells_fail(tmp_path, capsys):
     cfg = str(tmp_path / "cfg.json")
     bad = dict(EXPERIMENT_CONFIG, d=2)  # rank cells need 1-attribute data

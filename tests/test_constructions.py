@@ -5,6 +5,7 @@ import os
 import random
 import time
 import tracemalloc
+from dataclasses import replace
 from functools import partial
 
 import mpmath
@@ -46,7 +47,13 @@ from ldbounds.constructions import (
     write_cover,
 )
 from ldbounds.data import GridSpec, make_dataset, quantize, sort_dataset_1d
-from ldbounds.errors import FamilyTooLarge, FormatError, IndexOutOfRange, InvalidParams
+from ldbounds.errors import (
+    FamilyTooLarge,
+    FormatError,
+    IndexOutOfRange,
+    InvalidParams,
+    InvalidRequest,
+)
 from ldbounds.norms import (
     EvalConfig,
     card1d_l1,
@@ -827,6 +834,27 @@ def test_pigeonhole_finds_collision():
     assert encoder(fam.datasets[w.first]) == encoder(fam.datasets[w.second]) == w.code
     assert w.worst == max(w.err_first.value, w.err_second.value)
     assert w.worst > fam.claimed_separation / 2
+
+
+def test_pigeonhole_mu_witness():
+    # criterion 6's 2-bit truncated cover index, on a family weighted by
+    # cdf(x) = x^2; each member's error is a mean over cdf-distributed queries
+    fam = packing_mu_index(100, 0.5, np.square, 5, seed=47)
+
+    def encoder(ds):
+        return cover_encode(ds, 0.5, OpKind.INDEX).index & 0b11
+
+    def decoder_eval(code):
+        return lambda qs: np.full(len(np.atleast_1d(qs)), 50.0)
+
+    w = pigeonhole_witness(fam, 2, encoder, decoder_eval)
+    assert (w.first, w.second) == (0, 4)
+    assert w.err_first.value == 34.7255
+    assert w.err_first.std_error == 0.06989260859587963
+    assert w.err_first.samples == 20000
+    assert w.err_second.value == 19.9875
+    with pytest.raises(InvalidRequest):
+        pigeonhole_witness(replace(fam, cdf=None), 2, encoder, decoder_eval)
 
 
 def test_pigeonhole_requires_oversubscription():

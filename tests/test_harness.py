@@ -323,6 +323,14 @@ def test_parse_config_overlays_defaults():
             "models": ["linear"],
             "train": {"lr": "nan"},
         },
+        {
+            "ops": ["index"],
+            "norms": ["l1"],
+            "distributions": [{"kind": "uniform"}],
+            "n_values": [10],
+            "models": ["linear"],
+            "eval": {"grid": -1},
+        },
     ],
 )
 def test_parse_config_rejects(doc):
@@ -344,10 +352,11 @@ GMM2 = DistSpec(name="gmm2", gmm=GmmParams(components=((0.25, 0.05, 0.5), (0.75,
 THREE_MODELS = (PRESET_MODELS["linear"], PRESET_MODELS["nn-s1"], PRESET_MODELS["sample"])
 
 
-@pytest.mark.parametrize("reps", [1, 3])
+@pytest.mark.parametrize("reps", [1, 3, 9])
 def test_rows_equal_single_cell_runs(reps):
-    # a group's cells train in stacks (all 6 at once, or 2 cells of 3
-    # replicates each), yet each row is the row of a run holding only its cell
+    # a group's cells train in stacks (all 6 at once, 2 cells of 3
+    # replicates each, or one cell of 9, more than _STACK_JOBS), yet each
+    # row is the row of a run holding only its cell
     dists, ns = (DistSpec(name="uniform"), GMM2), (40, 60, 80)
     cfg = small_config(
         norms=("l1", "linf"), distributions=dists, n_values=ns,

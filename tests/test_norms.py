@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_dataset, random_sorted
+from ldbounds import norms
 from ldbounds.constructions import PackingFamily, certify
 from ldbounds.data import empty_dataset, make_dataset, sort_dataset_1d
 from ldbounds.errors import (
@@ -340,6 +343,44 @@ def test_model_error_range_norms():
     assert est.value == 0.0 and not est.exact
     with pytest.raises(InvalidRequest):
         model_error(ds, OpKind.CARD_EST, exact, "mu", EvalConfig(samples=10, seed=6))
+
+
+def _off_by_some(ds):
+    """A count predictor that is wrong on most queries, by varying amounts."""
+    truth = lambda batch: eval_batch(ds, OpKind.CARD_EST, batch)
+    return lambda batch: 0.7 * truth(batch) + 3.0 * batch[1][:, 0]
+
+
+@pytest.mark.parametrize("samples", [1, 1000, norms._MC_CHUNK])
+def test_model_error_range_linf_is_a_single_draw_max_up_to_one_chunk(samples):
+    ds = random_dataset(30, 2, seed=43)
+    predict = _off_by_some(ds)
+    est = model_error(ds, OpKind.CARD_EST, predict, "linf", EvalConfig(samples, seed=9))
+    # the uniform query stream, drawn here in one piece
+    gen = make_generator(9)
+    R = gen.random((samples, 2))
+    C = gen.random((samples, 2)) - R
+    want = np.abs(eval_batch(ds, OpKind.CARD_EST, (C, R)) - predict((C, R))).max()
+    assert (est.value, est.samples, est.std_error, est.exact) == (want, samples, 0.0, False)
+
+
+def test_model_error_range_linf_memory_stays_within_chunks(monkeypatch):
+    monkeypatch.setattr(norms, "_MC_CHUNK", 1000)
+    ds = random_dataset(30, 2, seed=44)
+    predict = _off_by_some(ds)
+    predict((np.zeros((1, 2)), np.zeros((1, 2))))  # builds the dataset's count index
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            model_error(ds, OpKind.CARD_EST, predict, "linf", EvalConfig(samples, seed=10))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_chunk = peak(1000)
+    # 50 chunks: drawn at once they would need about 50 times one chunk
+    assert peak(50_000) < 2 * one_chunk
 
 
 @pytest.mark.parametrize("samples", [0, -3])

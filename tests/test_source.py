@@ -58,3 +58,30 @@ def test_unused_imports_detects_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscore names a module imports from another ldbounds module."""
+    return sorted(
+        f"{alias.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "ldbounds")
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
+def test_private_imports_detects_an_underscore_name():
+    source = (
+        "from __future__ import annotations\n"
+        "from numpy import _NoValue\n"
+        "from .norms import _gaps, distance\n"
+        "from ldbounds.queryfn import _CHUNK_CELLS\n"
+    )
+    assert private_imports(source) == ["_CHUNK_CELLS (line 4)", "_gaps (line 3)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text()) == []
