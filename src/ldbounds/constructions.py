@@ -412,14 +412,11 @@ def _pair_indices(members: int, pairs: int, gen) -> list[tuple[int, int]]:
         return [(i, j) for i in range(members) for j in range(i + 1, members)]
     out: list[tuple[int, int]] = []
     for flat in _distinct_below(total, pairs, gen):
-        # flat -> (i, j), row-major over the strict upper triangle
-        i = 0
-        row = members - 1
-        while flat >= row:
-            flat -= row
-            i += 1
-            row -= 1
-        out.append((i, i + 1 + flat))
+        # row-major over the strict upper triangle, row i starts at i(2m - i - 1)/2
+        disc = (2 * members - 1) ** 2 - 8 * flat
+        s = math.isqrt(disc)
+        i = (2 * members - 1 - s - (s * s != disc)) // 2
+        out.append((i, flat - i * (2 * members - i - 1) // 2 + i + 1))
     return out
 
 
@@ -431,7 +428,8 @@ def certify(
     `norms.distance` measures each pair: exactly where it can, otherwise
     by a probe (worst case) or a Monte Carlo mean, taken here minus three
     standard errors (average case).  Both only under-report, so a passing
-    certificate is sound either way.  `passed` covers only the
+    certificate is sound either way.  `method` and `samples` are the ones
+    `distance` reports for the checked pairs.  `passed` covers only the
     `pairs_checked` pairs drawn, out of the family's `pairs_total`
     (members * (members - 1) / 2); the pairs not drawn are not checked.
     """
@@ -450,17 +448,15 @@ def certify(
             mc_samples, seed + t + 1, family.cdf,
         )
         worst = min(worst, est.value - 3.0 * est.std_error)
-    # every member shares the family's op, norm and d, so one route serves every pair
-    method = "exact" if est.exact else "probe" if family.norm == LINF else "monte_carlo"
     return SeparationCertificate(
         passed=bool(worst > family.claimed_separation),
         pairs_checked=len(chosen),
         pairs_total=members * (members - 1) // 2,
         min_observed=float(worst),
         claimed=family.claimed_separation,
-        method=method,
+        method=est.method,
         samples=est.samples,
-        confidence=0.99865 if method == "monte_carlo" else 1.0,
+        confidence=0.99865 if est.method == "monte_carlo" else 1.0,
     )
 
 

@@ -11,16 +11,17 @@ integration vs Monte Carlo) so each can check the other; callers should
 not collapse them.  `distance` is the one place that picks a route for a
 pair of datasets: exact where a closed form serves the pair, otherwise a
 probe lower bound (worst case) or a Monte Carlo mean (average case).
-Every sampled estimate, a mean or a maximum, is drawn and reduced here, by
-one chunk loop over 65,536-query chunks.
+Every other estimate, a mean or a maximum, is reduced here by one loop over
+batches of about 65,536 queries, and each names its route in `method`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable
+from itertools import chain
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -45,17 +46,20 @@ _MC_CHUNK = 65_536
 
 @dataclass(frozen=True)
 class DistanceEstimate:
-    """A distance value plus how it was obtained.
-
-    exact=True means closed-form or complete piecewise integration
-    (std_error 0).  Monte Carlo estimates carry the standard error of the
-    mean; supremum probes carry std_error 0 but are still not exact.
+    """A distance value plus the route that made it: `method` is "exact"
+    (closed form or complete piecewise integration, std_error 0),
+    "monte_carlo" (a sample mean and its standard error) or "probe" (a
+    maximum over probe queries, a lower bound on the supremum, std_error 0).
     """
 
     value: float
-    exact: bool
+    method: str
     std_error: float = 0.0
     samples: int = 0
+
+    @property
+    def exact(self) -> bool:
+        return self.method == "exact"
 
 
 @dataclass(frozen=True)
@@ -108,8 +112,6 @@ def rank_l1_oracle(a: Dataset, b: Dataset) -> float:
     if xa.shape[0] != xb.shape[0]:
         raise SizeMismatch("rank_l1_oracle needs equal record counts")
     bps, v = _rank_steps(xa, xb)
-    if bps.size == 0:
-        return 0.0
     edges = np.append(bps, 1.0)
     widths = np.clip(edges[1:] - edges[:-1], 0.0, None)
     return float((np.abs(v) * widths).sum())
@@ -178,10 +180,7 @@ def rank_mu(a: Dataset, b: Dataset, cdf: Callable[[np.ndarray], np.ndarray]) -> 
 def _card_cells(a: Dataset, b: Dataset):
     if a.d != 1 or b.d != 1:
         raise DimensionMismatch("cardinality distances require single-attribute data")
-    xa = np.sort(a.values[:, 0])
-    xb = np.sort(b.values[:, 0])
-    bps, v = _rank_steps(xa, xb)
-    return bps, v
+    return _rank_steps(a.sorted_column, b.sorted_column)
 
 
 def card1d_l1(a: Dataset, b: Dataset) -> float:
@@ -210,9 +209,7 @@ def card1d_linf(a: Dataset, b: Dataset) -> float:
     min/max of v_0..v_j: the right endpoint of a query picks v_j, the left
     endpoint independently picks any earlier value.
     """
-    bps, v = _card_cells(a, b)
-    if bps.size == 0:
-        return 0.0
+    _, v = _card_cells(a, b)
     vv = np.concatenate([[0.0], v])
     run_min = np.minimum.accumulate(vv)
     run_max = np.maximum.accumulate(vv)
@@ -240,21 +237,45 @@ def quantile_points(cdf: Callable, targets: np.ndarray, tol: float = 1e-12) -> n
     return out
 
 
-def _mc_estimate(
-    gaps: Callable, draw: Callable, samples: int, gen, norm: str = L1
-) -> DistanceEstimate:
-    """Reduce gaps(draw(m, gen)) over `samples` queries, drawn in chunks.
+def _draws(draw: Callable, samples: int, gen) -> Iterator:
+    """The sampled stream: `samples` queries of draw(m, gen), m <= _MC_CHUNK."""
+    for start in range(0, samples, _MC_CHUNK):
+        yield draw(min(_MC_CHUNK, samples - start), gen)
 
-    The mean and its standard error, or for `norm` LINF the maximum.
-    Fixed-size chunks keep memory bounded and the result independent of
-    execution order.
+
+def _index_probes(col: np.ndarray, grid: int) -> Iterator[np.ndarray]:
+    """model_error's rank probes in blocks of whole gaps, about _MC_CHUNK points each.
+
+    A block keeps the probes from its first edge up to the next block's, so
+    the blocks partition the probe set: t <= 1 - 1/(grid + 1) keeps each gap
+    point lo + t * (hi - lo) inside its gap, and the next edge is excluded.
+    """
+    edges = np.unique(np.concatenate([[0.0], col, [1.0]]))
+    left = np.clip(col - 1e-12, 0.0, 1.0)
+    t = np.linspace(0.0, 1.0, grid + 2)[1:-1]
+    step = max(1, _MC_CHUNK // (grid + 2))
+    for k in range(0, edges.size - 1, step):
+        hi = edges[k + 1 : k + step + 1]
+        lo, top = edges[k : k + hi.size], hi[-1] if hi[-1] < 1.0 else np.inf
+        inner = (lo[:, None] + t[None, :] * (hi - lo)[:, None]).ravel()
+        own = left[np.searchsorted(left, lo[0]) : np.searchsorted(left, top)]
+        pts = np.unique(np.concatenate([edges[k : k + step + 1], own, inner]))
+        yield pts[: np.searchsorted(pts, top)]
+
+
+def _mc_estimate(gaps: Callable, batches: Iterable, norm: str = L1) -> DistanceEstimate:
+    """Reduce gaps(batch) over batches of about _MC_CHUNK queries each.
+
+    The mean and its standard error ("monte_carlo"), or for `norm` LINF the
+    maximum ("probe").  Bounded batches keep memory bounded; fixed ones keep
+    the result independent of execution order.
     """
     sums: list[float] = []
     sumsqs: list[float] = []
     maxima: list[float] = []
     count = 0
-    while count < samples:
-        chunk = gaps(draw(min(_MC_CHUNK, samples - count), gen))
+    for batch in batches:
+        chunk = gaps(batch)
         if norm == LINF:
             maxima.append(float(chunk.max()))
         else:
@@ -262,12 +283,10 @@ def _mc_estimate(
             sumsqs.append(float(np.add.reduce(chunk * chunk)))
         count += chunk.size
     if norm == LINF:
-        return DistanceEstimate(value=float(np.max(maxima)), exact=False, samples=count)
+        return DistanceEstimate(float(np.max(maxima)), "probe", samples=count)
     mean = math.fsum(sums) / count
     var = max(0.0, (math.fsum(sumsqs) - count * mean * mean) / max(1, count - 1))
-    return DistanceEstimate(
-        value=mean, exact=False, std_error=math.sqrt(var / count), samples=count
-    )
+    return DistanceEstimate(mean, "monte_carlo", math.sqrt(var / count), count)
 
 
 def _gaps(dataset: Dataset, op: OpKind, predict: Callable) -> Callable:
@@ -306,7 +325,7 @@ def mc_mu(
     if op is not OpKind.INDEX and a.d != b.d:
         raise DimensionMismatch("datasets must share dimensionality")
     gaps = _gaps(a, op, partial(eval_batch, b, op))
-    return _mc_estimate(gaps, query_sampler, samples, make_generator(seed))
+    return _mc_estimate(gaps, _draws(query_sampler, samples, make_generator(seed)))
 
 
 # -- model-vs-truth error ----------------------------------------------------
@@ -326,37 +345,24 @@ def model_error(
     case (l1) is a Monte Carlo mean over `cfg.samples` uniform queries; the
     distribution-weighted case (mu, indexing only, needs `cdf`) is one over
     queries drawn from the measure whose distribution function is `cdf`.
-    For the worst case over rank queries the probe set is every data value,
-    a point 1e-12 left of it, and `cfg.grid` extra points per gap (the
-    truth is constant between data values, so probes bound the supremum
-    from below); range-kind worst case is the maximum over `cfg.samples`
-    uniform queries.  Every sampled estimate, mean or maximum, is drawn in
-    _MC_CHUNK = 65,536-query chunks.  None of these are exact.
+    Both are "monte_carlo".  The worst case is a "probe": over rank queries
+    the probes are 0, 1, every data value, a point 1e-12 left of it and
+    `cfg.grid` points per gap (the truth is constant between data values,
+    so probes bound the supremum from below), over range kinds
+    `cfg.samples` uniform queries.  Queries come in _MC_CHUNK = 65,536-query
+    chunks and rank probes in blocks of whole gaps of about as many points,
+    so memory grows with `cfg.grid` only past 65,536, when one gap fills a block.
     """
-    gaps = _gaps(dataset, op, predict)
-    uniform = uniform_sampler(op, dataset.d)
-    if norm == MU:
-        if cdf is None or op is not OpKind.INDEX:
-            raise InvalidRequest("a mu error needs an indexing op and a cdf")
-
-        def draw(count, gen):
-            return quantile_points(cdf, uniform(count, gen), tol=1e-10)
-    elif norm in (L1, LINF):
-        draw = uniform
-    else:
+    if norm not in (L1, LINF, MU):
         raise InvalidRequest(f"model_error supports norms l1, linf and mu, got {norm!r}")
-    if norm == LINF and op is OpKind.INDEX:
-        col = dataset.sorted_column
-        probes = [np.array([0.0, 1.0]), col, np.clip(col - 1e-12, 0.0, 1.0)]
-        edges = np.unique(np.concatenate([[0.0], col, [1.0]]))
-        if cfg.grid > 0 and edges.size >= 2:
-            t = np.linspace(0.0, 1.0, cfg.grid + 2)[1:-1]
-            lo, hi = edges[:-1], edges[1:]
-            probes.append((lo[:, None] + t[None, :] * (hi - lo)[:, None]).ravel())
-        qs = np.unique(np.concatenate(probes))
-        worst = float(gaps(qs).max())
-        return DistanceEstimate(value=worst, exact=False, std_error=0.0, samples=qs.size)
-    return _mc_estimate(gaps, draw, cfg.samples, make_generator(cfg.seed), norm)
+    if norm == MU and (cdf is None or op is not OpKind.INDEX):
+        raise InvalidRequest("a mu error needs an indexing op and a cdf")
+    batches = _draws(uniform_sampler(op, dataset.d), cfg.samples, make_generator(cfg.seed))
+    if norm == MU:
+        batches = (quantile_points(cdf, u, tol=1e-10) for u in batches)
+    elif norm == LINF and op is OpKind.INDEX:
+        batches = _index_probes(dataset.sorted_column, cfg.grid)
+    return _mc_estimate(_gaps(dataset, op, predict), batches, norm)
 
 
 # -- the route table ---------------------------------------------------------
@@ -375,12 +381,12 @@ def distance(
 
     Exact: rank_l1, rank_linf and rank_mu (needs `cdf`) for index, and
     card1d_l1 and card1d_linf for ce at d = 1.  Otherwise, worst case: a
-    probe lower bound from point queries at every distinct predicate
+    probe, the maximum over point queries at every distinct predicate
     projection of both datasets (closed intervals make a zero-width box a
-    point) plus model_error's sampled probe over `samples` uniform queries
-    from `seed`.  Otherwise, average case: mc_l1.  Anything else raises
-    InvalidRequest.  Each route is looked up in this module's globals at
-    call time.
+    point), then over `samples` uniform queries from `seed` (`samples`
+    counts these only).  Otherwise, average case: mc_l1.  Anything else
+    raises InvalidRequest.  `method` names the route.  Each route is
+    looked up in this module's globals at call time.
     """
     route = None
     if op is OpKind.INDEX and norm == MU:
@@ -392,16 +398,14 @@ def distance(
     elif op is OpKind.CARD_EST and a.d == 1:
         route = {L1: card1d_l1, LINF: card1d_linf}.get(norm)
     if route is not None:
-        return DistanceEstimate(value=route(a, b), exact=True)
+        return DistanceEstimate(route(a, b), "exact")
     if norm == LINF:
-        predict = partial(eval_batch, b, op)
         dq = query_dims(op, a.d)
         pts = np.unique(np.vstack([a.values[:, :dq], b.values[:, :dq]]), axis=0)
-        worst = float(_gaps(a, op, predict)((pts, np.zeros_like(pts))).max())
-        if samples > 0:
-            sampled = model_error(a, op, predict, LINF, EvalConfig(samples, seed=seed))
-            worst = max(worst, sampled.value)
-        return DistanceEstimate(value=worst, exact=False, samples=samples)
+        draws = _draws(uniform_sampler(op, a.d), samples, make_generator(seed))
+        batches = chain([(pts, np.zeros_like(pts))], draws)
+        est = _mc_estimate(_gaps(a, op, partial(eval_batch, b, op)), batches, LINF)
+        return replace(est, samples=samples)
     if norm == L1:
         return mc_l1(a, b, op, samples, seed)
     raise InvalidRequest(f"no distance route for op={op.value} norm={norm}")

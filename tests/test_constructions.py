@@ -55,6 +55,7 @@ from ldbounds.errors import (
     InvalidRequest,
 )
 from ldbounds.norms import (
+    DistanceEstimate,
     EvalConfig,
     card1d_l1,
     card1d_linf,
@@ -536,6 +537,51 @@ def test_packing_l1_index_certificate():
     cert = certify(fam, pairs=28, seed=6)
     assert cert.passed and cert.method == "exact"
     assert cert.min_observed > fam.claimed_separation
+
+
+def test_certify_reports_the_method_its_estimates_name(monkeypatch):
+    # an average-case family whose pairs come back as probes: the certificate
+    # names the estimates' route, not one read off the family's norm
+    fam = packing_l1_index(100, 0.5, 4, seed=5)
+    monkeypatch.setattr(
+        constructions, "distance", lambda *args: DistanceEstimate(9.0, "probe", samples=3)
+    )
+    cert = certify(fam, pairs=6, seed=6)
+    assert (cert.method, cert.confidence, cert.samples) == ("probe", 1.0, 3)
+    assert cert.passed and cert.min_observed == 9.0
+
+
+def _walked_pair(members, flat):
+    """flat -> (i, j) by walking the rows of the strict upper triangle."""
+    i, row = 0, members - 1
+    while flat >= row:
+        flat -= row
+        i += 1
+        row -= 1
+    return i, i + 1 + flat
+
+
+def _pairs_at(monkeypatch, members, flats):
+    monkeypatch.setattr(constructions, "_distinct_below", lambda total, count, gen: flats)
+    return constructions._pair_indices(members, 1, None)
+
+
+def test_pair_indices_match_the_row_walk(monkeypatch):
+    for members in range(3, 61):
+        flats = list(range(members * (members - 1) // 2))
+        want = [_walked_pair(members, f) for f in flats]
+        assert _pairs_at(monkeypatch, members, flats) == want, members
+
+
+def test_pair_indices_land_on_their_flat_offset_in_huge_families(monkeypatch):
+    rnd = random.Random(48)
+    for _ in range(2000):
+        m = rnd.randint(3, 2**40)
+        total = m * (m - 1) // 2
+        flats = [rnd.randrange(total), 0, total - 1]
+        for flat, (i, j) in zip(flats, _pairs_at(monkeypatch, m, flats)):
+            assert 0 <= i < j < m
+            assert i * (2 * m - i - 1) // 2 + (j - i - 1) == flat
 
 
 @pytest.mark.parametrize("pairs", [0, -3])

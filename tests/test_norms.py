@@ -383,6 +383,83 @@ def test_model_error_range_linf_memory_stays_within_chunks(monkeypatch):
     assert peak(50_000) < 2 * one_chunk
 
 
+def _square(x):
+    return np.asarray(x) ** 2
+
+
+_INDEX_DS = random_sorted(20, seed=45)
+
+
+@pytest.mark.parametrize(
+    "ds, op, norm, cdf, method",
+    [
+        (_INDEX_DS, OpKind.INDEX, "l1", None, "monte_carlo"),
+        (_INDEX_DS, OpKind.INDEX, "mu", _square, "monte_carlo"),
+        (_INDEX_DS, OpKind.INDEX, "linf", None, "probe"),
+        (random_dataset(20, 2, seed=46), OpKind.CARD_EST, "linf", None, "probe"),
+    ],
+)
+def test_model_error_names_its_method(ds, op, norm, cdf, method):
+    predict = lambda batch: 0.5 * eval_batch(ds, op, batch)
+    est = model_error(ds, op, predict, norm, EvalConfig(samples=500, seed=11), cdf)
+    assert (est.method, est.exact) == (method, False)
+
+
+def _one_shot_index_probes(col, grid):
+    """The rank probe set as one array, built over all gaps at once."""
+    probes = [np.array([0.0, 1.0]), col, np.clip(col - 1e-12, 0.0, 1.0)]
+    edges = np.unique(np.concatenate([[0.0], col, [1.0]]))
+    if grid > 0 and edges.size >= 2:
+        t = np.linspace(0.0, 1.0, grid + 2)[1:-1]
+        lo, hi = edges[:-1], edges[1:]
+        probes.append((lo[:, None] + t[None, :] * (hi - lo)[:, None]).ravel())
+    return np.unique(np.concatenate(probes))
+
+
+@st.composite
+def _rank_column(draw):
+    """Sorted values with ties, 0.0 and 1.0, and gaps under 1e-12."""
+    base = draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), max_size=30))
+    nudges = st.sampled_from([0.0, 1e-13, -2e-13, 7e-13, 5e-324])
+    near = draw(st.lists(st.tuples(st.sampled_from(base), nudges), max_size=15)) if base else []
+    return np.sort(np.clip(np.array(base + [x + dx for x, dx in near]), 0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rank_column(), st.integers(0, 7), st.integers(7, 200))
+def test_index_linf_probe_blocks_partition_the_one_shot_set(col, grid, chunk):
+    ds = make_dataset(col) if col.size else empty_dataset(1)
+    predict = lambda q: 3.0 * np.sin(40.0 * np.asarray(q)) + col.size * np.asarray(q)
+    want = _one_shot_index_probes(ds.sorted_column, grid)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(norms, "_MC_CHUNK", chunk)
+        blocks = list(norms._index_probes(ds.sorted_column, grid))
+        est = model_error(ds, OpKind.INDEX, predict, "linf", EvalConfig(grid=grid))
+    assert np.array_equal(np.concatenate(blocks), want)
+    gaps = np.abs(eval_batch(ds, OpKind.INDEX, want) - predict(want))
+    assert (est.value, est.samples, est.method) == (gaps.max(), want.size, "probe")
+
+
+def test_index_linf_memory_does_not_grow_with_grid():
+    ds = random_sorted(2000, seed=47)
+    predict = lambda q: 0.9 * eval_batch(ds, OpKind.INDEX, q)
+    tracemalloc.start()
+    try:
+        est = model_error(ds, OpKind.INDEX, predict, "linf", EvalConfig(grid=1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # over 2 million probes: built at once they would need over 100 MiB
+    assert est.samples > 2000 * 1000
+    assert peak < 8 * 2**20
+
+
+def test_empty_pairs_are_zero_apart():
+    empty = empty_dataset(1)
+    assert rank_l1_oracle(empty, empty) == 0.0
+    assert card1d_linf(empty, empty) == 0.0
+
+
 @pytest.mark.parametrize("samples", [0, -3])
 def test_eval_config_rejects_nonpositive_samples(samples):
     with pytest.raises(InvalidParams):
@@ -390,10 +467,6 @@ def test_eval_config_rejects_nonpositive_samples(samples):
 
 
 # -- the route table ---------------------------------------------------------
-
-
-def _square(x):
-    return np.asarray(x) ** 2
 
 
 _INDEX_PAIR = _pair(12, seed=21)
@@ -411,20 +484,22 @@ _CE2_PAIR = (random_dataset(30, 2, seed=1), random_dataset(30, 2, seed=2))
         (_CE1_PAIR, OpKind.CARD_EST, "l1", 0, None, card1d_l1(*_CE1_PAIR)),
         (_CE1_PAIR, OpKind.CARD_EST, "linf", 0, None, card1d_linf(*_CE1_PAIR)),
         # the probe row: point queries alone, then with the sampled probe
-        (_CE2_PAIR, OpKind.CARD_EST, "linf", 0, None, (1.0, 0.0)),
-        (_CE2_PAIR, OpKind.CARD_EST, "linf", 2000, None, (10.0, 0.0)),
+        (_CE2_PAIR, OpKind.CARD_EST, "linf", 0, None, ("probe", 1.0, 0.0)),
+        (_CE2_PAIR, OpKind.CARD_EST, "linf", 2000, None, ("probe", 10.0, 0.0)),
         # the Monte Carlo row
-        (_CE2_PAIR, OpKind.CARD_EST, "l1", 2000, None, (1.998, 0.046787739272945605)),
+        (
+            _CE2_PAIR, OpKind.CARD_EST, "l1", 2000, None,
+            ("monte_carlo", 1.998, 0.046787739272945605),
+        ),
     ],
 )
 def test_distance_routes(pair, op, norm, samples, cdf, want):
     est = distance(*pair, op, norm, samples, 5, cdf)
-    if isinstance(want, tuple):  # probe and Monte Carlo rows: pinned (value, std_error)
-        assert not est.exact
-        assert (est.value, est.std_error, est.samples) == (*want, samples)
-    else:
-        assert est.exact
-        assert (est.value, est.std_error, est.samples) == (want, 0.0, 0)
+    assert est.exact == (est.method == "exact")
+    if isinstance(want, tuple):  # probe and Monte Carlo rows: (method, value, std_error)
+        assert (est.method, est.value, est.std_error, est.samples) == (*want, samples)
+    else:  # exact rows
+        assert (est.method, est.value, est.std_error, est.samples) == ("exact", want, 0.0, 0)
 
 
 @pytest.mark.parametrize(
