@@ -13,6 +13,8 @@ pair of datasets: exact where a closed form serves the pair, otherwise a
 probe lower bound (worst case) or a Monte Carlo mean (average case).
 Every other estimate, a mean or a maximum, is reduced here by one loop over
 batches of about 65,536 queries, and each names its route in `method`.
+One-axis pairs share one signed step table, `_signed_table`: the exact d = 1
+routes read their steps from it, and whole-number sampled ones search it once.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .errors import (
     NotSorted,
     SizeMismatch,
 )
-from .queryfn import OpKind, eval_batch, query_dims, uniform_sampler
+from .queryfn import BoxSum, OpKind, eval_batch, query_dims, uniform_sampler
 from .rng import make_generator
 
 L1 = "l1"
@@ -94,12 +96,16 @@ def rank_l1(a: Dataset, b: Dataset) -> float:
     return float(np.abs(xa - xb).sum())
 
 
-def _rank_steps(xa: np.ndarray, xb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Breakpoints of rank_a - rank_b and its value on [bp_j, bp_{j+1})."""
-    bps = np.unique(np.concatenate([xa, xb]))
-    va = np.searchsorted(xa, bps, side="right")
-    vb = np.searchsorted(xb, bps, side="right")
-    return bps, (va - vb).astype(np.float64)
+def _signed_table(a: Dataset, b: Dataset, op: OpKind) -> BoxSum:
+    """A one-axis pair's box sums of f_a - f_b: a's rows weigh +w, b's -w (w = 1
+    or the measure); levels[0] are the breakpoints of the steps, table[1:] their values."""
+    if query_dims(op, a.d) != 1 or a.d != b.d:
+        raise DimensionMismatch("a signed table needs one shared predicate axis")
+    if op is OpKind.RANGE_SUM:
+        w = np.concatenate([a.values[:, -1], -b.values[:, -1]])
+    else:
+        w = np.repeat([1.0, -1.0], [a.n, b.n])
+    return BoxSum(np.concatenate([a.values[:, :1], b.values[:, :1]]), w)
 
 
 def rank_l1_oracle(a: Dataset, b: Dataset) -> float:
@@ -111,10 +117,9 @@ def rank_l1_oracle(a: Dataset, b: Dataset) -> float:
     xb = _sorted_column(b, "second dataset")
     if xa.shape[0] != xb.shape[0]:
         raise SizeMismatch("rank_l1_oracle needs equal record counts")
-    bps, v = _rank_steps(xa, xb)
-    edges = np.append(bps, 1.0)
-    widths = np.clip(edges[1:] - edges[:-1], 0.0, None)
-    return float((np.abs(v) * widths).sum())
+    t = _signed_table(a, b, OpKind.INDEX)
+    widths = np.clip(np.diff(np.append(t.levels[0], 1.0)), 0.0, None)
+    return float((np.abs(t.table[1:]) * widths).sum())
 
 
 def rank_linf(a: Dataset, b: Dataset) -> float:
@@ -123,13 +128,9 @@ def rank_linf(a: Dataset, b: Dataset) -> float:
     The difference is a right-continuous step function changing only at
     data values, so the max over breakpoint evaluations is the supremum.
     """
-    xa = _sorted_column(a, "first dataset")
-    xb = _sorted_column(b, "second dataset")
-    bps, v = _rank_steps(xa, xb)
-    inside = bps <= 1.0
-    if not inside.any():
-        return 0.0
-    return float(np.abs(v[inside]).max())
+    _sorted_column(a, "first dataset")
+    _sorted_column(b, "second dataset")
+    return float(np.abs(_signed_table(a, b, OpKind.INDEX).table).max())
 
 
 def _check_cdf(cdf: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np.ndarray:
@@ -177,21 +178,15 @@ def rank_mu(a: Dataset, b: Dataset, cdf: Callable[[np.ndarray], np.ndarray]) -> 
 # A zero-width first or last cell adds 0.
 
 
-def _card_cells(a: Dataset, b: Dataset):
-    if a.d != 1 or b.d != 1:
-        raise DimensionMismatch("cardinality distances require single-attribute data")
-    return _rank_steps(a.sorted_column, b.sorted_column)
-
-
 def card1d_l1(a: Dataset, b: Dataset) -> float:
     """Exact average-case cardinality distance for single-attribute data.
 
     Record counts may differ; either dataset may be empty.  O(n log n)
     time and O(n) memory by the identity above.
     """
-    bps, v = _card_cells(a, b)
-    edges = np.concatenate([[0.0], bps, [1.0]])
-    g = np.concatenate([[0.0], v])
+    t = _signed_table(a, b, OpKind.CARD_EST)
+    edges = np.concatenate([[0.0], t.levels[0], [1.0]])
+    g = t.table  # table[0] = 0: before any data
     w = np.diff(edges)
     near = np.abs(g) * w * (1.0 - 0.5 * (edges[:-1] + edges[1:]))
     order = np.argsort(g)
@@ -209,8 +204,7 @@ def card1d_linf(a: Dataset, b: Dataset) -> float:
     min/max of v_0..v_j: the right endpoint of a query picks v_j, the left
     endpoint independently picks any earlier value.
     """
-    _, v = _card_cells(a, b)
-    vv = np.concatenate([[0.0], v])
+    vv = _signed_table(a, b, OpKind.CARD_EST).table  # table[0] = 0: before any data
     run_min = np.minimum.accumulate(vv)
     run_max = np.maximum.accumulate(vv)
     return float(np.maximum(vv - run_min, run_max - vv).max())
@@ -244,23 +238,31 @@ def _draws(draw: Callable, samples: int, gen) -> Iterator:
 
 
 def _index_probes(col: np.ndarray, grid: int) -> Iterator[np.ndarray]:
-    """model_error's rank probes in blocks of whole gaps, about _MC_CHUNK points each.
+    """model_error's rank probes in blocks of about _MC_CHUNK points.
 
-    A block keeps the probes from its first edge up to the next block's, so
-    the blocks partition the probe set: t <= 1 - 1/(grid + 1) keeps each gap
-    point lo + t * (hi - lo) inside its gap, and the next edge is excluded.
+    A block holds whole gaps or, when one gap has more grid points than
+    _MC_CHUNK, a run of that gap's points.  It keeps the probes from its first
+    point up to the next block's, so the blocks partition the probe set: t <=
+    1 - 1/(grid + 1) keeps each gap point lo + t * (hi - lo) inside its gap,
+    and the next block's first point is excluded.  t_j = j * (1 / (grid + 1)),
+    as np.linspace makes it, is made one run at a time.
     """
     edges = np.unique(np.concatenate([[0.0], col, [1.0]]))
     left = np.clip(col - 1e-12, 0.0, 1.0)
-    t = np.linspace(0.0, 1.0, grid + 2)[1:-1]
     step = max(1, _MC_CHUNK // (grid + 2))
+    run, unit = max(1, min(grid, _MC_CHUNK)), 1.0 / (grid + 1)
     for k in range(0, edges.size - 1, step):
         hi = edges[k + 1 : k + step + 1]
         lo, top = edges[k : k + hi.size], hi[-1] if hi[-1] < 1.0 else np.inf
-        inner = (lo[:, None] + t[None, :] * (hi - lo)[:, None]).ravel()
-        own = left[np.searchsorted(left, lo[0]) : np.searchsorted(left, top)]
-        pts = np.unique(np.concatenate([edges[k : k + step + 1], own, inner]))
-        yield pts[: np.searchsorted(pts, top)]
+        for j in range(0, max(1, grid), run):  # grid points j + 1 .. j + run
+            t = np.arange(j + 1, min(j + run, grid) + 1) * unit
+            inner = (lo[:, None] + t[None, :] * (hi - lo)[:, None]).ravel()
+            bottom = inner[0] if j else lo[0]
+            # the next run's first point, computed as it will be
+            cap = lo[0] + (j + run + 1) * unit * (hi[0] - lo[0]) if j + run < grid else top
+            own = left[np.searchsorted(left, bottom) : np.searchsorted(left, cap)]
+            pts = np.unique(np.concatenate([edges[k : k + step + 1], own, inner]))
+            yield pts[np.searchsorted(pts, bottom) : np.searchsorted(pts, cap)]
 
 
 def _mc_estimate(gaps: Callable, batches: Iterable, norm: str = L1) -> DistanceEstimate:
@@ -277,7 +279,7 @@ def _mc_estimate(gaps: Callable, batches: Iterable, norm: str = L1) -> DistanceE
     for batch in batches:
         chunk = gaps(batch)
         if norm == LINF:
-            maxima.append(float(chunk.max()))
+            maxima.append(float(chunk.max(initial=0.0)))  # gaps are >= 0
         else:
             sums.append(float(np.add.reduce(chunk)))
             sumsqs.append(float(np.add.reduce(chunk * chunk)))
@@ -294,6 +296,22 @@ def _gaps(dataset: Dataset, op: OpKind, predict: Callable) -> Callable:
     return lambda batch: np.abs(
         eval_batch(dataset, op, batch) - np.asarray(predict(batch), dtype=np.float64)
     )
+
+
+def _pair_gaps(a: Dataset, b: Dataset, op: OpKind) -> Callable:
+    """batch -> |f_a - f_b|, from the signed table where all weights are whole (counts,
+    0/1 measures), so sums are exact in any order; else from each dataset."""
+    measure = [a.values[:, -1], b.values[:, -1]] if op is OpKind.RANGE_SUM else []
+    if op is OpKind.INDEX or a.d != b.d or query_dims(op, a.d) != 1 or not all(
+        np.array_equal(np.floor(m), m) for m in measure
+    ):
+        return _gaps(a, op, partial(eval_batch, b, op))
+    signed = _signed_table(a, b, op)
+    def gaps(batch):
+        if batch[0].shape[1] != 1:
+            raise DimensionMismatch("predicate width does not match the data")
+        return np.abs(signed(*batch))
+    return gaps
 
 
 def mc_l1(a: Dataset, b: Dataset, op: OpKind, samples: int, seed: int) -> DistanceEstimate:
@@ -324,8 +342,8 @@ def mc_mu(
         raise InvalidParams("need at least 2 samples")
     if op is not OpKind.INDEX and a.d != b.d:
         raise DimensionMismatch("datasets must share dimensionality")
-    gaps = _gaps(a, op, partial(eval_batch, b, op))
-    return _mc_estimate(gaps, _draws(query_sampler, samples, make_generator(seed)))
+    batches = _draws(query_sampler, samples, make_generator(seed))
+    return _mc_estimate(_pair_gaps(a, b, op), batches)
 
 
 # -- model-vs-truth error ----------------------------------------------------
@@ -350,8 +368,9 @@ def model_error(
     `cfg.grid` points per gap (the truth is constant between data values,
     so probes bound the supremum from below), over range kinds
     `cfg.samples` uniform queries.  Queries come in _MC_CHUNK = 65,536-query
-    chunks and rank probes in blocks of whole gaps of about as many points,
-    so memory grows with `cfg.grid` only past 65,536, when one gap fills a block.
+    chunks and rank probes in blocks of about as many points (whole gaps, or
+    runs of one gap's grid points), so memory grows with neither
+    `cfg.samples` nor `cfg.grid`.
     """
     if norm not in (L1, LINF, MU):
         raise InvalidRequest(f"model_error supports norms l1, linf and mu, got {norm!r}")
@@ -404,7 +423,7 @@ def distance(
         pts = np.unique(np.vstack([a.values[:, :dq], b.values[:, :dq]]), axis=0)
         draws = _draws(uniform_sampler(op, a.d), samples, make_generator(seed))
         batches = chain([(pts, np.zeros_like(pts))], draws)
-        est = _mc_estimate(_gaps(a, op, partial(eval_batch, b, op)), batches, LINF)
+        est = _mc_estimate(_pair_gaps(a, b, op), batches, LINF)
         return replace(est, samples=samples)
     if norm == L1:
         return mc_l1(a, b, op, samples, seed)

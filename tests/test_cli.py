@@ -13,6 +13,7 @@ import pytest
 
 import ldbounds
 import ldbounds.bounds as bnd
+from ldbounds import cli
 from ldbounds.cli import main
 from ldbounds.data import GridSpec, load_csv, make_dataset, quantize, save_csv
 from ldbounds.queryfn import OpKind
@@ -95,6 +96,38 @@ def test_bounds_usage_errors(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+_SEQUENCE = [
+    ["eps-star", "--bits", "64", "--op", "index", "--norm", "l1", "--n", "1000"],
+    ["bounds", "--op", "index", "--norm", "inf", "--side", "lower", "--n", "100",
+     "--eps", "1", "--u", "1000"],
+    ["bounds", "--op", "index", "--norm", "l7", "--side", "lower", "--n", "10",
+     "--eps", "1"],
+    ["certify", "--construction", "packing-linf", "--op", "rs", "--n", "10", "--u", "4",
+     "--eps", "1", "--count", "3", "--pairs", "2", "--seed", "1", "--mc-samples", "100"],
+    ["--help"],
+    ["certify", "--construction", "packing-l1-index", "--n", "100", "--eps", "0.5",
+     "--count", "3", "--pairs", "3", "--seed", "1"],
+    ["eps-star", "--bits", "64", "--op", "index", "--norm", "l1", "--n", "1000"],
+]
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch):
+    def outputs():
+        got = []
+        for argv in _SEQUENCE:
+            code = main(argv)
+            got.append((code, capsys.readouterr().out))
+        return got
+
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    reused = outputs()
+    assert [code for code, _ in reused] == [0, 0, 1, 0, 0, 0, 0]
+    assert reused[0] == reused[-1]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a new parser per call
+    assert outputs() == reused
 
 
 def test_eps_star_matches_library(capsys):

@@ -13,6 +13,7 @@ from ldbounds.constructions import PackingFamily, certify
 from ldbounds.data import empty_dataset, make_dataset, sort_dataset_1d
 from ldbounds.errors import (
     CdfNotMonotone,
+    DimensionMismatch,
     InvalidParams,
     InvalidRequest,
     NotSorted,
@@ -31,7 +32,7 @@ from ldbounds.norms import (
     rank_linf,
     rank_mu,
 )
-from ldbounds.queryfn import OpKind, eval_batch, sample_easy_queries
+from ldbounds.queryfn import OpKind, eval_batch, sample_easy_queries, uniform_block
 from ldbounds.rng import make_generator
 
 
@@ -140,8 +141,8 @@ def _band_oracle(a, b):
 
 
 @st.composite
-def _column(draw):
-    n = draw(st.integers(0, 30))
+def _column(draw, n=None):
+    n = draw(st.integers(0, 30)) if n is None else n
     k = draw(st.integers(0, 6))  # 0: uniform values, else the grid {0, 1/k, .., 1}
     if k:
         x = np.array(draw(st.lists(st.integers(0, k), min_size=n, max_size=n))) / k
@@ -454,10 +455,163 @@ def test_index_linf_memory_does_not_grow_with_grid():
     assert peak < 8 * 2**20
 
 
+@settings(max_examples=100, deadline=None)
+@given(_rank_column(), st.integers(8, 60), st.integers(7, 30))
+def test_index_linf_probe_runs_split_a_gap_past_one_block(col, grid, chunk):
+    # grid > chunk: a gap's grid points span several blocks
+    ds = make_dataset(col) if col.size else empty_dataset(1)
+    want = _one_shot_index_probes(ds.sorted_column, grid)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(norms, "_MC_CHUNK", chunk)
+        blocks = list(norms._index_probes(ds.sorted_column, grid))
+    assert np.array_equal(np.concatenate(blocks), want)
+    # a run of `chunk` grid points, two edges and the left probes it holds
+    own = np.clip(ds.sorted_column - 1e-12, 0.0, 1.0)
+    assert max(b.size for b in blocks) <= chunk + 2 + own.size
+
+
+def test_index_linf_memory_is_bounded_past_one_block_per_gap():
+    ds = make_dataset(np.array([0.2, 0.5, 0.7]))
+    predict = lambda q: 0.9 * eval_batch(ds, OpKind.INDEX, q)
+    tracemalloc.start()
+    try:
+        est = model_error(ds, OpKind.INDEX, predict, "linf", EvalConfig(grid=10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 4,000,008 probes: gap by gap they would need about 40 MiB
+    assert est.samples == 4 * 10**6 + 8
+    assert peak < 8 * 2**20
+
+
 def test_empty_pairs_are_zero_apart():
     empty = empty_dataset(1)
     assert rank_l1_oracle(empty, empty) == 0.0
     assert card1d_linf(empty, empty) == 0.0
+
+
+# -- the signed pair table ----------------------------------------------------
+
+
+def _separate_steps(a, b):
+    """Breakpoints of rank_a - rank_b and its steps, one search per dataset."""
+    xa, xb = np.sort(a.values[:, 0]), np.sort(b.values[:, 0])
+    bps = np.unique(np.concatenate([xa, xb]))
+    va = np.searchsorted(xa, bps, side="right")
+    vb = np.searchsorted(xb, bps, side="right")
+    return bps, (va - vb).astype(np.float64)
+
+
+def _separate_distances(a, b):
+    """card1d_l1, card1d_linf, rank_linf and rank_l1_oracle from _separate_steps."""
+    bps, v = _separate_steps(a, b)
+    edges = np.concatenate([[0.0], bps, [1.0]])
+    g = np.concatenate([[0.0], v])
+    w = np.diff(edges)
+    near = np.abs(g) * w * (1.0 - 0.5 * (edges[:-1] + edges[1:]))
+    order = np.argsort(g)
+    ws = w[order]
+    below = np.cumsum(ws)[:-1]
+    above = np.cumsum(ws[::-1])[::-1][1:]
+    l1 = float(near.sum() + (np.diff(g[order]) * below * above).sum())
+    linf = float(np.maximum(g - np.minimum.accumulate(g), np.maximum.accumulate(g) - g).max())
+    inside = bps <= 1.0
+    rank_inf = float(np.abs(v[inside]).max()) if inside.any() else 0.0
+    right = np.append(bps, 1.0)
+    oracle = float((np.abs(v) * np.clip(right[1:] - right[:-1], 0.0, None)).sum())
+    return l1, linf, rank_inf, oracle
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_exact_steps_from_the_signed_table_match_separate_searches(data):
+    a = data.draw(_column())
+    b = data.draw(_column(n=a.n if data.draw(st.booleans()) else None))
+    l1, linf, rank_inf, oracle = _separate_distances(a, b)
+    assert (card1d_l1(a, b), card1d_linf(a, b)) == (l1, linf)
+    a, b = (sort_dataset_1d(x) if x.n else x for x in (a, b))
+    assert rank_linf(a, b) == rank_inf
+    if a.n == b.n:
+        assert rank_l1_oracle(a, b) == oracle
+
+
+def _edge_batch(a, b, gen):
+    """Queries with edges on data values, zero widths and negative left edges."""
+    v = np.concatenate([[0.0, 1.0], a.values[:, 0], b.values[:, 0]])
+    r = gen.random(v.size)
+    C = np.concatenate([v, v, v - r, -r, -r * gen.random(v.size), gen.random(v.size) - r])
+    R = np.concatenate([np.zeros_like(v), (1.0 - v) * gen.random(v.size), r, r, r, r])
+    return C[:, None], R[:, None]
+
+
+def _with_measure(ds, measure):
+    """`ds` with a last attribute drawn from `measure`, for range sums at d = 2."""
+    if not ds.n:
+        return empty_dataset(2)
+    m = np.resize(np.asarray(measure, dtype=np.float64), ds.n)
+    return make_dataset(np.column_stack([ds.values[:, 0], m]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_column(), _column(), st.sampled_from([[1.0], [0.0, 1.0, 1.0], [0.0]]))
+def test_signed_table_gaps_equal_the_two_evaluations(a, b, measure):
+    gen = make_generator(a.n * 31 + b.n)
+    pairs = [(a, b, OpKind.CARD_EST)]
+    pairs.append((_with_measure(a, measure), _with_measure(b, measure[::-1]), OpKind.RANGE_SUM))
+    for x, y, op in pairs:
+        for batch in (_edge_batch(a, b, gen), uniform_block(op, x.d, 1, 500, gen)):
+            want = np.abs(eval_batch(x, op, batch) - eval_batch(y, op, batch))
+            assert np.array_equal(norms._pair_gaps(x, y, op)(batch), want)
+
+
+def _count_evaluations(monkeypatch):
+    calls = []
+
+    def spy(dataset, op, batch):
+        calls.append(dataset)
+        return eval_batch(dataset, op, batch)
+
+    monkeypatch.setattr(norms, "eval_batch", spy)
+    return calls
+
+
+def _two_evaluations(a, b, op):
+    return norms._gaps(a, op, lambda batch: eval_batch(b, op, batch))
+
+
+@pytest.mark.parametrize(
+    "a, b, op",
+    [
+        (random_dataset(40, 1, seed=50), random_dataset(25, 1, seed=51), OpKind.CARD_EST),
+        (_with_measure(random_dataset(40, 1, seed=52), [1.0]),
+         _with_measure(random_dataset(40, 1, seed=53), [1.0, 0.0]), OpKind.RANGE_SUM),
+    ],
+)
+def test_whole_number_pairs_search_one_table(monkeypatch, a, b, op):
+    with monkeypatch.context() as mp:
+        mp.setattr(norms, "_pair_gaps", _two_evaluations)
+        want = mc_l1(a, b, op, 3000, seed=7), distance(a, b, op, "linf", 3000, 7)
+    calls = _count_evaluations(monkeypatch)
+    assert (mc_l1(a, b, op, 3000, seed=7), distance(a, b, op, "linf", 3000, 7)) == want
+    assert calls == []
+
+
+def test_non_whole_range_sums_keep_two_evaluations(monkeypatch):
+    a = random_dataset(30, 2, seed=54)  # measures in (0, 1)
+    b = random_dataset(30, 2, seed=55)
+    calls = _count_evaluations(monkeypatch)
+    est = mc_l1(a, b, OpKind.RANGE_SUM, 1000, seed=8)
+    assert est.samples == 1000
+    assert [id(ds) for ds in calls] == [id(a), id(b)]
+    calls.clear()
+    distance(a, b, OpKind.RANGE_SUM, "linf", 1000, 8)
+    assert [id(ds) for ds in calls] == [id(a), id(b)] * 2  # the point probes, then the draws
+
+
+def test_signed_table_gaps_check_the_predicate_width():
+    a, b = random_dataset(5, 1, seed=56), random_dataset(5, 1, seed=57)
+    with pytest.raises(DimensionMismatch):
+        mc_mu(a, b, OpKind.CARD_EST, lambda count, gen: (np.zeros((count, 2)),) * 2, 10, 0)
 
 
 @pytest.mark.parametrize("samples", [0, -3])
@@ -500,6 +654,13 @@ def test_distance_routes(pair, op, norm, samples, cdf, want):
         assert (est.method, est.value, est.std_error, est.samples) == (*want, samples)
     else:  # exact rows
         assert (est.method, est.value, est.std_error, est.samples) == ("exact", want, 0.0, 0)
+
+
+@pytest.mark.parametrize("norm", ["l1", "linf"])
+@pytest.mark.parametrize("op, d", [(OpKind.CARD_EST, 2), (OpKind.RANGE_SUM, 2), (OpKind.RANGE_SUM, 3)])
+def test_distance_between_empty_datasets_is_zero(op, d, norm):
+    est = distance(empty_dataset(d), empty_dataset(d), op, norm, 100, 0)
+    assert (est.value, est.samples) == (0.0, 100)
 
 
 @pytest.mark.parametrize(
