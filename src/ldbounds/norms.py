@@ -13,8 +13,8 @@ pair of datasets: exact where a closed form serves the pair, otherwise a
 probe lower bound (worst case) or a Monte Carlo mean (average case).
 Every other estimate, a mean or a maximum, is reduced here by one loop over
 batches of about 65,536 queries, and each names its route in `method`.
-One-axis pairs share one signed step table, `_signed_table`: the exact d = 1
-routes read their steps from it, and whole-number sampled ones search it once.
+A single-attribute pair's steps come from one signed count table, `_signed_table`,
+read by the exact d = 1 routes and searched once a batch by mc_mu for counts.
 """
 
 from __future__ import annotations
@@ -96,16 +96,21 @@ def rank_l1(a: Dataset, b: Dataset) -> float:
     return float(np.abs(xa - xb).sum())
 
 
-def _signed_table(a: Dataset, b: Dataset, op: OpKind) -> BoxSum:
-    """A one-axis pair's box sums of f_a - f_b: a's rows weigh +w, b's -w (w = 1
-    or the measure); levels[0] are the breakpoints of the steps, table[1:] their values."""
-    if query_dims(op, a.d) != 1 or a.d != b.d:
-        raise DimensionMismatch("a signed table needs one shared predicate axis")
-    if op is OpKind.RANGE_SUM:
-        w = np.concatenate([a.values[:, -1], -b.values[:, -1]])
-    else:
-        w = np.repeat([1.0, -1.0], [a.n, b.n])
-    return BoxSum(np.concatenate([a.values[:, :1], b.values[:, :1]]), w)
+def _signed_table(a: Dataset, b: Dataset) -> BoxSum:
+    """Counts of a single-attribute pair, a's records weighing +1 and b's -1.
+
+    Merged from the cached sorted columns: levels[0] are the breakpoints of
+    the steps of f_a - f_b, table[1:] their values and table[0] = 0 the value
+    before any data.  Whole-number sums are exact in any order.
+    """
+    if a.d != 1 or b.d != 1:
+        raise DimensionMismatch("cardinality distances require single-attribute data")
+    x = np.concatenate([a.sorted_column, b.sorted_column])
+    order = np.argsort(x, kind="stable")  # a merge of the two sorted runs
+    x = x[order]
+    last = np.diff(x, append=np.inf) != 0  # the last record at each level
+    steps = np.cumsum(np.where(order < a.n, 1.0, -1.0))[last]
+    return BoxSum.steps(x[last], np.concatenate([[0.0], steps]))
 
 
 def rank_l1_oracle(a: Dataset, b: Dataset) -> float:
@@ -117,7 +122,7 @@ def rank_l1_oracle(a: Dataset, b: Dataset) -> float:
     xb = _sorted_column(b, "second dataset")
     if xa.shape[0] != xb.shape[0]:
         raise SizeMismatch("rank_l1_oracle needs equal record counts")
-    t = _signed_table(a, b, OpKind.INDEX)
+    t = _signed_table(a, b)
     widths = np.clip(np.diff(np.append(t.levels[0], 1.0)), 0.0, None)
     return float((np.abs(t.table[1:]) * widths).sum())
 
@@ -128,9 +133,9 @@ def rank_linf(a: Dataset, b: Dataset) -> float:
     The difference is a right-continuous step function changing only at
     data values, so the max over breakpoint evaluations is the supremum.
     """
-    _sorted_column(a, "first dataset")
+    _sorted_column(a, "first dataset")  # checks that both are sorted
     _sorted_column(b, "second dataset")
-    return float(np.abs(_signed_table(a, b, OpKind.INDEX).table).max())
+    return float(np.abs(_signed_table(a, b).table).max())
 
 
 def _check_cdf(cdf: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np.ndarray:
@@ -184,7 +189,7 @@ def card1d_l1(a: Dataset, b: Dataset) -> float:
     Record counts may differ; either dataset may be empty.  O(n log n)
     time and O(n) memory by the identity above.
     """
-    t = _signed_table(a, b, OpKind.CARD_EST)
+    t = _signed_table(a, b)
     edges = np.concatenate([[0.0], t.levels[0], [1.0]])
     g = t.table  # table[0] = 0: before any data
     w = np.diff(edges)
@@ -204,7 +209,7 @@ def card1d_linf(a: Dataset, b: Dataset) -> float:
     min/max of v_0..v_j: the right endpoint of a query picks v_j, the left
     endpoint independently picks any earlier value.
     """
-    vv = _signed_table(a, b, OpKind.CARD_EST).table  # table[0] = 0: before any data
+    vv = _signed_table(a, b).table  # table[0] = 0: before any data
     run_min = np.minimum.accumulate(vv)
     run_max = np.maximum.accumulate(vv)
     return float(np.maximum(vv - run_min, run_max - vv).max())
@@ -298,22 +303,6 @@ def _gaps(dataset: Dataset, op: OpKind, predict: Callable) -> Callable:
     )
 
 
-def _pair_gaps(a: Dataset, b: Dataset, op: OpKind) -> Callable:
-    """batch -> |f_a - f_b|, from the signed table where all weights are whole (counts,
-    0/1 measures), so sums are exact in any order; else from each dataset."""
-    measure = [a.values[:, -1], b.values[:, -1]] if op is OpKind.RANGE_SUM else []
-    if op is OpKind.INDEX or a.d != b.d or query_dims(op, a.d) != 1 or not all(
-        np.array_equal(np.floor(m), m) for m in measure
-    ):
-        return _gaps(a, op, partial(eval_batch, b, op))
-    signed = _signed_table(a, b, op)
-    def gaps(batch):
-        if batch[0].shape[1] != 1:
-            raise DimensionMismatch("predicate width does not match the data")
-        return np.abs(signed(*batch))
-    return gaps
-
-
 def mc_l1(a: Dataset, b: Dataset, op: OpKind, samples: int, seed: int) -> DistanceEstimate:
     """Monte Carlo average-case distance under uniform queries.
 
@@ -342,8 +331,12 @@ def mc_mu(
         raise InvalidParams("need at least 2 samples")
     if op is not OpKind.INDEX and a.d != b.d:
         raise DimensionMismatch("datasets must share dimensionality")
-    batches = _draws(query_sampler, samples, make_generator(seed))
-    return _mc_estimate(_pair_gaps(a, b, op), batches)
+    if op is OpKind.CARD_EST and a.d == 1:  # two key-order searches a batch, not four
+        signed = _signed_table(a, b)
+        gaps = lambda batch: np.abs(signed(*batch))
+    else:
+        gaps = _gaps(a, op, partial(eval_batch, b, op))
+    return _mc_estimate(gaps, _draws(query_sampler, samples, make_generator(seed)))
 
 
 # -- model-vs-truth error ----------------------------------------------------
@@ -423,7 +416,7 @@ def distance(
         pts = np.unique(np.vstack([a.values[:, :dq], b.values[:, :dq]]), axis=0)
         draws = _draws(uniform_sampler(op, a.d), samples, make_generator(seed))
         batches = chain([(pts, np.zeros_like(pts))], draws)
-        est = _mc_estimate(_pair_gaps(a, b, op), batches, LINF)
+        est = _mc_estimate(_gaps(a, op, partial(eval_batch, b, op)), batches, LINF)
         return replace(est, samples=samples)
     if norm == L1:
         return mc_l1(a, b, op, samples, seed)

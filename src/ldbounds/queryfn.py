@@ -204,6 +204,13 @@ class BoxSum:
         exact = bool(np.all(np.floor(w) == w)) and float(np.abs(w).sum()) < 2.0**53
         self.cell_bytes = 9 if exact else 1
 
+    @classmethod
+    def steps(cls, levels: np.ndarray, table: np.ndarray) -> BoxSum:
+        """A one-axis table from its sorted distinct levels and its cells."""
+        box = cls.__new__(cls)
+        box.dq, box.levels, box.table, box.strides = 1, [levels], table, [1]
+        return box
+
     def _corners(self, edges: list, j: int, base: np.ndarray | None) -> np.ndarray:
         """Inclusion-exclusion over axes j.. at flat table offset `base`.
 
@@ -218,6 +225,8 @@ class BoxSum:
         return self._corners(edges, j + 1, top) - self._corners(edges, j + 1, lo)
 
     def __call__(self, C: np.ndarray, R: np.ndarray) -> np.ndarray:
+        if C.shape[1] != self.dq:
+            raise DimensionMismatch("predicate width does not match the data")
         if self.table is not None:
             edges = []
             for j, levels in enumerate(self.levels):
@@ -289,12 +298,10 @@ def eval_batch(dataset: Dataset, op: OpKind, batch) -> np.ndarray:
     """True answers for a query batch, from structures cached on `dataset`."""
     if op is OpKind.INDEX:
         return rank_batch(dataset.sorted_column, np.asarray(batch, dtype=np.float64))
-    C, R = batch
-    if C.shape[1] != query_dims(op, dataset.d):
-        raise DimensionMismatch("predicate width does not match the data")
     if op is OpKind.CARD_EST:
-        return dataset.count_index(C, R)
-    return dataset.sum_index(C, R)
+        return dataset.count_index(*batch)
+    query_dims(op, dataset.d)  # range sums need two attributes or more
+    return dataset.sum_index(*batch)
 
 
 # -- samplers ----------------------------------------------------------------

@@ -32,7 +32,14 @@ from ldbounds.norms import (
     rank_linf,
     rank_mu,
 )
-from ldbounds.queryfn import OpKind, eval_batch, sample_easy_queries, uniform_block
+from ldbounds.queryfn import (
+    BoxSum,
+    OpKind,
+    eval_batch,
+    sample_easy_queries,
+    uniform_block,
+    uniform_sampler,
+)
 from ldbounds.rng import make_generator
 
 
@@ -544,24 +551,18 @@ def _edge_batch(a, b, gen):
     return C[:, None], R[:, None]
 
 
-def _with_measure(ds, measure):
-    """`ds` with a last attribute drawn from `measure`, for range sums at d = 2."""
-    if not ds.n:
-        return empty_dataset(2)
-    m = np.resize(np.asarray(measure, dtype=np.float64), ds.n)
-    return make_dataset(np.column_stack([ds.values[:, 0], m]))
-
-
 @settings(max_examples=200, deadline=None)
-@given(_column(), _column(), st.sampled_from([[1.0], [0.0, 1.0, 1.0], [0.0]]))
-def test_signed_table_gaps_equal_the_two_evaluations(a, b, measure):
+@given(_column(), _column())
+def test_signed_table_gaps_equal_the_two_evaluations(a, b):
     gen = make_generator(a.n * 31 + b.n)
-    pairs = [(a, b, OpKind.CARD_EST)]
-    pairs.append((_with_measure(a, measure), _with_measure(b, measure[::-1]), OpKind.RANGE_SUM))
-    for x, y, op in pairs:
-        for batch in (_edge_batch(a, b, gen), uniform_block(op, x.d, 1, 500, gen)):
-            want = np.abs(eval_batch(x, op, batch) - eval_batch(y, op, batch))
-            assert np.array_equal(norms._pair_gaps(x, y, op)(batch), want)
+    signed = norms._signed_table(a, b)
+    ones = np.repeat([1.0, -1.0], [a.n, b.n])
+    stacked = BoxSum(np.concatenate([a.values, b.values]), ones)  # the generic build
+    assert np.array_equal(signed.levels[0], stacked.levels[0])
+    assert np.array_equal(signed.table, stacked.table)
+    for batch in (_edge_batch(a, b, gen), uniform_block(OpKind.CARD_EST, 1, 1, 500, gen)):
+        want = np.abs(eval_batch(a, OpKind.CARD_EST, batch) - eval_batch(b, OpKind.CARD_EST, batch))
+        assert np.array_equal(np.abs(signed(*batch)), want)
 
 
 def _count_evaluations(monkeypatch):
@@ -575,36 +576,34 @@ def _count_evaluations(monkeypatch):
     return calls
 
 
-def _two_evaluations(a, b, op):
-    return norms._gaps(a, op, lambda batch: eval_batch(b, op, batch))
-
-
-@pytest.mark.parametrize(
-    "a, b, op",
-    [
-        (random_dataset(40, 1, seed=50), random_dataset(25, 1, seed=51), OpKind.CARD_EST),
-        (_with_measure(random_dataset(40, 1, seed=52), [1.0]),
-         _with_measure(random_dataset(40, 1, seed=53), [1.0, 0.0]), OpKind.RANGE_SUM),
-    ],
-)
-def test_whole_number_pairs_search_one_table(monkeypatch, a, b, op):
-    with monkeypatch.context() as mp:
-        mp.setattr(norms, "_pair_gaps", _two_evaluations)
-        want = mc_l1(a, b, op, 3000, seed=7), distance(a, b, op, "linf", 3000, 7)
+def test_single_attribute_counts_search_one_table(monkeypatch):
+    a, b = random_dataset(40, 1, seed=50), random_dataset(25, 1, seed=51)
+    op = OpKind.CARD_EST
+    gaps = norms._gaps(a, op, lambda batch: eval_batch(b, op, batch))
+    draws = norms._draws(uniform_sampler(op, 1), 3000, make_generator(7))
+    want = norms._mc_estimate(gaps, draws)
     calls = _count_evaluations(monkeypatch)
-    assert (mc_l1(a, b, op, 3000, seed=7), distance(a, b, op, "linf", 3000, 7)) == want
+    assert mc_l1(a, b, op, 3000, seed=7) == want
     assert calls == []
 
 
-def test_non_whole_range_sums_keep_two_evaluations(monkeypatch):
-    a = random_dataset(30, 2, seed=54)  # measures in (0, 1)
-    b = random_dataset(30, 2, seed=55)
+@pytest.mark.parametrize(
+    "op, a, b",
+    [
+        (OpKind.RANGE_SUM, random_dataset(30, 2, seed=54), random_dataset(30, 2, seed=55)),
+        # a 0/1 measure: whole-number weights, still one evaluation per dataset
+        (OpKind.RANGE_SUM, make_dataset(np.array([[0.2, 1.0], [0.6, 0.0]])),
+         make_dataset(np.array([[0.4, 1.0]]))),
+        (OpKind.CARD_EST, random_dataset(30, 2, seed=56), random_dataset(20, 2, seed=57)),
+    ],
+)
+def test_other_pairs_keep_two_evaluations(monkeypatch, op, a, b):
     calls = _count_evaluations(monkeypatch)
-    est = mc_l1(a, b, OpKind.RANGE_SUM, 1000, seed=8)
+    est = mc_l1(a, b, op, 1000, seed=8)
     assert est.samples == 1000
     assert [id(ds) for ds in calls] == [id(a), id(b)]
     calls.clear()
-    distance(a, b, OpKind.RANGE_SUM, "linf", 1000, 8)
+    distance(a, b, op, "linf", 1000, 8)
     assert [id(ds) for ds in calls] == [id(a), id(b)] * 2  # the point probes, then the draws
 
 
