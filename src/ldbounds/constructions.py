@@ -79,6 +79,7 @@ _HEADER = struct.Struct("<4sBBQHQI")
 # one math.comb (rank) or a float-guided search (unrank)
 _WALK = 64
 _FLOAT_SAFE = 2**1000  # the guess takes y as a float
+_FLOAT_EXACT = 2**53  # floats hold every integer below this, and no finer
 
 
 # -- multiset codec ----------------------------------------------------------
@@ -136,6 +137,20 @@ def _walk_reaches(c: int, rem: int, y: int, i: int) -> bool:
     return gap - 1 < drop and math.log2(c) - math.log2(rem) <= drop
 
 
+def _iroot(x: int, k: int) -> int:
+    """floor(x ** (1/k)) for x >= 1 whose root a float can hold.
+
+    Newton's steps in integers from the float root: by AM-GM each lands at
+    or above the integer root, and from above they fall strictly until they
+    reach it.
+    """
+    r = int(math.exp(math.log(x) / k)) + 1
+    r = ((k - 1) * r + x // r ** (k - 1)) // k  # now at or above the root
+    while (s := ((k - 1) * r + x // r ** (k - 1)) // k) < r:
+        r = s
+    return r
+
+
 def _crossing(rem: int, k: int, hi: int) -> tuple[int, int]:
     """(y, C(y, k)) for the largest y <= hi with C(y, k) <= rem, given 1 <= rem.
 
@@ -144,8 +159,11 @@ def _crossing(rem: int, k: int, hi: int) -> tuple[int, int]:
     y0 = exp(log(rem k!) / k) + (k-1)/2, where (y - (k-1)/2)^k, an upper
     bound on y!/(y-k)!, equals rem k!, so y0 lies at or below the crossing;
     at most 3 Newton steps on `log_falling(y, k) = log(rem k!)` follow,
-    with slope log1p(k / (y - k + 1/2)).  A guess more than _WALK steps
-    off falls back to bisection over what the steps left open.
+    with slope log1p(k / (y - k + 1/2)).  From _FLOAT_EXACT up, where a
+    float is coarser than a cell, the start is that y0 in integers instead:
+    the exact k-th root of rem k! plus (k-1)/2 rounded down, still at or
+    below the crossing.  A guess more than _WALK steps off falls back to
+    bisection over what the steps left open.
     """
     y = k
     if hi < _FLOAT_SAFE:  # the guess takes y as a float
@@ -158,6 +176,8 @@ def _crossing(rem: int, k: int, hi: int) -> tuple[int, int]:
             if abs(step) < 0.5:
                 break
         y = int(min(max(g, k), hi))
+        if _FLOAT_EXACT <= y < hi:  # y < hi: a float holds the root of rem k!
+            y = min(_iroot(rem * math.factorial(k), k) + (k - 1) // 2, hi)
     lo, c = k, math.comb(y, k)
     for _ in range(_WALK):
         if c > rem:

@@ -15,11 +15,14 @@ Every other estimate, a mean or a maximum, is reduced here by one loop over
 batches of about 65,536 queries, and each names its route in `method`.
 A single-attribute pair's steps come from one signed count table, `_signed_table`,
 read by the exact d = 1 routes and searched once a batch by mc_mu for counts.
+The last pair's table is kept, held by weak references to the pair, so the
+exact routes and mc_l1 on one pair build it once.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain
@@ -96,21 +99,40 @@ def rank_l1(a: Dataset, b: Dataset) -> float:
     return float(np.abs(xa - xb).sum())
 
 
+# (weak a, weak b, table): the last pair _signed_table built.  Weak references
+# keep neither dataset alive, and either one's death drops the entry.
+_last_signed: tuple = ()
+
+
+def _forget_signed(ref: weakref.ref) -> None:
+    global _last_signed
+    if any(r is ref for r in _last_signed[:2]):
+        _last_signed = ()
+
+
 def _signed_table(a: Dataset, b: Dataset) -> BoxSum:
     """Counts of a single-attribute pair, a's records weighing +1 and b's -1.
 
     Merged from the cached sorted columns: levels[0] are the breakpoints of
     the steps of f_a - f_b, table[1:] their values and table[0] = 0 the value
-    before any data.  Whole-number sums are exact in any order.
+    before any data.  Whole-number sums are exact in any order.  The last
+    pair's table is kept while both datasets live, so the exact routes and
+    mc_mu on one pair build it once; callers only read it.
     """
+    global _last_signed
     if a.d != 1 or b.d != 1:
         raise DimensionMismatch("cardinality distances require single-attribute data")
+    memo = _last_signed  # one read: another thread may replace the entry
+    if memo and memo[0]() is a and memo[1]() is b:
+        return memo[2]
     x = np.concatenate([a.sorted_column, b.sorted_column])
     order = np.argsort(x, kind="stable")  # a merge of the two sorted runs
     x = x[order]
     last = np.diff(x, append=np.inf) != 0  # the last record at each level
     steps = np.cumsum(np.where(order < a.n, 1.0, -1.0))[last]
-    return BoxSum.steps(x[last], np.concatenate([[0.0], steps]))
+    table = BoxSum.steps(x[last], np.concatenate([[0.0], steps]))
+    _last_signed = (weakref.ref(a, _forget_signed), weakref.ref(b, _forget_signed), table)
+    return table
 
 
 def rank_l1_oracle(a: Dataset, b: Dataset) -> float:

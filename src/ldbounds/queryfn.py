@@ -145,10 +145,23 @@ def range_sum(dataset: Dataset, query: RangeQuery) -> float:
 # arrays.
 
 _CHUNK_CELLS = 4_000_000
+# search_sorted places the levels among the keys below this many levels a
+# key, and searches the keys among the levels from it on.  Time of placing
+# against searching, medians of 60 interleaved calls on 2,048-65,536 random
+# keys (2-vCPU x86-64, numpy 2.4.6): 0.76-0.90 at 1/16 and 1/8, 0.78-0.91
+# at 1/4, 0.87-0.94 at 3/8, 0.93-1.06 at 1/2, 0.95-1.18 at 5/8 and
+# 1.10-1.24 at equal sizes.
+_LEVELS_PER_KEY = 0.5
 # Up to this many distinct predicate rows a dq >= 2 box sum stays on the
 # mask, query-major for counts: below it the row-major mask is faster at
 # dq = 3 (the measured crossover, in the README's "Query kernel costs").
 _TABLE_MIN_ROWS = 32
+# A table's axis 0 is summed slab by slab once a slab (one level of axis 0)
+# has this many cells, else by np.cumsum's strided walk.  Slab time against
+# cumsum's on 0.25-4 M-cell tables, best of 7 (2-vCPU x86-64, numpy 2.4.6):
+# 1.8-4.8x at 32-64 cells a slab, 1.15-2.15x at 128, 0.80-1.11x at 256,
+# 0.57-0.84x at 512 and 0.31-0.56x at 1,024.
+_SLAB_CELLS = 256
 
 
 class BoxSum:
@@ -185,7 +198,13 @@ class BoxSum:
             if self.dq == 1 or np.unique(cell).shape[0] > _TABLE_MIN_ROWS:
                 self.table = np.bincount(cell, weights=weights, minlength=size)
                 grid = self.table.reshape(shape)  # a view: sums in place
-                for j in range(self.dq):
+                # wide slabs sum axis 0 by one contiguous add a slab, not a
+                # strided walk; each cell adds in cumsum's order, bit for bit
+                by_slab = size >= _SLAB_CELLS * shape[0]
+                if by_slab:
+                    for i in range(1, shape[0]):
+                        np.add(grid[i - 1], grid[i], out=grid[i])
+                for j in range(int(by_slab), self.dq):
                     np.cumsum(grid, axis=j, out=grid)
                 self.levels = [levels for levels, _ in axes]
                 self.strides = [math.prod(shape[j + 1 :]) for j in range(self.dq)]
@@ -265,13 +284,22 @@ def search_sorted(levels: np.ndarray, keys: np.ndarray, side: str) -> np.ndarray
     """`np.searchsorted(levels, keys, side=side)`, searched in key order.
 
     The keys are sorted, searched and scattered back: numpy narrows each
-    search from the one before when keys ascend, and the walk over `levels`
-    stays in cache.  The same integers, faster from about 2,048 random keys
-    up (the README's "Query kernel costs").
+    search from the one before when its needles ascend, and the walk stays
+    in cache.  With at least _LEVELS_PER_KEY levels a key, each sorted key
+    is searched among the levels.  With fewer, the levels are placed among
+    the sorted keys instead: level l first counts for the key at its
+    position, so a running count of the levels placed at or before each
+    key is the answer.  The same integers either way, faster from about
+    2,048 random keys up (the README's "Query kernel costs").
     """
     order = np.argsort(keys)
+    ordered = keys[order]
     out = np.empty(keys.shape, dtype=np.intp)
-    out[order] = np.searchsorted(levels, keys[order], side=side)
+    if levels.shape[0] < _LEVELS_PER_KEY * keys.shape[0]:
+        pos = np.searchsorted(ordered, levels, side="left" if side == "right" else "right")
+        out[order] = np.cumsum(np.bincount(pos, minlength=keys.shape[0] + 1)[:-1])
+    else:
+        out[order] = np.searchsorted(levels, ordered, side=side)
     return out
 
 

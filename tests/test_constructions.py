@@ -291,6 +291,29 @@ def test_crossing_newton_steps_fix_a_far_start(monkeypatch, k, y):
     assert calls["comb"] == 1
 
 
+@pytest.mark.parametrize("e", [50, 54, 56, 58, 64])
+@pytest.mark.parametrize("k", [1, 3, 40])
+def test_crossing_past_float_precision_starts_from_an_exact_root(monkeypatch, k, e):
+    # from 2^53 up a float start drifts past the unit steps: 56-66 math.comb
+    # calls per crossing at 2^54-2^64 went to bisection
+    y = 2**e + 12345
+    low, high = math.comb(y, k), math.comb(y + 1, k)
+    calls = {"comb": 0}
+    comb = math.comb
+
+    def counting_comb(*args):
+        calls["comb"] += 1
+        return comb(*args)
+
+    for rem in (low, low + (high - low) // 3, high - 1):
+        want = _crossing_oracle(rem, k, 2 * y)
+        calls["comb"] = 0
+        with monkeypatch.context() as patch:
+            patch.setattr(math, "comb", counting_comb)
+            assert constructions._crossing(rem, k, 2 * y) == want == (y, low)
+        assert calls["comb"] <= 2
+
+
 @st.composite
 def _walk_states(draw):
     """(c, rem, y, i) with c = C(y, i) > rem >= 1 and the crossing t cells down,

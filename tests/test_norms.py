@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -605,6 +607,50 @@ def test_other_pairs_keep_two_evaluations(monkeypatch, op, a, b):
     calls.clear()
     distance(a, b, op, "linf", 1000, 8)
     assert [id(ds) for ds in calls] == [id(a), id(b)] * 2  # the point probes, then the draws
+
+
+def test_one_pair_builds_its_signed_table_once(monkeypatch):
+    # card1d_l1, card1d_linf and mc_l1 on one pair, as a separation distance
+    # operation calls them, then the rank routes on the same pair
+    builds = []
+    steps = BoxSum.steps
+
+    def counting_steps(cls, *args):
+        builds.append(args)
+        return steps(*args)
+
+    monkeypatch.setattr(BoxSum, "steps", classmethod(counting_steps))
+    a, b = _pair(300, seed=60)
+    values = (card1d_l1(a, b), card1d_linf(a, b), mc_l1(a, b, OpKind.CARD_EST, 4000, seed=9),
+              rank_linf(a, b), rank_l1_oracle(a, b))
+    assert len(builds) == 1
+    monkeypatch.setattr(norms, "_last_signed", ())  # forget it: the same numbers
+    assert (card1d_l1(a, b), card1d_linf(a, b), mc_l1(a, b, OpKind.CARD_EST, 4000, seed=9),
+            rank_linf(a, b), rank_l1_oracle(a, b)) == values
+    assert len(builds) == 2
+
+
+def test_signed_tables_are_kept_per_ordered_pair():
+    a, b, c = (random_dataset(n, 1, seed=61 + n) for n in (30, 20, 25))
+
+    def built(x, y):  # the generic build of the same signed counts
+        return BoxSum(np.concatenate([x.values, y.values]), np.repeat([1.0, -1.0], [x.n, y.n]))
+
+    for x, y in ((a, b), (b, a), (a, c), (a, b)):
+        got, want = norms._signed_table(x, y), built(x, y)
+        assert np.array_equal(got.levels[0], want.levels[0])
+        assert np.array_equal(got.table, want.table)
+        assert norms._signed_table(x, y) is got
+
+
+def test_the_signed_table_memo_keeps_no_dataset_alive():
+    a, b = random_dataset(30, 1, seed=70), random_dataset(20, 1, seed=71)
+    norms._signed_table(a, b)
+    ref = weakref.ref(a)
+    del a
+    gc.collect()
+    assert ref() is None
+    assert norms._last_signed == ()  # its table went with it
 
 
 def test_signed_table_gaps_check_the_predicate_width():

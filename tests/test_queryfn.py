@@ -394,18 +394,77 @@ def test_box_sum_weights_collapsed_duplicates():
 _POOL = st.sampled_from([-0.75, -0.5, -0.0, 0.0, 0.125, 0.25, 0.5, 1.0, 1.5])
 
 
+_KEYS = _POOL | st.floats(-2.0, 2.0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    st.lists(_POOL, max_size=12),
-    st.lists(_POOL | st.floats(-2.0, 2.0), max_size=40),
+    # few levels against many keys (placed among the keys) and the reverse
+    st.tuples(st.lists(_POOL, max_size=12), st.lists(_KEYS, max_size=200))
+    | st.tuples(st.lists(_KEYS, max_size=200), st.lists(_KEYS, max_size=12)),
     st.sampled_from(["left", "right"]),
 )
-def test_search_sorted_matches_numpy(levels, keys, side):
+def test_search_sorted_matches_numpy(case, side):
+    levels, keys = case
     levels = np.sort(np.array(levels, dtype=np.float64))
     keys = np.array(keys, dtype=np.float64)
     got = search_sorted(levels, keys, side)
     assert got.shape == keys.shape
     assert np.array_equal(got, np.searchsorted(levels, keys, side=side))
+
+
+@pytest.mark.parametrize(
+    "u, m, placed",
+    [(0, 0, False), (5, 0, False), (0, 60, True), (1, 60, True), (29, 60, True),
+     (30, 60, False), (60, 60, False), (200, 7, False)],
+)
+def test_search_sorted_on_each_side_of_the_crossover(u, m, placed, gen):
+    # levels and keys on one coarse grid: repeated levels, keys on levels,
+    # and -0.0 keys against 0.0 levels
+    assert (u < queryfn._LEVELS_PER_KEY * m) is placed
+    levels = np.sort(np.round(gen.random(u) * 8) / 8)
+    keys = np.round(gen.random(m) * 10 - 1) / 8
+    keys[keys == 0.0] = -0.0
+    for side in ("left", "right"):
+        got = search_sorted(levels, keys, side)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, np.searchsorted(levels, keys, side=side))
+
+
+def _cumsum_table(points, weights):
+    """The summed-area table by np.cumsum on every axis: the reference build."""
+    axes = [np.unique(col, return_inverse=True) for col in points.T]
+    shape = tuple(levels.shape[0] + 1 for levels, _ in axes)
+    cell = np.ravel_multi_index(tuple(code + 1 for _, code in axes), shape)
+    grid = np.bincount(cell, weights=weights, minlength=int(np.prod(shape))).reshape(shape)
+    for j in range(len(shape)):
+        np.cumsum(grid, axis=j, out=grid)
+    return grid.ravel()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 3),
+    st.integers(1, 400),
+    st.sampled_from([4, 32, 10**6]),  # grid steps per axis: ties, or nearly none
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([2, queryfn._SLAB_CELLS]),
+)
+def test_table_built_by_slabs_matches_cumsum_bit_for_bit(dq, n, steps, seed, slab):
+    gen = np.random.default_rng(seed)
+    points = np.round(gen.random((n, dq)) * steps) / steps
+    weights = gen.random(n) * 3 - 1  # not whole, some negative
+    weights[gen.random(n) < 0.3] = 0.0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(queryfn, "_TABLE_MIN_ROWS", 0)
+        patch.setattr(queryfn, "_SLAB_CELLS", slab)
+        kernel = BoxSum(points, weights)
+    assume(kernel.table is not None)  # within _CHUNK_CELLS
+    assert np.array_equal(kernel.table, _cumsum_table(points, weights))
+    C, R = sample_range_queries(200, dq, gen)
+    want = [float(weights[np.all((points >= c) & (points <= c + r), axis=1)].sum())
+            for c, r in zip(C, R)]
+    assert np.allclose(kernel(C, R), want, rtol=1e-12, atol=1e-9)
 
 
 def test_key_order_lookups_take_an_empty_batch(gen):
