@@ -23,12 +23,13 @@ from .errors import (
 from .rng import make_generator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable record matrix, shape (n, d), entries in [0, 1].
 
-    `sorted_flag` is only meaningful for d = 1; it is computed at
-    construction and consulted by operations that require sorted input.
+    Datasets compare and hash by identity.  `sorted_flag`, set at construction
+    for d = 1 only, says the column is stored ascending, so `sorted_column`,
+    which every single-attribute route reads, need not sort it.
     """
 
     values: np.ndarray

@@ -27,7 +27,7 @@ class NotOneDimensional(ValidationError):
 
 
 class NotSorted(ValidationError):
-    """Operation requires data sorted ascending."""
+    """Data not sorted ascending; no route raises it, as each reads sorted columns."""
 
 
 class SizeMismatch(ValidationError):

@@ -283,6 +283,8 @@ def emit_plot_data(rows, path: str) -> None:
 
 
 def _parse_distribution(doc: dict) -> DistSpec:
+    if not isinstance(doc, dict):
+        raise InvalidParams(f"a distribution must be an object, got {doc!r}")
     kind = doc.get("kind")
     if kind == "uniform":
         return DistSpec(name=doc.get("name", "uniform"))
@@ -299,6 +301,8 @@ def _parse_model(doc) -> ModelTemplate:
         if doc not in PRESET_MODELS:
             raise InvalidParams(f"unknown model preset {doc!r}")
         return PRESET_MODELS[doc]
+    if not isinstance(doc, dict):
+        raise InvalidParams(f"a model must be a preset name or an object, got {doc!r}")
     kind = doc.get("kind")
     if kind not in (LINEAR, MLP, SAMPLE):
         raise InvalidParams(f"unknown model kind {kind!r}")
@@ -310,8 +314,11 @@ def _parse_model(doc) -> ModelTemplate:
     )
 
 
-def _overlay(default, doc: dict):
-    """`default` with each field `doc` sets, cast to the type of its default."""
+def _overlay(default, config: dict, key: str):
+    """`default` with each field `config[key]` sets, cast to the type of its default."""
+    doc = config.get(key, {})
+    if not isinstance(doc, dict):
+        raise InvalidParams(f"config field {key!r} must be an object")
     return replace(
         default,
         **{
@@ -340,8 +347,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
             d=int(doc.get("d", 1)),
             models=models,
             datasets_per_cell=int(doc.get("datasets_per_cell", 1)),
-            train=_overlay(TrainConfig(), doc.get("train", {})),
-            eval=_overlay(EvalConfig(), doc.get("eval", {})),
+            train=_overlay(TrainConfig(), doc, "train"),
+            eval=_overlay(EvalConfig(), doc, "eval"),
             master_seed=int(doc.get("master_seed", 0)),
             domain_u=int(doc.get("domain_u", doc.get("u", DEFAULT_DOMAIN_U))),
         )

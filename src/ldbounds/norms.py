@@ -13,8 +13,9 @@ pair of datasets: exact where a closed form serves the pair, otherwise a
 probe lower bound (worst case) or a Monte Carlo mean (average case).
 Every other estimate, a mean or a maximum, is reduced here by one loop over
 batches of about 65,536 queries, and each names its route in `method`.
-A single-attribute pair's steps come from one signed count table, `_signed_table`,
-read by the exact d = 1 routes and searched once a batch by mc_mu for counts.
+Single-attribute routes read the cached sorted columns, records in any order,
+and `_pair_columns` checks a pair.  A pair's steps come from one signed count
+table, `_signed_table`, read by the exact d = 1 routes and by mc_mu.
 The last pair's table is kept, held by weak references to the pair, so the
 exact routes and mc_l1 on one pair build it once.
 """
@@ -36,7 +37,6 @@ from .errors import (
     DimensionMismatch,
     InvalidParams,
     InvalidRequest,
-    NotSorted,
     SizeMismatch,
 )
 from .queryfn import BoxSum, OpKind, eval_batch, query_dims, uniform_sampler
@@ -82,20 +82,18 @@ class EvalConfig:
             raise InvalidParams("grid must be >= 0")
 
 
-def _sorted_column(dataset: Dataset, who: str) -> np.ndarray:
-    if dataset.d != 1:
-        raise DimensionMismatch(f"{who} must be single-attribute")
-    if not dataset.sorted_flag:
-        raise NotSorted(f"{who} must be sorted ascending")
-    return dataset.values[:, 0]
+def _pair_columns(a: Dataset, b: Dataset, equal: str = "") -> tuple[np.ndarray, np.ndarray]:
+    """A single-attribute pair's sorted columns; route `equal` needs equal counts."""
+    if a.d != 1 or b.d != 1:
+        raise DimensionMismatch(f"a single-attribute route needs d = 1, got {a.d} and {b.d}")
+    if equal and a.n != b.n:
+        raise SizeMismatch(f"{equal} needs equal record counts")
+    return a.sorted_column, b.sorted_column
 
 
 def rank_l1(a: Dataset, b: Dataset) -> float:
-    """Average-case rank distance = sum of positionwise gaps (both sorted)."""
-    xa = _sorted_column(a, "first dataset")
-    xb = _sorted_column(b, "second dataset")
-    if xa.shape[0] != xb.shape[0]:
-        raise SizeMismatch("rank_l1 needs equal record counts")
+    """Average-case rank distance = sum of gaps between the sorted columns."""
+    xa, xb = _pair_columns(a, b, "rank_l1")
     return float(np.abs(xa - xb).sum())
 
 
@@ -120,12 +118,11 @@ def _signed_table(a: Dataset, b: Dataset) -> BoxSum:
     mc_mu on one pair build it once; callers only read it.
     """
     global _last_signed
-    if a.d != 1 or b.d != 1:
-        raise DimensionMismatch("cardinality distances require single-attribute data")
+    xa, xb = _pair_columns(a, b)
     memo = _last_signed  # one read: another thread may replace the entry
     if memo and memo[0]() is a and memo[1]() is b:
         return memo[2]
-    x = np.concatenate([a.sorted_column, b.sorted_column])
+    x = np.concatenate([xa, xb])
     order = np.argsort(x, kind="stable")  # a merge of the two sorted runs
     x = x[order]
     last = np.diff(x, append=np.inf) != 0  # the last record at each level
@@ -140,10 +137,7 @@ def rank_l1_oracle(a: Dataset, b: Dataset) -> float:
 
     Independent of rank_l1's positionwise identity; used to cross-check it.
     """
-    xa = _sorted_column(a, "first dataset")
-    xb = _sorted_column(b, "second dataset")
-    if xa.shape[0] != xb.shape[0]:
-        raise SizeMismatch("rank_l1_oracle needs equal record counts")
+    _pair_columns(a, b, "rank_l1_oracle")
     t = _signed_table(a, b)
     widths = np.clip(np.diff(np.append(t.levels[0], 1.0)), 0.0, None)
     return float((np.abs(t.table[1:]) * widths).sum())
@@ -155,8 +149,6 @@ def rank_linf(a: Dataset, b: Dataset) -> float:
     The difference is a right-continuous step function changing only at
     data values, so the max over breakpoint evaluations is the supremum.
     """
-    _sorted_column(a, "first dataset")  # checks that both are sorted
-    _sorted_column(b, "second dataset")
     return float(np.abs(_signed_table(a, b).table).max())
 
 
@@ -177,15 +169,11 @@ def rank_mu(a: Dataset, b: Dataset, cdf: Callable[[np.ndarray], np.ndarray]) -> 
     """Distribution-weighted rank distance: sum of cdf gaps positionwise.
 
     Equals the integral of |rank_a - rank_b| against the measure whose
-    distribution function is `cdf` (both datasets sorted, equal counts).
+    distribution function is `cdf` (equal counts), checked on both datasets.
     """
-    xa = _sorted_column(a, "first dataset")
-    xb = _sorted_column(b, "second dataset")
-    if xa.shape[0] != xb.shape[0]:
-        raise SizeMismatch("rank_mu needs equal record counts")
-    fa = _check_cdf(cdf, xa)
-    fb = np.asarray(cdf(xb), dtype=np.float64)
-    return float(np.abs(fa - fb).sum())
+    xa, xb = _pair_columns(a, b, "rank_mu")
+    f = _check_cdf(cdf, np.concatenate([xa, xb]))
+    return float(np.abs(f[: a.n] - f[a.n :]).sum())
 
 
 # -- exact single-attribute cardinality distances ----------------------------
@@ -318,11 +306,12 @@ def _mc_estimate(gaps: Callable, batches: Iterable, norm: str = L1) -> DistanceE
     return DistanceEstimate(mean, "monte_carlo", math.sqrt(var / count), count)
 
 
-def _gaps(dataset: Dataset, op: OpKind, predict: Callable) -> Callable:
-    """batch -> |truth on `dataset` - predict(batch)|, per query."""
-    return lambda batch: np.abs(
-        eval_batch(dataset, op, batch) - np.asarray(predict(batch), dtype=np.float64)
-    )
+def _pair_gaps(a: Dataset, b: Dataset, op: OpKind) -> Callable:
+    """batch -> |f_a - f_b| per query, for ce at d = 1 from the signed table."""
+    if op is OpKind.CARD_EST and a.d == 1:  # two key-order searches a batch, not four
+        signed = _signed_table(a, b)
+        return lambda batch: np.abs(signed(*batch))
+    return lambda batch: np.abs(eval_batch(a, op, batch) - eval_batch(b, op, batch))
 
 
 def mc_l1(a: Dataset, b: Dataset, op: OpKind, samples: int, seed: int) -> DistanceEstimate:
@@ -353,12 +342,8 @@ def mc_mu(
         raise InvalidParams("need at least 2 samples")
     if op is not OpKind.INDEX and a.d != b.d:
         raise DimensionMismatch("datasets must share dimensionality")
-    if op is OpKind.CARD_EST and a.d == 1:  # two key-order searches a batch, not four
-        signed = _signed_table(a, b)
-        gaps = lambda batch: np.abs(signed(*batch))
-    else:
-        gaps = _gaps(a, op, partial(eval_batch, b, op))
-    return _mc_estimate(gaps, _draws(query_sampler, samples, make_generator(seed)))
+    batches = _draws(query_sampler, samples, make_generator(seed))
+    return _mc_estimate(_pair_gaps(a, b, op), batches)
 
 
 # -- model-vs-truth error ----------------------------------------------------
@@ -396,7 +381,9 @@ def model_error(
         batches = (quantile_points(cdf, u, tol=1e-10) for u in batches)
     elif norm == LINF and op is OpKind.INDEX:
         batches = _index_probes(dataset.sorted_column, cfg.grid)
-    return _mc_estimate(_gaps(dataset, op, predict), batches, norm)
+    truth = partial(eval_batch, dataset, op)
+    gaps = lambda batch: np.abs(truth(batch) - np.asarray(predict(batch), dtype=np.float64))
+    return _mc_estimate(gaps, batches, norm)
 
 
 # -- the route table ---------------------------------------------------------
@@ -438,7 +425,7 @@ def distance(
         pts = np.unique(np.vstack([a.values[:, :dq], b.values[:, :dq]]), axis=0)
         draws = _draws(uniform_sampler(op, a.d), samples, make_generator(seed))
         batches = chain([(pts, np.zeros_like(pts))], draws)
-        est = _mc_estimate(_gaps(a, op, partial(eval_batch, b, op)), batches, LINF)
+        est = _mc_estimate(_pair_gaps(a, b, op), batches, LINF)
         return replace(est, samples=samples)
     if norm == L1:
         return mc_l1(a, b, op, samples, seed)

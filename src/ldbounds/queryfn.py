@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .data import Dataset
-from .errors import DimensionMismatch, EntryOutOfRange, InvalidParams, NotSorted
+from .errors import DimensionMismatch, EntryOutOfRange, InvalidParams
 
 
 class OpKind(enum.Enum):
@@ -101,16 +101,11 @@ def matches(point: np.ndarray, query: Query) -> bool:
 
 
 def rank(dataset: Dataset, q: float | RankQuery) -> int:
-    """#records <= q in a sorted single-attribute dataset."""
-    if isinstance(q, RankQuery):
-        q = q.q
+    """#records <= q in a single-attribute dataset, stored in any order."""
     if dataset.d != 1:
         raise DimensionMismatch("rank requires single-attribute data")
-    if not dataset.sorted_flag:
-        raise NotSorted("rank requires sorted data; use sort_dataset_1d first")
-    if not 0.0 <= q <= 1.0:
-        raise EntryOutOfRange("rank query point must lie in [0, 1]")
-    return int(np.searchsorted(dataset.values[:, 0], q, side="right"))
+    q = q if isinstance(q, RankQuery) else RankQuery(q)
+    return int(np.searchsorted(dataset.sorted_column, q.q, side="right"))
 
 
 def cardinality(dataset: Dataset, query: RangeQuery) -> int:

@@ -357,6 +357,18 @@ def test_experiment_unknown_model(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "bad", [{"distributions": ["uniform"]}, {"models": [3]}, {"eval": [1]}, {"train": [1]}]
+)
+def test_experiment_malformed_entry(tmp_path, capsys, bad):
+    cfg = str(tmp_path / "cfg.json")
+    json.dump(dict(EXPERIMENT_CONFIG, **bad), open(cfg, "w"))
+    code = main(["experiment", "--config", cfg, "--out", str(tmp_path / "o.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_experiment_zero_batch(tmp_path, capsys):
     cfg = str(tmp_path / "cfg.json")
     json.dump(dict(EXPERIMENT_CONFIG, train={"batch": 0}), open(cfg, "w"))

@@ -407,6 +407,14 @@ def test_packing_linf_family_shape():
     assert len(keys) == 6
 
 
+def test_family_members_compare_by_identity():
+    fam = packing_linf(OpKind.INDEX, 10, 1, 1.0, 4, 6, seed=1)
+    for i, ds in enumerate(fam.datasets):
+        assert ds in fam.datasets and fam.datasets.index(ds) == i
+    twin = make_dataset(fam.datasets[-1].values)  # equal records, another dataset
+    assert twin not in fam.datasets and len(set(fam.datasets) | {twin}) == 7
+
+
 def test_packing_linf_separation_exact():
     fam = packing_linf(OpKind.INDEX, 10, 1, 1.0, 4, 6, seed=1)
     members = [sort_dataset_1d(ds) for ds in fam.datasets]

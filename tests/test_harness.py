@@ -331,6 +331,26 @@ def test_parse_config_overlays_defaults():
             "models": ["linear"],
             "eval": {"grid": -1},
         },
+        *(
+            dict(
+                {
+                    "ops": ["index"],
+                    "norms": ["l1"],
+                    "distributions": [{"kind": "uniform"}],
+                    "n_values": [10],
+                    "models": ["linear"],
+                },
+                **bad,
+            )
+            for bad in (
+                {"distributions": ["uniform"]},
+                {"models": [3]},
+                {"models": [None]},
+                {"eval": [1]},
+                {"train": [50, 64]},
+                {"train": "fast"},
+            )
+        ),
     ],
 )
 def test_parse_config_rejects(doc):

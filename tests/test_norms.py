@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import tracemalloc
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from ldbounds.errors import (
     DimensionMismatch,
     InvalidParams,
     InvalidRequest,
-    NotSorted,
     SizeMismatch,
 )
 from ldbounds.norms import (
@@ -38,6 +38,7 @@ from ldbounds.queryfn import (
     BoxSum,
     OpKind,
     eval_batch,
+    rank,
     sample_easy_queries,
     uniform_block,
     uniform_sampler,
@@ -56,13 +57,13 @@ def test_rank_l1_hand_value():
     assert rank_l1_oracle(a, b) == pytest.approx(0.3, abs=1e-15)
 
 
-def test_rank_l1_requires_sorted_equal_n():
-    a = make_dataset(np.array([0.9, 0.1]))
+def test_rank_routes_require_equal_counts():
     b = random_sorted(2, seed=1)
-    with pytest.raises(NotSorted):
-        rank_l1(a, b)
-    with pytest.raises(SizeMismatch):
-        rank_l1(random_sorted(3, seed=2), b)
+    for route in (rank_l1, rank_l1_oracle, partial(rank_mu, cdf=np.square)):
+        with pytest.raises(SizeMismatch):
+            route(random_sorted(3, seed=2), b)
+        with pytest.raises(DimensionMismatch):
+            route(random_dataset(2, 2, seed=3), b)
 
 
 def test_rank_l1_matches_oracle():
@@ -99,6 +100,17 @@ def test_rank_mu_rejects_bad_cdf():
     a, b = _pair(5, seed=6)
     with pytest.raises(CdfNotMonotone):
         rank_mu(a, b, lambda x: 1.0 - np.asarray(x))
+
+
+def test_rank_mu_checks_the_cdf_on_both_datasets():
+    # decreasing on (0.4, 0.6) only, where b's records lie and a's do not
+    cdf = lambda x: np.where((0.4 < x) & (x < 0.6), 1.0 - x, x)
+    a, b = make_dataset([0.1, 0.9]), make_dataset([0.45, 0.55])
+    for first, second in ((a, b), (b, a)):
+        with pytest.raises(CdfNotMonotone):
+            rank_mu(first, second, cdf)
+        with pytest.raises(CdfNotMonotone):
+            distance(first, second, OpKind.INDEX, "mu", 10, 0, cdf=cdf)
 
 
 def test_card1d_l1_hand_values():
@@ -544,6 +556,30 @@ def test_exact_steps_from_the_signed_table_match_separate_searches(data):
         assert rank_l1_oracle(a, b) == oracle
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_single_attribute_routes_ignore_record_order(data):
+    # each route returns on shuffled records exactly what it returns on their
+    # sorted copy; _column draws ties, 0.0, 1.0 and empty datasets
+    a = data.draw(_column())
+    b = data.draw(_column(n=a.n if data.draw(st.booleans()) else None))
+    perms = [data.draw(st.permutations(range(x.n))) for x in (a, b)]
+    shuffled = [make_dataset(x.values[p]) if x.n else x for x, p in zip((a, b), perms)]
+    pairs = (shuffled, [sort_dataset_1d(x) for x in shuffled])
+    qs = np.concatenate([[0.0, 1.0, 0.5], a.values[:, 0], b.values[:, 0] - 1e-9]).clip(0, 1)
+    routes = [card1d_l1, card1d_linf, rank_linf,
+              partial(distance, op=OpKind.INDEX, norm="linf", samples=10, seed=0)]
+    if a.n == b.n:
+        routes += [rank_l1, rank_l1_oracle, partial(rank_mu, cdf=np.square)]
+        routes += [partial(distance, op=OpKind.INDEX, norm=norm, samples=10, seed=0,
+                           cdf=np.square) for norm in ("l1", "mu")]
+    for route in routes:
+        got, want = (route(x, y) for x, y in pairs)
+        assert got == want
+    for x, y in zip(*pairs):
+        assert [rank(x, q) for q in qs] == [rank(y, q) for q in qs]
+
+
 def _edge_batch(a, b, gen):
     """Queries with edges on data values, zero widths and negative left edges."""
     v = np.concatenate([[0.0, 1.0], a.values[:, 0], b.values[:, 0]])
@@ -581,7 +617,7 @@ def _count_evaluations(monkeypatch):
 def test_single_attribute_counts_search_one_table(monkeypatch):
     a, b = random_dataset(40, 1, seed=50), random_dataset(25, 1, seed=51)
     op = OpKind.CARD_EST
-    gaps = norms._gaps(a, op, lambda batch: eval_batch(b, op, batch))
+    gaps = lambda batch: np.abs(eval_batch(a, op, batch) - eval_batch(b, op, batch))
     draws = norms._draws(uniform_sampler(op, 1), 3000, make_generator(7))
     want = norms._mc_estimate(gaps, draws)
     calls = _count_evaluations(monkeypatch)

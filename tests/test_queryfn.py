@@ -13,7 +13,6 @@ from ldbounds.data import empty_dataset, make_dataset
 from ldbounds.errors import (
     DimensionMismatch,
     EntryOutOfRange,
-    NotSorted,
 )
 from ldbounds.queryfn import (
     BoxSum,
@@ -68,12 +67,6 @@ def test_rank_basic():
     assert rank(ds, 0.0) == 0
     assert rank(ds, 1.0) == 4
     assert rank(ds, RankQuery(q=0.5)) == 3
-
-
-def test_rank_requires_sorted():
-    ds = make_dataset(np.array([0.9, 0.1]))
-    with pytest.raises(NotSorted):
-        rank(ds, 0.5)
 
 
 def test_cardinality_closed_box():
