@@ -51,7 +51,11 @@ class Dataset:
     @cached_property
     def sorted_column(self) -> np.ndarray:
         col = self.values[:, 0]
-        return col if self.sorted_flag else np.sort(col)
+        if self.sorted_flag:
+            return col
+        col = np.sort(col)
+        col.setflags(write=False)  # read-only like `values`: a write would change ranks
+        return col
 
     @cached_property
     def count_index(self):

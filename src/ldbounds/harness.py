@@ -10,7 +10,10 @@ share one trained model.
 
 The cells of one (operation, model) pair train in lockstep, a few whole
 cells at a time (`models.train_many`); a model trained in a stack equals
-the one trained alone, so stacking changes no number.
+the one trained alone, so stacking changes no number.  The stacks, in
+product order, are dealt round-robin over one process per available CPU,
+forked from the caller; since each stack depends only on its cells' seeds,
+every process count gives the same rows, failures and CSV bytes.
 """
 
 from __future__ import annotations
@@ -18,11 +21,15 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+import os
+import pickle
+import threading
+import traceback
 from dataclasses import astuple, dataclass, field, fields, replace
 
 from . import bounds as bnd
 from .data import Dataset, GmmParams, sample_gmm, sample_uniform, sort_dataset_1d
-from .errors import DimensionMismatch, InvalidParams, LdboundsError
+from .errors import DimensionMismatch, InvalidParams, LdboundsError, RuntimeFailure
 from .models import (
     LINEAR,
     MLP,
@@ -131,6 +138,94 @@ def _prep_dataset(op: OpKind, dataset: Dataset) -> Dataset:
     return dataset
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on; 1 where the platform cannot say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _in_processes(run, units: list) -> tuple[list, list]:
+    """`run(units)` split round-robin over P = min(CPUs, units) processes.
+
+    Rank r runs units r, r + P, ...: the caller runs rank 0 and forks the
+    others, each of which pickles its `run` result, two lists of items keyed
+    by product position, into its own pipe and leaves with `os._exit`.  The
+    caller concatenates the lists, so sorting them gives the serial answer.
+    P = 1 (one CPU or unit, no `os.fork`, or another thread alive, which a
+    fork would not copy) runs `run(units)` here.  A child's error is raised
+    again here; on any error every child still running is killed, and every
+    child is reaped before this returns or raises.
+    """
+    procs = min(_cpu_count(), len(units))
+    if procs < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return run(units)
+    live = {}  # child pid -> read end of its pipe, None once being read
+    try:
+        for rank in range(1, procs):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(w, run, units[rank::procs])
+            live[pid] = r
+            os.close(w)
+        rows, failures = run(units[::procs])
+        for pid in list(live):
+            fd, live[pid] = live[pid], None
+            with open(fd, "rb") as fh:
+                data = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            del live[pid]
+            more_rows, more_failures = _received(data, status)
+            rows += more_rows
+            failures += more_failures
+        return rows, failures
+    finally:
+        for pid, fd in live.items():
+            os.kill(pid, 9)  # SIGKILL; a zombie's pid is not reused before waitpid
+            os.waitpid(pid, 0)
+            if fd is not None:
+                os.close(fd)
+
+
+def _child(fd: int, run, units: list) -> None:
+    """In a forked child: send `run(units)` or its error through `fd`, then exit."""
+    code = 1
+    try:
+        try:
+            outcome = (True, run(units))
+        except BaseException as exc:
+            text = "".join(traceback.format_exception(exc))
+            try:
+                outcome = (False, (text, pickle.dumps(exc)))
+            except Exception:
+                outcome = (False, (text, None))
+        with open(fd, "wb") as fh:
+            pickle.dump(outcome, fh)
+        code = 0
+    finally:
+        os._exit(code)  # no atexit handlers or buffers of the parent's
+
+
+def _received(data: bytes, status: int):
+    """A child's `run` result from its pipe's bytes, or its error raised again."""
+    try:
+        ok, value = pickle.loads(data)
+    except Exception:
+        code = os.waitstatus_to_exitcode(status)
+        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+        raise RuntimeFailure(
+            f"an experiment worker process ended without its results ({how})"
+        ) from None
+    if ok:
+        return value
+    text, pickled = value
+    cause = RuntimeFailure(f"raised in an experiment worker process:\n{text}")
+    try:
+        exc = pickle.loads(pickled)
+    except Exception:
+        raise cause from None
+    raise exc from cause
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentRun:
     """Execute every cell; failed cells are recorded, not fatal.
 
@@ -142,21 +237,21 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRun:
     preparing or training one replicate) is recorded under the cell's base
     key and skips all its norms; a measure failure is recorded under
     `base|norm` and drops only that row.  Rows and failures come out in
-    `itertools.product` order of (op, distribution, n, model), then norm.
+    `itertools.product` order of (op, distribution, n, model), then norm,
+    and each failure is logged once, in that order, after all cells ran.
+
+    A stack is one work unit.  The units, in product order, are dealt
+    round-robin over one process per available CPU (`_in_processes`); each
+    depends only on its cells' seeds, so rows, failures and CSV bytes are
+    the same for every process count.  An error other than a cell's own
+    `LdboundsError` ends the run, whichever process raised it.
     """
     if config.datasets_per_cell < 1:
         raise InvalidParams("datasets_per_cell must be >= 1")
     reps = config.datasets_per_cell
-    # each keyed by its cell's index in the product, then its norm's index
-    rows: list[tuple[tuple, ResultRow]] = []
-    failures: list[tuple[tuple, tuple[str, str]]] = []
 
     def seed(key: str) -> int:
         return mix64(config.master_seed, stable_text_hash(key))
-
-    def fail(pos: tuple, key: str, exc: LdboundsError) -> None:
-        log.warning("cell %s failed: %s", key, exc)
-        failures.append((pos, (key, str(exc))))
 
     def measure(op, dist, n, tmpl, norm, cell, bits, trained):
         estimates = []
@@ -181,8 +276,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRun:
             exact=worst.exact,
         )
 
-    def run_stack(op, tmpl, spec, cells):
-        """Fit `cells` in lockstep, then measure each; all is freed on return."""
+    def run_stack(op, tmpl, spec, cells, rows, failures):
+        """Fit `cells` in lockstep, then measure each; all is freed on return.
+
+        Each row or failure is appended keyed by its cell's index in the
+        product, then its norm's index.
+        """
         jobs, owner, errors = [], [], {}
         for c, (_, dist, n, base) in enumerate(cells):
             for rep in range(reps):
@@ -204,18 +303,25 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRun:
             diverged = (m for _, m in trained[c] if isinstance(m, LdboundsError))
             error = next(diverged, errors.get(c))
             if error is not None:
-                fail(pos, base, error)
+                failures.append((pos, (base, str(error))))
                 continue
             for k, norm in enumerate(config.norms):
                 cell = f"{base}|{norm}"
                 try:
                     row = measure(op, dist, n, tmpl, norm, cell, bits, trained[c])
                 except LdboundsError as exc:
-                    fail(pos + (k,), cell, exc)
+                    failures.append((pos + (k,), (cell, str(exc))))
                 else:
                     rows.append((pos + (k,), row))
 
+    def run_units(units):
+        rows, failures = [], []
+        for unit in units:
+            run_stack(*unit, rows, failures)
+        return rows, failures
+
     per_stack = max(1, _STACK_JOBS // reps)
+    units, unresolved = [], []
     for (oi, op), (ti, tmpl) in itertools.product(
         enumerate(config.ops), enumerate(config.models)
     ):
@@ -228,14 +334,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRun:
         try:
             spec = tmpl.resolve(op, config.d)
         except LdboundsError as exc:
-            for pos, _, _, base in group:
-                fail(pos, base, exc)
+            unresolved += [(pos, (base, str(exc))) for pos, _, _, base in group]
             continue
-        for s in range(0, len(group), per_stack):
-            run_stack(op, tmpl, spec, group[s : s + per_stack])
+        units += [
+            (op, tmpl, spec, group[s : s + per_stack])
+            for s in range(0, len(group), per_stack)
+        ]
+    rows, failures = _in_processes(run_units, units)
+    failures = [f for _, f in sorted(unresolved + failures, key=lambda it: it[0])]
+    for key, message in failures:
+        log.warning("cell %s failed: %s", key, message)
     return ExperimentRun(
         rows=tuple(row for _, row in sorted(rows, key=lambda item: item[0])),
-        failures=tuple(f for _, f in sorted(failures, key=lambda item: item[0])),
+        failures=tuple(failures),
     )
 
 
@@ -309,9 +420,16 @@ def _parse_model(doc) -> ModelTemplate:
     return ModelTemplate(
         model_id=doc.get("id", kind),
         kind=kind,
-        hidden=int(doc.get("hidden", 0)),
+        hidden=_integer(doc.get("hidden", 0), "hidden"),
         m=doc.get("m"),
     )
+
+
+def _integer(value, name: str) -> int:
+    """`int(value)`, refusing a number with a fractional part (1e4 is 10000)."""
+    if isinstance(value, float) and not value.is_integer():
+        raise InvalidParams(f"config field {name!r} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _overlay(default, config: dict, key: str):
@@ -319,13 +437,14 @@ def _overlay(default, config: dict, key: str):
     doc = config.get(key, {})
     if not isinstance(doc, dict):
         raise InvalidParams(f"config field {key!r} must be an object")
+
+    def cast(name: str, value):
+        kind = type(getattr(default, name))
+        return _integer(value, f"{key}.{name}") if kind is int else kind(value)
+
     return replace(
         default,
-        **{
-            f.name: type(getattr(default, f.name))(doc[f.name])
-            for f in fields(default)
-            if f.name in doc
-        },
+        **{f.name: cast(f.name, doc[f.name]) for f in fields(default) if f.name in doc},
     )
 
 
@@ -343,14 +462,18 @@ def parse_config(doc: dict) -> ExperimentConfig:
             ops=ops,
             norms=norms,
             distributions=dists,
-            n_values=tuple(int(x) for x in doc["n_values"]),
-            d=int(doc.get("d", 1)),
+            n_values=tuple(_integer(x, "n_values") for x in doc["n_values"]),
+            d=_integer(doc.get("d", 1), "d"),
             models=models,
-            datasets_per_cell=int(doc.get("datasets_per_cell", 1)),
+            datasets_per_cell=_integer(
+                doc.get("datasets_per_cell", 1), "datasets_per_cell"
+            ),
             train=_overlay(TrainConfig(), doc, "train"),
             eval=_overlay(EvalConfig(), doc, "eval"),
-            master_seed=int(doc.get("master_seed", 0)),
-            domain_u=int(doc.get("domain_u", doc.get("u", DEFAULT_DOMAIN_U))),
+            master_seed=_integer(doc.get("master_seed", 0), "master_seed"),
+            domain_u=_integer(
+                doc.get("domain_u", doc.get("u", DEFAULT_DOMAIN_U)), "domain_u"
+            ),
         )
     except KeyError as exc:
         raise InvalidParams(f"config missing required field {exc}") from exc

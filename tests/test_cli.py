@@ -369,6 +369,15 @@ def test_experiment_malformed_entry(tmp_path, capsys, bad):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_experiment_fractional_steps(tmp_path, capsys):
+    cfg = str(tmp_path / "cfg.json")
+    json.dump(dict(EXPERIMENT_CONFIG, train={"steps": 10.9}), open(cfg, "w"))
+    code = main(["experiment", "--config", cfg, "--out", str(tmp_path / "o.csv")])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "train.steps" in err
+
+
 def test_experiment_zero_batch(tmp_path, capsys):
     cfg = str(tmp_path / "cfg.json")
     json.dump(dict(EXPERIMENT_CONFIG, train={"batch": 0}), open(cfg, "w"))

@@ -20,6 +20,7 @@ from ldbounds.data import (
     sort_dataset_1d,
 )
 from ldbounds.errors import EntryOutOfRange, InvalidParams, RejectionStarvation
+from ldbounds.queryfn import rank
 
 
 def test_make_dataset_shapes_and_flags():
@@ -57,6 +58,15 @@ def test_sort_dataset_1d():
     ds = sort_dataset_1d(make_dataset(np.array([0.9, 0.1, 0.5])))
     assert ds.sorted_flag
     assert np.array_equal(ds.column(0), [0.1, 0.5, 0.9])
+
+
+def test_sorted_copy_is_read_only():
+    ds = make_dataset([0.9, 0.1, 0.5])
+    assert rank(ds, 0.2) == 1
+    with pytest.raises(ValueError):
+        ds.sorted_column[0] = 0.3
+    assert np.array_equal(ds.sorted_column, [0.1, 0.5, 0.9])
+    assert rank(ds, 0.2) == 1
 
 
 def test_sample_uniform_deterministic():

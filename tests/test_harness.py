@@ -3,14 +3,19 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import logging
+import os
+import signal
+import threading
+import time
 from dataclasses import replace
 
 import pytest
 
 import ldbounds.bounds as bnd
-from ldbounds import rng
+from ldbounds import harness, rng
 from ldbounds.data import GmmParams, sample_uniform, sort_dataset_1d
-from ldbounds.errors import InvalidParams
+from ldbounds.errors import InvalidParams, RuntimeFailure
 from ldbounds.harness import (
     CSV_HEADER,
     DEFAULT_DOMAIN_U,
@@ -358,6 +363,55 @@ def test_parse_config_rejects(doc):
         parse_config(doc)
 
 
+MINIMAL_DOC = {
+    "ops": ["index"],
+    "norms": ["l1"],
+    "distributions": [{"kind": "uniform"}],
+    "n_values": [100],
+    "models": ["linear"],
+}
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("n_values", {"n_values": [1000.7]}),
+        ("d", {"d": 1.5}),
+        ("datasets_per_cell", {"datasets_per_cell": 2.5}),
+        ("master_seed", {"master_seed": 3.25}),
+        ("domain_u", {"domain_u": 1000.5}),
+        ("domain_u", {"u": 1000.5}),
+        ("train.steps", {"train": {"steps": 10.9}}),
+        ("train.batch", {"train": {"batch": 64.5}}),
+        ("train.seed", {"train": {"seed": 1.5}}),
+        ("eval.samples", {"eval": {"samples": 100.2}}),
+        ("eval.grid", {"eval": {"grid": 2.5}}),
+        ("hidden", {"models": [{"kind": "mlp", "hidden": 4.5}]}),
+    ],
+)
+def test_parse_config_rejects_a_fraction_in_an_integer_field(field, bad):
+    with pytest.raises(InvalidParams, match=f"'{field}' must be an integer"):
+        parse_config(dict(MINIMAL_DOC, **bad))
+
+
+def test_parse_config_accepts_integral_floats():
+    cfg = parse_config(
+        dict(
+            MINIMAL_DOC, n_values=[1e4, 200.0], d=1.0, datasets_per_cell=2.0,
+            master_seed=3.0, u=1e3, train={"steps": 1e2, "batch": 64.0, "seed": 5.0},
+            eval={"samples": 1e3, "grid": 2.0},
+        )
+    )
+    assert cfg.n_values == (10_000, 200) and cfg.d == 1 and cfg.datasets_per_cell == 2
+    assert cfg.master_seed == 3 and cfg.domain_u == 1000
+    assert (cfg.train.steps, cfg.train.batch, cfg.train.seed) == (100, 64, 5)
+    assert (cfg.eval.samples, cfg.eval.grid) == (1000, 2)
+    assert all(
+        type(v) is int
+        for v in (*cfg.n_values, cfg.d, cfg.master_seed, cfg.domain_u, cfg.train.steps)
+    )
+
+
 def test_gmm_cells_run():
     dist = DistSpec(
         name="bimodal",
@@ -432,3 +486,186 @@ def test_diverging_cell_fails_only_itself():
         assert [r for r in run.rows if r.n == other] == list(
             run_experiment(replace(cfg, n_values=(other,))).rows
         )
+
+
+# -- runs split over forked processes ------------------------------------------
+
+MIXED = small_config(  # the config of test_failures_come_out_in_product_order
+    ops=(OpKind.INDEX, OpKind.CARD_EST), norms=("l1", "linf"), d=2,
+    n_values=(2, 40), models=THREE_MODELS[:2],
+)
+# 2 cells of 3 replicates per stack: 3 stacks in each of the 2 groups
+REPLICATED = small_config(
+    distributions=(DistSpec(name="uniform"), GMM2), n_values=(40, 60, 80),
+    models=THREE_MODELS[:2], datasets_per_cell=3,
+)
+DIVERGING = small_config(  # the config of test_diverging_cell_fails_only_itself
+    master_seed=2, n_values=(40, 60, 80, 100),
+    train=replace(FAST_TRAIN, steps=840, batch=4, lr=1.6),
+)
+
+
+def _csv_bytes(rows, path) -> bytes:
+    emit_csv(rows, str(path))
+    return path.read_bytes()
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class Forks(list):
+    """One entry per `os.fork` call; `cpus(k)` makes the harness see k CPUs."""
+
+    def __init__(self, monkeypatch):
+        super().__init__()
+        self.monkeypatch = monkeypatch
+        real_fork = os.fork
+
+        def fork():
+            self.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+
+    def cpus(self, k: int) -> None:
+        self.monkeypatch.setattr(harness, "_cpu_count", lambda: k)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    # a run that waits forever on a child fails the test instead of hanging
+    # it; a forked child starts with no alarm pending
+    def expire(signum, frame):
+        raise TimeoutError("run_experiment still waiting after 120 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(120)
+    try:
+        yield Forks(monkeypatch)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "cfg, units", [(MIXED, 4), (REPLICATED, 6), (DIVERGING, 1)],
+    ids=["mixed", "replicated", "diverging"],
+)
+def test_every_process_count_gives_the_serial_run(cfg, units, forks, tmp_path):
+    forks.cpus(1)
+    serial = run_experiment(cfg)
+    want = _csv_bytes(serial.rows, tmp_path / "serial.csv")
+    assert not forks and serial.rows
+    for cpus in (2, 3, 16):
+        forks.cpus(cpus)
+        forks.clear()
+        run = run_experiment(cfg)
+        assert len(forks) == min(cpus, units) - 1  # the caller runs rank 0
+        assert run.rows == serial.rows and run.failures == serial.failures
+        assert _csv_bytes(run.rows, tmp_path / f"{cpus}.csv") == want
+        _no_child_left()
+
+
+def _in_children_only(monkeypatch, action):
+    """Make every work unit outside this process call `action` first."""
+    parent = os.getpid()
+    real = harness.train_many
+
+    def train_many(jobs, op):
+        if os.getpid() != parent:
+            action()
+        return real(jobs, op)
+
+    monkeypatch.setattr(harness, "train_many", train_many)
+
+
+def test_an_error_in_a_child_is_raised_again(forks, monkeypatch):
+    def fail():
+        raise ValueError("bad unit")
+
+    forks.cpus(2)
+    _in_children_only(monkeypatch, fail)
+    with pytest.raises(ValueError, match="bad unit") as info:
+        run_experiment(MIXED)
+    assert len(forks) == 1
+    assert "in fail" in str(info.value.__cause__)  # the child's traceback
+    _no_child_left()
+
+
+def test_an_unpicklable_error_in_a_child_becomes_a_runtime_failure(forks, monkeypatch):
+    class LocalError(Exception):  # a local class cannot be pickled
+        pass
+
+    def fail():
+        raise LocalError("not picklable")
+
+    forks.cpus(3)
+    _in_children_only(monkeypatch, fail)
+    with pytest.raises(RuntimeFailure, match="LocalError: not picklable"):
+        run_experiment(MIXED)
+    _no_child_left()
+
+
+@pytest.mark.parametrize(
+    "end, status",
+    [
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9"),
+        (lambda: os._exit(3), "exit status 3"),
+    ],
+    ids=["sigkill", "exit"],
+)
+def test_a_child_ending_without_results_is_a_runtime_failure(end, status, forks, monkeypatch):
+    forks.cpus(2)
+    _in_children_only(monkeypatch, end)
+    with pytest.raises(RuntimeFailure, match=status):
+        run_experiment(MIXED)
+    _no_child_left()
+
+
+def test_an_error_in_the_caller_kills_and_reaps_the_children(forks, monkeypatch):
+    parent = os.getpid()
+    real = harness.train_many
+
+    def train_many(jobs, op):
+        if os.getpid() == parent:
+            raise ValueError("caller failed")
+        time.sleep(60)  # killed long before
+        return real(jobs, op)
+
+    forks.cpus(16)
+    monkeypatch.setattr(harness, "train_many", train_many)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="caller failed"):
+        run_experiment(MIXED)
+    assert len(forks) == 3 and time.perf_counter() - start < 30
+    _no_child_left()
+
+
+def test_no_fork_while_another_thread_runs(forks):
+    forks.cpus(2)
+    serial = run_experiment(MIXED)
+    assert len(forks) == 1
+    forks.clear()
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        run = run_experiment(MIXED)
+    finally:
+        release.set()
+        thread.join()
+    assert not forks
+    assert run == serial
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_failure_warnings_come_once_in_product_order(cpus, forks, caplog):
+    forks.cpus(cpus)
+    with caplog.at_level(logging.WARNING, logger="ldbounds.harness"):
+        run = run_experiment(MIXED)
+    assert len(run.failures) == 6
+    assert [r.getMessage() for r in caplog.records if r.name == "ldbounds.harness"] == [
+        f"cell {key} failed: {message}" for key, message in run.failures
+    ]
