@@ -417,11 +417,12 @@ def _parse_model(doc) -> ModelTemplate:
     kind = doc.get("kind")
     if kind not in (LINEAR, MLP, SAMPLE):
         raise InvalidParams(f"unknown model kind {kind!r}")
+    m = doc.get("m")
     return ModelTemplate(
         model_id=doc.get("id", kind),
         kind=kind,
         hidden=_integer(doc.get("hidden", 0), "hidden"),
-        m=doc.get("m"),
+        m=None if m is None else _integer(m, "m"),
     )
 
 

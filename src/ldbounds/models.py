@@ -181,19 +181,38 @@ def _views(spec: ModelSpec, flat: np.ndarray) -> dict:
     return out
 
 
+def _bind(spec: ModelSpec, flat: np.ndarray) -> dict:
+    """The views of a (K, P) stack that the kernels read and write, bound once.
+
+    Biases keep a unit axis where they broadcast over a batch; the weights
+    that multiply from the right come transposed too.
+    """
+    v = _views(spec, flat)
+    if spec.kind == LINEAR:
+        return {"w": v["w"][:, :, None], "b": v["b"]}
+    return {
+        "W1": v["W1"], "W1T": v["W1"].transpose(0, 2, 1), "b1": v["b1"][:, None, :],
+        "W2": v["W2"], "W2T": v["W2"].transpose(0, 2, 1), "b2": v["b2"],
+    }
+
+
 # The kernels below run K models at once: features X are (K, B, D), outputs
-# and residuals (K, B), and each parameter view has the stack as its leading
-# axis.  Every stacked matmul and reduction makes, per model, the same BLAS
-# call or summation as it would for that model alone, so a model's numbers
-# do not depend on the stack it runs in.
+# and residuals (K, B), and the bound views `p` and `g` (`_bind`) have the
+# stack as their leading axis.  Every stacked matmul and reduction makes, per
+# model, the same BLAS call or summation as it would for that model alone,
+# so a model's numbers do not depend on the stack it runs in.
 
 
 def _forward(spec: ModelSpec, p: dict, X: np.ndarray):
     if spec.kind == LINEAR:
-        return (X @ p["w"][:, :, None])[:, :, 0] + p["b"], None
-    Z1 = X @ p["W1"].transpose(0, 2, 1) + p["b1"][:, None, :]
+        out = (X @ p["w"])[:, :, 0]
+        out += p["b"]
+        return out, None
+    Z1 = X @ p["W1T"]
+    Z1 += p["b1"]
     A1 = np.maximum(Z1, 0.0)
-    out = (A1 @ p["W2"].transpose(0, 2, 1))[:, :, 0] + p["b2"]
+    out = (A1 @ p["W2T"])[:, :, 0]
+    out += p["b2"]
     return out, (Z1, A1)
 
 
@@ -204,19 +223,19 @@ def _backward(
 
     `residual` is (out - target).
     """
-    B = X.shape[1]
-    dout = 2.0 * residual / B
+    dout = 2.0 * residual
+    dout /= X.shape[1]
     if spec.kind == LINEAR:
-        np.matmul(X.transpose(0, 2, 1), dout[:, :, None], out=g["w"][:, :, None])
-        np.add.reduce(dout, axis=1, out=g["b"][:, 0])
+        np.matmul(X.transpose(0, 2, 1), dout[:, :, None], out=g["w"])
+        np.add.reduce(dout, axis=1, keepdims=True, out=g["b"])
         return
     Z1, A1 = cache
     np.matmul(dout[:, None, :], A1, out=g["W2"])
-    np.add.reduce(dout, axis=1, out=g["b2"][:, 0])
+    np.add.reduce(dout, axis=1, keepdims=True, out=g["b2"])
     dZ1 = dout[:, :, None] * p["W2"]
     dZ1 *= Z1 > 0.0
     np.matmul(dZ1.transpose(0, 2, 1), X, out=g["W1"])
-    np.add.reduce(dZ1, axis=1, out=g["b1"])
+    np.add.reduce(dZ1, axis=1, keepdims=True, out=g["b1"])
 
 
 def predict_raw(model: TrainedModel, op: OpKind, batch) -> np.ndarray:
@@ -225,7 +244,7 @@ def predict_raw(model: TrainedModel, op: OpKind, batch) -> np.ndarray:
     if spec.kind == SAMPLE:
         raise InvalidRequest("sample models have no network output")
     flat = _flatten(spec, model.params)[None]
-    out, _ = _forward(spec, _views(spec, flat), _features(op, batch)[None])
+    out, _ = _forward(spec, _bind(spec, flat), _features(op, batch)[None])
     return out[0]
 
 
@@ -310,18 +329,19 @@ def train_many(jobs, op: OpKind) -> list:
                 block = uniform_block(op, dataset.d, k, B, gens[j])
                 _features(op, block, out=X[row])
                 np.divide(eval_batch(dataset, op, block), dataset.n, out=T[row])
-            p, g = _views(spec, flat), _views(spec, grads)
-            block_loss = np.empty((live.size, k))
+            p, g = _bind(spec, flat), _bind(spec, grads)
             for t in range(k):
-                s = t * B
-                Xt = X[:, s : s + B]
+                Xt, Tt = X[:, t * B : (t + 1) * B], T[:, t * B : (t + 1) * B]
                 out, cache = _forward(spec, p, Xt)
-                residual = out - T[:, s : s + B]
-                block_loss[:, t] = np.add.reduce(residual * residual, axis=1) / B
+                residual = np.subtract(out, Tt, out=Tt)  # targets become residuals
                 _backward(spec, p, Xt, cache, residual, g)
                 velocity *= cfg.momentum
-                velocity -= cfg.lr * grads
+                grads *= cfg.lr
+                velocity -= grads
                 flat += velocity
+            # each step's loss from its residuals, squared in place
+            squares = np.square(T, out=T).reshape(live.size, k, B)
+            block_loss = np.add.reduce(squares, axis=2) / B
             losses[live, done : done + k] = block_loss
             finite = np.isfinite(block_loss)
             ok = finite.all(axis=1)
@@ -368,17 +388,17 @@ def grad_check(
     X = _features(op, batch)[None]
     target = np.asarray(target, dtype=np.float64)
     flat = _flatten(spec, model.params)[None]
-    p = _views(spec, flat)
+    p = _bind(spec, flat)
     out, cache = _forward(spec, p, X)
     if spec.kind == MLP and bool(np.any(np.abs(cache[0]) < kink_tol)):
         return math.nan, True
     grads = np.empty_like(flat)
-    _backward(spec, p, X, cache, out - target, _views(spec, grads))
+    _backward(spec, p, X, cache, out - target, _bind(spec, grads))
     analytic = grads[0]
     # every parameter nudged up, then down: one stack of 2P models
     P = flat.shape[1]
     nudged = np.concatenate([flat + h * np.eye(P), flat - h * np.eye(P)])
-    r = _forward(spec, _views(spec, nudged), X)[0] - target
+    r = _forward(spec, _bind(spec, nudged), X)[0] - target
     loss = np.mean(r * r, axis=1)
     numeric = (loss[:P] - loss[P:]) / (2.0 * h)
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)

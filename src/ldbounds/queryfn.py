@@ -167,6 +167,8 @@ class BoxSum:
     (i_0, .., i_{dq-1}) holds the weight of the records whose value on
     every axis j is at or below level i_j - 1 (row 0 on each axis is the
     zero pad), so a box sum is an inclusion-exclusion over 2**dq cells.
+    It is float64, or int32 when `_orthant_table` can fill it exactly;
+    answers are float64 either way.
     Mask: distinct rows with summed weights, stored column by column.
 
     One axis always uses the table.  More axes use it when there are over
@@ -190,17 +192,16 @@ class BoxSum:
         if self.dq == 1 or size <= _CHUNK_CELLS:
             codes = tuple(code + 1 for _, code in axes)  # + 1: past the zero pad
             cell = np.ravel_multi_index(codes, shape)
-            if self.dq == 1 or np.unique(cell).shape[0] > _TABLE_MIN_ROWS:
-                self.table = np.bincount(cell, weights=weights, minlength=size)
-                grid = self.table.reshape(shape)  # a view: sums in place
-                # wide slabs sum axis 0 by one contiguous add a slab, not a
-                # strided walk; each cell adds in cumsum's order, bit for bit
-                by_slab = size >= _SLAB_CELLS * shape[0]
-                if by_slab:
-                    for i in range(1, shape[0]):
-                        np.add(grid[i - 1], grid[i], out=grid[i])
-                for j in range(int(by_slab), self.dq):
-                    np.cumsum(grid, axis=j, out=grid)
+            if self.dq > 1:
+                cells, inverse = np.unique(cell, return_inverse=True)
+            if self.dq == 1 or cells.shape[0] > _TABLE_MIN_ROWS:
+                by_slab = size >= _SLAB_CELLS * shape[0]  # never at dq = 1
+                # one distinct row per axis-0 level, and whole weights: int32
+                orthants = by_slab and cells.shape[0] == shape[0] - 1
+                if orthants and _whole(weights, 2.0**31):
+                    self.table = _orthant_table(cells, inverse, weights, shape)
+                else:
+                    self.table = _slab_table(cell, weights, shape, by_slab)
                 self.levels = [levels for levels, _ in axes]
                 self.strides = [math.prod(shape[j + 1 :]) for j in range(self.dq)]
                 return
@@ -214,9 +215,7 @@ class BoxSum:
         # so their chunks are sized to hold that copy too.  Other weights
         # keep one byte a cell: BLAS rounds a row's product by how its call
         # blocks the rows, so other chunks would move range sums by rounding.
-        w = self.weights
-        exact = bool(np.all(np.floor(w) == w)) and float(np.abs(w).sum()) < 2.0**53
-        self.cell_bytes = 9 if exact else 1
+        self.cell_bytes = 9 if _whole(self.weights, 2.0**53) else 1
 
     @classmethod
     def steps(cls, levels: np.ndarray, table: np.ndarray) -> BoxSum:
@@ -252,7 +251,7 @@ class BoxSum:
                     lo *= self.strides[j]
                     top *= self.strides[j]
                 edges.append((lo, top))
-            return self._corners(edges, 0, None)
+            return self._corners(edges, 0, None).astype(np.float64, copy=False)
         # one mask per block of queries, AND-ed axis by axis, laid out and
         # summed as the class docstring says (counts are exact in any order)
         u = self.weights.shape[0]
@@ -273,6 +272,50 @@ class BoxSum:
                 mask &= cols[j] <= top
             out[s : s + step] = self.weights @ mask if qmajor else mask @ self.weights
         return out
+
+
+def _whole(weights: np.ndarray, bound: float) -> bool:
+    """Whether the weights are whole numbers whose magnitudes sum below `bound`."""
+    whole = bool(np.all(np.floor(weights) == weights))
+    return whole and float(np.abs(weights).sum()) < bound
+
+
+def _slab_table(
+    cell: np.ndarray, weights: np.ndarray, shape: tuple, by_slab: bool
+) -> np.ndarray:
+    """The float64 table: weights binned by cell, then summed axis by axis.
+
+    Wide slabs sum axis 0 by one contiguous add a slab, not a strided walk;
+    each cell adds in cumsum's order, bit for bit.
+    """
+    table = np.bincount(cell, weights=weights, minlength=math.prod(shape))
+    grid = table.reshape(shape)  # a view: sums in place
+    if by_slab:
+        for i in range(1, shape[0]):
+            np.add(grid[i - 1], grid[i], out=grid[i])
+    for j in range(int(by_slab), len(shape)):
+        np.cumsum(grid, axis=j, out=grid)
+    return table
+
+
+def _orthant_table(
+    cells: np.ndarray, inverse: np.ndarray, weights: np.ndarray, shape: tuple
+) -> np.ndarray:
+    """The int32 table of whole weights with one distinct row per axis-0 level.
+
+    Slab 0 is zero, and slab i is slab i - 1 plus the weight of the row at
+    axis-0 code i on the orthant at and past its codes on axes 1...  Every
+    cell, and every difference `_corners` takes, is the sum over a set of
+    records, so magnitudes summing below 2**31 keep them all exact.
+    """
+    table = np.zeros(math.prod(shape), dtype=np.int32)
+    grid = table.reshape(shape)
+    row_weights = np.bincount(inverse.ravel(), weights=weights).astype(np.int32)
+    _, *codes = np.unravel_index(cells, shape)  # cells ascend: axis-0 codes 1, 2, ..
+    for i, w, *at in zip(range(1, shape[0]), row_weights.tolist(), *codes):
+        grid[i] = grid[i - 1]
+        grid[(i, *(slice(c, None) for c in at))] += w
+    return table
 
 
 def search_sorted(levels: np.ndarray, keys: np.ndarray, side: str) -> np.ndarray:

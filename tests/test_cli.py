@@ -358,7 +358,12 @@ def test_experiment_unknown_model(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "bad", [{"distributions": ["uniform"]}, {"models": [3]}, {"eval": [1]}, {"train": [1]}]
+    "bad",
+    [
+        {"distributions": ["uniform"]}, {"models": [3]}, {"eval": [1]}, {"train": [1]},
+        {"models": [{"kind": "sample", "m": 2.5}]},
+        {"models": [{"kind": "sample", "m": "abc"}]},
+    ],
 )
 def test_experiment_malformed_entry(tmp_path, capsys, bad):
     cfg = str(tmp_path / "cfg.json")

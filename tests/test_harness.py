@@ -354,6 +354,8 @@ def test_parse_config_overlays_defaults():
                 {"eval": [1]},
                 {"train": [50, 64]},
                 {"train": "fast"},
+                {"models": [{"kind": "sample", "m": 2.5}]},
+                {"models": [{"kind": "sample", "m": "abc"}]},
             )
         ),
     ],
@@ -387,11 +389,19 @@ MINIMAL_DOC = {
         ("eval.samples", {"eval": {"samples": 100.2}}),
         ("eval.grid", {"eval": {"grid": 2.5}}),
         ("hidden", {"models": [{"kind": "mlp", "hidden": 4.5}]}),
+        ("m", {"models": [{"kind": "sample", "m": 2.5}]}),
     ],
 )
 def test_parse_config_rejects_a_fraction_in_an_integer_field(field, bad):
     with pytest.raises(InvalidParams, match=f"'{field}' must be an integer"):
         parse_config(dict(MINIMAL_DOC, **bad))
+
+
+def test_parse_config_sample_m_is_an_integer_or_unset():
+    models = [{"kind": "sample"}, {"kind": "sample", "m": 3.0, "id": "s3"}]
+    cfg = parse_config(dict(MINIMAL_DOC, models=models))
+    assert cfg.models[0].m is None
+    assert cfg.models[1].m == 3 and type(cfg.models[1].m) is int
 
 
 def test_parse_config_accepts_integral_floats():

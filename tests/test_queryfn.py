@@ -460,6 +460,88 @@ def test_table_built_by_slabs_matches_cumsum_bit_for_bit(dq, n, steps, seed, sla
     assert np.allclose(kernel(C, R), want, rtol=1e-12, atol=1e-9)
 
 
+def _brute_box_sums(points, weights, C, R):
+    return np.array([weights[np.all((points >= c) & (points <= c + r), axis=1)].sum()
+                     for c, r in zip(C, R)], dtype=np.float64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 3),
+    st.integers(1, 40),  # distinct rows, one per axis-0 level
+    st.integers(0, 40),  # repeats of them
+    st.integers(0, 2**32 - 1),
+)
+def test_orthant_table_of_whole_weights_matches_cumsum(dq, levels, repeats, seed):
+    gen = np.random.default_rng(seed)
+    rows = np.round(gen.random((levels, dq)) * 4) / 4  # ties off axis 0, ends included
+    rows[:, 0] = gen.permutation(np.linspace(0.0, 1.0, levels))
+    points = np.concatenate([rows, rows[gen.integers(0, levels, repeats)]])
+    points = points[gen.permutation(points.shape[0])]
+    weights = gen.integers(-3, 4, points.shape[0]).astype(np.float64)  # 0 and < 0 too
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(queryfn, "_TABLE_MIN_ROWS", 0)
+        patch.setattr(queryfn, "_SLAB_CELLS", 1)
+        kernel = BoxSum(points, weights)
+        patch.setattr(queryfn, "_SLAB_CELLS", 10**9)
+        by_cumsum = BoxSum(points, weights)
+    assert kernel.table.dtype == np.int32 and by_cumsum.table.dtype == np.float64
+    assert np.array_equal(kernel.table, _cumsum_table(points, weights))
+    C, R = sample_range_queries(100, dq, gen)
+    C = np.concatenate([C, np.round(C * 4) / 4, np.zeros((1, dq))])  # edges on records
+    R = np.concatenate([R, np.round(R * 4) / 4, np.ones((1, dq))])
+    got = kernel(C, R)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, by_cumsum(C, R))
+    assert np.array_equal(got, _brute_box_sums(points, weights, C, R))
+
+
+@pytest.mark.parametrize(
+    "case, dtype",
+    [
+        ("distinct", np.int32),
+        ("magnitudes just under 2**31", np.int32),
+        ("tie on axis 0", np.float64),
+        ("non-whole weight", np.float64),
+        ("magnitudes at 2**31", np.float64),
+        ("slabs under _SLAB_CELLS", np.float64),
+    ],
+)
+def test_count_table_is_int32_only_on_its_route(case, dtype, gen):
+    # 301 cells a slab reach _SLAB_CELLS = 256; 201 do not
+    n = 200 if case == "slabs under _SLAB_CELLS" else 300
+    points, weights = gen.random((n, 2)), np.ones(n)
+    if case == "magnitudes just under 2**31":
+        weights[0] = 2.0**31 - n  # the whole square sums to 2**31 - 1
+    elif case == "tie on axis 0":
+        points[1, 0] = points[0, 0]
+    elif case == "non-whole weight":
+        weights[5] = 0.5
+    elif case == "magnitudes at 2**31":
+        weights[:2] = 2.0**30, -(2.0**30) + n - 2  # magnitudes sum to 2**31
+    kernel = BoxSum(points, weights)
+    assert kernel.table.dtype == dtype
+    assert np.array_equal(kernel.table, _cumsum_table(points, weights))
+    C, R = sample_range_queries(300, 2, gen)
+    C, R = np.concatenate([C, [[0.0, 0.0]]]), np.concatenate([R, [[1.0, 1.0]]])
+    got = kernel(C, R)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, _brute_box_sums(points, weights, C, R))
+
+
+def test_count_table_build_peaks_near_four_bytes_a_cell(gen):
+    BoxSum(gen.random((300, 2)), np.ones(300))  # first-call set-up outside the trace
+    points, weights = gen.random((1000, 2)), np.ones(1000)
+    tracemalloc.start()
+    try:
+        kernel = BoxSum(points, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kernel.table.dtype == np.int32 and kernel.table.size == 1001**2
+    assert peak <= 4 * kernel.table.size + 256 * 1000, f"peak {peak} bytes"
+
+
 def test_key_order_lookups_take_an_empty_batch(gen):
     assert rank_batch(np.array([0.0, 0.5]), np.empty(0)).shape == (0,)
     for dq in (1, 2):
