@@ -30,7 +30,7 @@ from .constructions import (
     read_cover,
     write_cover,
 )
-from .data import load_csv, save_csv, sort_dataset_1d
+from .data import load_csv, save_csv
 from .errors import InvalidRequest, LdboundsError, RuntimeFailure, ValidationError
 from .harness import (
     PRESET_MODELS,
@@ -130,8 +130,6 @@ def _cmd_decode(args) -> dict:
 def _cmd_train(args) -> dict:
     dataset = load_csv(args.data)
     op = OpKind(args.op)
-    if op is OpKind.INDEX:
-        dataset = sort_dataset_1d(dataset)
     tmpl = PRESET_MODELS[args.model]
     if args.m is not None:
         tmpl = dataclasses.replace(tmpl, m=args.m)

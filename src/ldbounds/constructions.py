@@ -47,7 +47,6 @@ from .bounds import (
 )
 from .data import Dataset, grid_digits, make_dataset
 from .errors import (
-    DimensionMismatch,
     FamilyTooLarge,
     FormatError,
     IndexOutOfRange,
@@ -533,9 +532,7 @@ def cover_encode(
     # the upper-bound window does not depend on d; d = 1 leaves a mismatched
     # dataset to the dimension errors below
     require_in_range(BoundRequest(op, NORM_L1, UPPER, n, 1, eps))
-    if op is OpKind.INDEX and data_d != 1:
-        raise DimensionMismatch("indexing covers need single-attribute data")
-    query_dims(op, data_d)  # range-sum covers need >= 2 attributes
+    query_dims(op, data_d)  # index covers need 1 attribute, range-sum ones >= 2
     if cdf is not None and op is not OpKind.INDEX:
         raise InvalidRequest("quantile covers are defined for indexing only")
     u = ceil_ratio(n, eps)

@@ -8,7 +8,7 @@ records), so nothing here deduplicates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -27,13 +27,12 @@ from .rng import make_generator
 class Dataset:
     """Immutable record matrix, shape (n, d), entries in [0, 1].
 
-    Datasets compare and hash by identity.  `sorted_flag`, set at construction
-    for d = 1 only, says the column is stored ascending, so `sorted_column`,
-    which every single-attribute route reads, need not sort it.
+    Datasets compare and hash by identity.  Records may come in any order:
+    `sorted_column`, column 0 sorted ascending on first use, is the one sort
+    that every single-attribute (rank) route reads.
     """
 
     values: np.ndarray
-    sorted_flag: bool = field(default=False)
 
     @property
     def n(self) -> int:
@@ -50,10 +49,7 @@ class Dataset:
 
     @cached_property
     def sorted_column(self) -> np.ndarray:
-        col = self.values[:, 0]
-        if self.sorted_flag:
-            return col
-        col = np.sort(col)
+        col = np.sort(self.values[:, 0])
         col.setflags(write=False)  # read-only like `values`: a write would change ranks
         return col
 
@@ -127,8 +123,7 @@ def make_dataset(matrix: np.ndarray | list) -> Dataset:
         raise EntryOutOfRange("entries must lie in [0, 1]")
     values = values.copy()
     values.setflags(write=False)
-    sorted_flag = bool(values.shape[1] == 1 and np.all(np.diff(values[:, 0]) >= 0.0))
-    return Dataset(values=values, sorted_flag=sorted_flag)
+    return Dataset(values=values)
 
 
 def empty_dataset(d: int) -> Dataset:
@@ -137,7 +132,7 @@ def empty_dataset(d: int) -> Dataset:
         raise ShapeMismatch("d must be >= 1")
     values = np.empty((0, d), dtype=np.float64)
     values.setflags(write=False)
-    return Dataset(values=values, sorted_flag=(d == 1))
+    return Dataset(values=values)
 
 
 def sample_uniform(n: int, d: int, seed: int) -> Dataset:
@@ -179,11 +174,10 @@ def sample_gmm(n: int, d: int, params: GmmParams, seed: int) -> Dataset:
 
 
 def sort_dataset_1d(dataset: Dataset) -> Dataset:
+    """A single-attribute dataset's records in ascending order."""
     if dataset.d != 1:
         raise NotOneDimensional("sort_dataset_1d requires d = 1")
-    values = np.sort(dataset.values[:, 0]).reshape(-1, 1)
-    values.setflags(write=False)
-    return Dataset(values=values, sorted_flag=True)
+    return Dataset(values=dataset.sorted_column.reshape(-1, 1))
 
 
 def grid_digits(values: np.ndarray, resolution: int) -> np.ndarray:

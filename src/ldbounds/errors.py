@@ -26,10 +26,6 @@ class NotOneDimensional(ValidationError):
     """Operation requires single-attribute data."""
 
 
-class NotSorted(ValidationError):
-    """Data not sorted ascending; no route raises it, as each reads sorted columns."""
-
-
 class SizeMismatch(ValidationError):
     """Datasets must have equal record counts here."""
 

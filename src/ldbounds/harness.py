@@ -28,8 +28,8 @@ import traceback
 from dataclasses import astuple, dataclass, field, fields, replace
 
 from . import bounds as bnd
-from .data import Dataset, GmmParams, sample_gmm, sample_uniform, sort_dataset_1d
-from .errors import DimensionMismatch, InvalidParams, LdboundsError, RuntimeFailure
+from .data import Dataset, GmmParams, sample_gmm, sample_uniform
+from .errors import InvalidParams, LdboundsError, RuntimeFailure
 from .models import (
     LINEAR,
     MLP,
@@ -130,14 +130,6 @@ class ExperimentRun:
     failures: tuple[tuple[str, str], ...] = ()
 
 
-def _prep_dataset(op: OpKind, dataset: Dataset) -> Dataset:
-    if op is OpKind.INDEX:
-        if dataset.d != 1:
-            raise DimensionMismatch("rank cells require d = 1")
-        return sort_dataset_1d(dataset)
-    return dataset
-
-
 def _cpu_count() -> int:
     """CPUs this process may run on; 1 where the platform cannot say."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -233,12 +225,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRun:
     are trained in lockstep (`train_many`): up to _STACK_JOBS replicates,
     of as many whole cells as fit, per stack (a cell with more is a stack
     alone).  Each cell of a stack is then measured under each norm, and the
-    stack is freed before the next is fitted.  A fit failure (sampling,
-    preparing or training one replicate) is recorded under the cell's base
-    key and skips all its norms; a measure failure is recorded under
-    `base|norm` and drops only that row.  Rows and failures come out in
-    `itertools.product` order of (op, distribution, n, model), then norm,
-    and each failure is logged once, in that order, after all cells ran.
+    stack is freed before the next is fitted.  A fit failure (a rank cell
+    on multi-attribute data, or sampling or training one replicate) is
+    recorded under the cell's base key and skips all its norms; a measure
+    failure is recorded under `base|norm` and drops only that row.  Rows
+    and failures come out in `itertools.product` order of (op,
+    distribution, n, model), then norm, and each failure is logged once,
+    in that order, after all cells ran.
 
     A stack is one work unit.  The units, in product order, are dealt
     round-robin over one process per available CPU (`_in_processes`); each
@@ -286,8 +279,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRun:
         for c, (_, dist, n, base) in enumerate(cells):
             for rep in range(reps):
                 try:
-                    data_seed = seed(f"{base}|{rep}|data")
-                    dataset = _prep_dataset(op, dist.sample(n, config.d, data_seed))
+                    query_dims(op, config.d)  # a rank cell on d > 1 data fails here
+                    dataset = dist.sample(n, config.d, seed(f"{base}|{rep}|data"))
                 except LdboundsError as exc:
                     errors[c] = exc  # unless an earlier replicate fails to train
                     break
@@ -414,16 +407,16 @@ def _parse_model(doc) -> ModelTemplate:
         return PRESET_MODELS[doc]
     if not isinstance(doc, dict):
         raise InvalidParams(f"a model must be a preset name or an object, got {doc!r}")
-    kind = doc.get("kind")
-    if kind not in (LINEAR, MLP, SAMPLE):
-        raise InvalidParams(f"unknown model kind {kind!r}")
-    m = doc.get("m")
-    return ModelTemplate(
+    kind, m = doc.get("kind"), doc.get("m")
+    tmpl = ModelTemplate(
         model_id=doc.get("id", kind),
         kind=kind,
         hidden=_integer(doc.get("hidden", 0), "hidden"),
         m=None if m is None else _integer(m, "m"),
     )
+    # ModelSpec's checks: a known kind, an mlp's hidden >= 1, a sample's m >= 1
+    ModelSpec(kind, 1, tmpl.hidden, 1 if tmpl.m is None else tmpl.m)
+    return tmpl
 
 
 def _integer(value, name: str) -> int:

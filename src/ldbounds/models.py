@@ -268,8 +268,11 @@ def train(
 
     Returns a new model carrying the per-step loss trace.  The sample
     baseline just draws its records (without replacement when m <= n) and
-    has an empty trace.  This is `train_many` with one job; it raises the
-    job's `DivergenceDetected`.
+    has an empty trace; for rank data it draws them by position in the
+    sorted column, so a shuffled dataset gives the model of its sorted copy.
+    Data of the wrong width for `op` (`query_dims`) raises DimensionMismatch.
+    This is `train_many` with one job; it raises the job's
+    `DivergenceDetected`.
     """
     result = train_many([(model, dataset, cfg)], op)[0]
     if isinstance(result, DivergenceDetected):
@@ -295,6 +298,7 @@ def train_many(jobs, op: OpKind) -> list:
     for model, dataset, job_cfg in jobs:
         if model.spec != spec or replace(job_cfg, seed=cfg.seed) != cfg:
             raise InvalidParams("stacked jobs must share one model spec and setting")
+        query_dims(op, dataset.d)
         expected = input_dim_for(op, dataset.d)
         if spec.kind != SAMPLE and spec.input_dim != expected:
             raise InvalidParams(
@@ -306,8 +310,10 @@ def train_many(jobs, op: OpKind) -> list:
     if spec.kind == SAMPLE:
         for (model, dataset, _), gen in zip(jobs, gens):
             n, m = dataset.n, spec.m
-            idx = gen.choice(n, size=m, replace=bool(m > n))
-            results.append(replace(model, records=dataset.values[np.sort(idx)], n_train=n))
+            idx = np.sort(gen.choice(n, size=m, replace=bool(m > n)))
+            # rank records by position in the sorted column: the multiset decides
+            pool = dataset.sorted_column[:, None] if op is OpKind.INDEX else dataset.values
+            results.append(replace(model, records=pool[idx], n_train=n))
         return results
     B, steps = cfg.batch, cfg.steps
     flat = np.stack([_flatten(spec, model.params) for model, _, _ in jobs])

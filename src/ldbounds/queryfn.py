@@ -79,8 +79,15 @@ Query = RankQuery | RangeQuery
 
 
 def query_dims(op: OpKind, data_d: int) -> int:
-    """Predicate dimensionality for `op` over d-attribute data."""
+    """Predicate dimensionality for `op` over d-attribute data.
+
+    The one place that checks data width for an op: rank data has exactly
+    one attribute and range-sum data at least two; others raise
+    DimensionMismatch.
+    """
     if op is OpKind.INDEX:
+        if data_d != 1:
+            raise DimensionMismatch(f"rank data needs 1 attribute, got {data_d}")
         return 1
     if op is OpKind.CARD_EST:
         return data_d
@@ -102,8 +109,7 @@ def matches(point: np.ndarray, query: Query) -> bool:
 
 def rank(dataset: Dataset, q: float | RankQuery) -> int:
     """#records <= q in a single-attribute dataset, stored in any order."""
-    if dataset.d != 1:
-        raise DimensionMismatch("rank requires single-attribute data")
+    query_dims(OpKind.INDEX, dataset.d)
     q = q if isinstance(q, RankQuery) else RankQuery(q)
     return int(np.searchsorted(dataset.sorted_column, q.q, side="right"))
 
@@ -151,11 +157,12 @@ _LEVELS_PER_KEY = 0.5
 # mask, query-major for counts: below it the row-major mask is faster at
 # dq = 3 (the measured crossover, in the README's "Query kernel costs").
 _TABLE_MIN_ROWS = 32
-# A table's axis 0 is summed slab by slab once a slab (one level of axis 0)
-# has this many cells, else by np.cumsum's strided walk.  Slab time against
-# cumsum's on 0.25-4 M-cell tables, best of 7 (2-vCPU x86-64, numpy 2.4.6):
-# 1.8-4.8x at 32-64 cells a slab, 1.15-2.15x at 128, 0.80-1.11x at 256,
-# 0.57-0.84x at 512 and 0.31-0.56x at 1,024.
+# From this many cells a slab (one level of axis 0), a count table may be
+# filled orthant by orthant instead of by bincount and np.cumsum.  BoxSum
+# builds over uniform records, orthant against cumsum, medians of 31 (2-vCPU
+# x86-64, numpy 2.4.6): at d = 2, 0.80 against 0.59 ms over 256 records,
+# 1.2 against 1.3 over 400, 3.5 against 7.9 over 1,000 and 9.2 against 41
+# over 1,999; at d = 3, 3.9 against 42 ms over 150.
 _SLAB_CELLS = 256
 
 
@@ -167,8 +174,10 @@ class BoxSum:
     (i_0, .., i_{dq-1}) holds the weight of the records whose value on
     every axis j is at or below level i_j - 1 (row 0 on each axis is the
     zero pad), so a box sum is an inclusion-exclusion over 2**dq cells.
-    It is float64, or int32 when `_orthant_table` can fill it exactly;
-    answers are float64 either way.
+    It is the weights binned by cell and summed along each axis by
+    np.cumsum, in float64, or, for whole weights on slabs of at least
+    _SLAB_CELLS cells with one distinct row per axis-0 level, filled in
+    int32 by `_orthant_table`; answers are float64 either way.
     Mask: distinct rows with summed weights, stored column by column.
 
     One axis always uses the table.  More axes use it when there are over
@@ -195,13 +204,14 @@ class BoxSum:
             if self.dq > 1:
                 cells, inverse = np.unique(cell, return_inverse=True)
             if self.dq == 1 or cells.shape[0] > _TABLE_MIN_ROWS:
-                by_slab = size >= _SLAB_CELLS * shape[0]  # never at dq = 1
-                # one distinct row per axis-0 level, and whole weights: int32
-                orthants = by_slab and cells.shape[0] == shape[0] - 1
-                if orthants and _whole(weights, 2.0**31):
+                wide = size >= _SLAB_CELLS * shape[0]  # never at dq = 1
+                if wide and cells.shape[0] == shape[0] - 1 and _whole(weights, 2.0**31):
                     self.table = _orthant_table(cells, inverse, weights, shape)
                 else:
-                    self.table = _slab_table(cell, weights, shape, by_slab)
+                    self.table = np.bincount(cell, weights=weights, minlength=size)
+                    grid = self.table.reshape(shape)  # a view: sums in place
+                    for j in range(self.dq):
+                        np.cumsum(grid, axis=j, out=grid)
                 self.levels = [levels for levels, _ in axes]
                 self.strides = [math.prod(shape[j + 1 :]) for j in range(self.dq)]
                 return
@@ -280,24 +290,6 @@ def _whole(weights: np.ndarray, bound: float) -> bool:
     return whole and float(np.abs(weights).sum()) < bound
 
 
-def _slab_table(
-    cell: np.ndarray, weights: np.ndarray, shape: tuple, by_slab: bool
-) -> np.ndarray:
-    """The float64 table: weights binned by cell, then summed axis by axis.
-
-    Wide slabs sum axis 0 by one contiguous add a slab, not a strided walk;
-    each cell adds in cumsum's order, bit for bit.
-    """
-    table = np.bincount(cell, weights=weights, minlength=math.prod(shape))
-    grid = table.reshape(shape)  # a view: sums in place
-    if by_slab:
-        for i in range(1, shape[0]):
-            np.add(grid[i - 1], grid[i], out=grid[i])
-    for j in range(int(by_slab), len(shape)):
-        np.cumsum(grid, axis=j, out=grid)
-    return table
-
-
 def _orthant_table(
     cells: np.ndarray, inverse: np.ndarray, weights: np.ndarray, shape: tuple
 ) -> np.ndarray:
@@ -362,11 +354,11 @@ def range_sum_batch(values: np.ndarray, C: np.ndarray, R: np.ndarray) -> np.ndar
 
 def eval_batch(dataset: Dataset, op: OpKind, batch) -> np.ndarray:
     """True answers for a query batch, from structures cached on `dataset`."""
+    query_dims(op, dataset.d)
     if op is OpKind.INDEX:
         return rank_batch(dataset.sorted_column, np.asarray(batch, dtype=np.float64))
     if op is OpKind.CARD_EST:
         return dataset.count_index(*batch)
-    query_dims(op, dataset.d)  # range sums need two attributes or more
     return dataset.sum_index(*batch)
 
 

@@ -363,6 +363,8 @@ def test_experiment_unknown_model(tmp_path, capsys):
         {"distributions": ["uniform"]}, {"models": [3]}, {"eval": [1]}, {"train": [1]},
         {"models": [{"kind": "sample", "m": 2.5}]},
         {"models": [{"kind": "sample", "m": "abc"}]},
+        {"models": [{"kind": "sample", "m": 0}]},
+        {"models": [{"kind": "mlp", "hidden": 0}]},
     ],
 )
 def test_experiment_malformed_entry(tmp_path, capsys, bad):

@@ -26,12 +26,9 @@ from ldbounds.queryfn import rank
 def test_make_dataset_shapes_and_flags():
     ds = make_dataset(np.array([0.1, 0.9, 0.5]))
     assert (ds.n, ds.d) == (3, 1)
-    assert not ds.sorted_flag
     ds = make_dataset(np.array([[0.1], [0.5], [0.9]]))
-    assert ds.sorted_flag
     ds = make_dataset(np.array([[0.1, 0.2], [0.5, 0.4]]))
     assert (ds.n, ds.d) == (2, 2)
-    assert not ds.sorted_flag
 
 
 def test_make_dataset_rejects_out_of_range():
@@ -56,7 +53,6 @@ def test_empty_dataset():
 
 def test_sort_dataset_1d():
     ds = sort_dataset_1d(make_dataset(np.array([0.9, 0.1, 0.5])))
-    assert ds.sorted_flag
     assert np.array_equal(ds.column(0), [0.1, 0.5, 0.9])
 
 
@@ -145,7 +141,6 @@ def test_csv_roundtrip_1d(tmp_path):
     path = str(tmp_path / "d.csv")
     save_csv(ds, path)
     back = load_csv(path)
-    assert back.sorted_flag
     assert np.array_equal(back.values, ds.values)
 
 

@@ -356,6 +356,8 @@ def test_parse_config_overlays_defaults():
                 {"train": "fast"},
                 {"models": [{"kind": "sample", "m": 2.5}]},
                 {"models": [{"kind": "sample", "m": "abc"}]},
+                {"models": [{"kind": "sample", "m": 0}]},
+                {"models": [{"kind": "mlp", "hidden": 0}]},
             )
         ),
     ],

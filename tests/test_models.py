@@ -5,11 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_dataset, random_sorted
 from ldbounds import models, queryfn
-from ldbounds.data import GmmParams, sample_gmm, sort_dataset_1d
+from ldbounds.data import GmmParams, make_dataset, sample_gmm, sort_dataset_1d
 from ldbounds.errors import (
+    DimensionMismatch,
     DivergenceDetected,
     EntryOutOfRange,
     InvalidParams,
@@ -35,7 +38,7 @@ from ldbounds.models import (
     train_many,
 )
 from ldbounds.norms import EvalConfig, model_error
-from ldbounds.queryfn import OpKind, eval_batch, sample_range_queries
+from ldbounds.queryfn import OpKind, eval_batch, query_dims, sample_range_queries
 from ldbounds.rng import make_generator
 
 
@@ -146,6 +149,48 @@ def test_training_rejects_wrong_input_dim():
     cfg = TrainConfig(steps=10, batch=8, lr=0.01, momentum=0.9, seed=9)
     with pytest.raises(InvalidParams):
         train(init_model(nn_s1(1), 9), ds, OpKind.CARD_EST, cfg)
+
+
+@pytest.mark.parametrize(
+    "spec", [ModelSpec(kind="linear", input_dim=1), nn_s1(1), ModelSpec(kind="sample", input_dim=1, m=3)]
+)
+def test_rank_routes_reject_two_attribute_data(spec):
+    ds = random_dataset(50, 2, seed=1)
+    with pytest.raises(DimensionMismatch):
+        query_dims(OpKind.INDEX, 2)
+    with pytest.raises(DimensionMismatch):
+        eval_batch(ds, OpKind.INDEX, np.array([0.5]))
+    with pytest.raises(DimensionMismatch):
+        model_error(ds, OpKind.INDEX, lambda b: np.zeros(len(b)), "l1", EvalConfig(samples=8))
+    with pytest.raises(DimensionMismatch):
+        train(init_model(spec, 2), ds, OpKind.INDEX, TrainConfig(steps=3, batch=4, seed=2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["linear", "nn-s1", "sample"]),
+    values=st.lists(st.integers(0, 4).map(lambda k: k / 4) | st.floats(0.0, 1.0), min_size=1, max_size=30),
+    m=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_index_training_sees_only_the_multiset(kind, values, m, seed):
+    # shuffled records train the model of their sorted copy, bit for bit
+    shuffled = make_dataset(values)
+    spec = {"linear": ModelSpec(kind="linear", input_dim=1), "nn-s1": nn_s1(1),
+            "sample": ModelSpec(kind="sample", input_dim=1, m=m)}[kind]
+    cfg = TrainConfig(steps=20, batch=16, lr=0.05, seed=seed)
+    a, b = (
+        train(init_model(spec, seed), ds, OpKind.INDEX, cfg)
+        for ds in (shuffled, sort_dataset_1d(shuffled))
+    )
+    assert a.params.keys() == b.params.keys()
+    for name in a.params:
+        assert a.params[name].tobytes() == b.params[name].tobytes()
+    assert (a.records is None) == (b.records is None)
+    if a.records is not None:
+        assert a.records.tobytes() == b.records.tobytes()
+    assert np.array(a.loss_trace).tobytes() == np.array(b.loss_trace).tobytes()
+    assert a.n_train == b.n_train
 
 
 def test_training_divergence_detected():

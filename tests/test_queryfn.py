@@ -552,7 +552,6 @@ def test_key_order_lookups_take_an_empty_batch(gen):
 
 def test_index_batches_reuse_sorted_column():
     ds = random_dataset(30, 1, seed=8)
-    assert not ds.sorted_flag
     col = ds.sorted_column
     assert np.array_equal(col, np.sort(ds.values[:, 0]))
     assert ds.sorted_column is col
