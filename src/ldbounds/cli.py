@@ -82,9 +82,11 @@ def _cmd_eps_star(args) -> dict:
 def _build_family(args):
     kind = args.construction
     if kind == "packing-linf":
-        return packing_linf(
-            OpKind(args.op), args.n, args.d, args.eps, args.u, args.count, args.seed
-        )
+        op = OpKind(args.op or "index")
+        return packing_linf(op, args.n, args.d, args.eps, args.u, args.count, args.seed)
+    built = "ce" if kind == "packing-l1-ce" else "index"
+    if args.op not in (None, built):
+        raise InvalidRequest(f"{kind} builds {built} families, not --op {args.op}")
     if kind == "packing-l1-index":
         return packing_l1_index(args.n, args.eps, args.count, args.seed)
     if kind == "packing-l1-ce":
@@ -128,11 +130,13 @@ def _cmd_decode(args) -> dict:
 
 
 def _cmd_train(args) -> dict:
-    dataset = load_csv(args.data)
-    op = OpKind(args.op)
     tmpl = PRESET_MODELS[args.model]
     if args.m is not None:
+        if tmpl.kind != "sample":
+            raise InvalidRequest(f"--m sets a sample model's size, not a {args.model}'s")
         tmpl = dataclasses.replace(tmpl, m=args.m)
+    dataset = load_csv(args.data)
+    op = OpKind(args.op)
     spec = tmpl.resolve(op, dataset.d)
     cfg = TrainConfig(
         steps=args.steps,
@@ -183,10 +187,8 @@ def _cmd_experiment(args) -> dict:
     return result
 
 
-def _add_op(p, required=True, default=None):
-    p.add_argument(
-        "--op", choices=["index", "ce", "rs"], required=required, default=default
-    )
+def _add_op(p, required=True):
+    p.add_argument("--op", choices=["index", "ce", "rs"], required=required)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -218,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["packing-linf", "packing-l1-index", "packing-l1-ce", "packing-mu"],
         required=True,
     )
-    _add_op(p, required=False, default="index")
+    _add_op(p, required=False)  # default: the op the construction builds
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--eps", type=float, required=True,

@@ -13,13 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    EntryOutOfRange,
-    InvalidParams,
-    NotOneDimensional,
-    RejectionStarvation,
-    ShapeMismatch,
-)
+from .errors import EntryOutOfRange, InvalidParams, RejectionStarvation, ShapeMismatch
 from .rng import make_generator
 
 
@@ -175,8 +169,9 @@ def sample_gmm(n: int, d: int, params: GmmParams, seed: int) -> Dataset:
 
 def sort_dataset_1d(dataset: Dataset) -> Dataset:
     """A single-attribute dataset's records in ascending order."""
-    if dataset.d != 1:
-        raise NotOneDimensional("sort_dataset_1d requires d = 1")
+    from .queryfn import OpKind, query_dims  # queryfn imports this module
+
+    query_dims(OpKind.INDEX, dataset.d)
     return Dataset(values=dataset.sorted_column.reshape(-1, 1))
 
 

@@ -22,10 +22,6 @@ class ShapeMismatch(ValidationError):
     """Array has the wrong shape for the requested construction."""
 
 
-class NotOneDimensional(ValidationError):
-    """Operation requires single-attribute data."""
-
-
 class SizeMismatch(ValidationError):
     """Datasets must have equal record counts here."""
 

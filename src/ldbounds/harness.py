@@ -76,6 +76,10 @@ class ModelTemplate:
     hidden: int = 0
     m: int | None = None
 
+    def __post_init__(self) -> None:
+        # ModelSpec's checks: a known kind, an mlp's hidden >= 1, a sample's m >= 1
+        ModelSpec(self.kind, 1, self.hidden, 1 if self.m is None else self.m)
+
     def resolve(self, op: OpKind, data_d: int) -> ModelSpec:
         input_dim = input_dim_for(op, data_d)
         if self.kind == SAMPLE:
@@ -107,6 +111,19 @@ class ExperimentConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
     master_seed: int = 0
     domain_u: int = DEFAULT_DOMAIN_U
+
+    def __post_init__(self) -> None:
+        for name in ("ops", "norms", "distributions", "n_values", "models"):
+            if not getattr(self, name):
+                raise InvalidParams(f"config field {name!r} must not be empty")
+        for norm in self.norms:
+            if norm not in ("l1", "linf"):
+                raise InvalidParams(f"unknown norm {norm!r}")
+        if any(n < 1 for n in self.n_values):
+            raise InvalidParams("every n_values entry must be >= 1")
+        for name in ("d", "datasets_per_cell", "domain_u"):
+            if getattr(self, name) < 1:
+                raise InvalidParams(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -221,17 +238,19 @@ def _received(data: bytes, status: int):
 def run_experiment(config: ExperimentConfig) -> ExperimentRun:
     """Execute every cell; failed cells are recorded, not fatal.
 
-    Cells sharing an op and a model template form a group, whose models
-    are trained in lockstep (`train_many`): up to _STACK_JOBS replicates,
-    of as many whole cells as fit, per stack (a cell with more is a stack
-    alone).  Each cell of a stack is then measured under each norm, and the
-    stack is freed before the next is fitted.  A fit failure (a rank cell
-    on multi-attribute data, or sampling or training one replicate) is
-    recorded under the cell's base key and skips all its norms; a measure
-    failure is recorded under `base|norm` and drops only that row.  Rows
-    and failures come out in `itertools.product` order of (op,
-    distribution, n, model), then norm, and each failure is logged once,
-    in that order, after all cells ran.
+    `config` checked its own fields when it was built, so a cell fails only
+    by running.  Cells sharing an op and a model template form a group,
+    whose models are trained in lockstep (`train_many`): up to _STACK_JOBS
+    replicates, of as many whole cells as fit, per stack (a cell with more
+    is a stack alone).  Each cell of a stack is then measured under each
+    norm, and the stack is freed before the next is fitted.  A fit failure
+    (data of the wrong width for the op: a rank cell on d != 1, a range-sum
+    cell on d = 1; or sampling or training one replicate) is recorded under
+    the cell's base key and skips all its norms; a measure failure is
+    recorded under `base|norm` and drops only that row.  Rows and failures
+    come out in `itertools.product` order of (op, distribution, n, model),
+    then norm, and each failure is logged once, in that order, after all
+    cells ran.
 
     A stack is one work unit.  The units, in product order, are dealt
     round-robin over one process per available CPU (`_in_processes`); each
@@ -239,8 +258,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRun:
     the same for every process count.  An error other than a cell's own
     `LdboundsError` ends the run, whichever process raised it.
     """
-    if config.datasets_per_cell < 1:
-        raise InvalidParams("datasets_per_cell must be >= 1")
     reps = config.datasets_per_cell
 
     def seed(key: str) -> int:
@@ -269,17 +286,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRun:
             exact=worst.exact,
         )
 
-    def run_stack(op, tmpl, spec, cells, rows, failures):
+    def run_stack(op, tmpl, cells, rows, failures):
         """Fit `cells` in lockstep, then measure each; all is freed on return.
 
-        Each row or failure is appended keyed by its cell's index in the
-        product, then its norm's index.
+        The data width is checked (`query_dims`) and `tmpl` resolved for each
+        replicate before it is sampled.  Each row or failure is appended
+        keyed by its cell's index in the product, then its norm's index.
         """
         jobs, owner, errors = [], [], {}
         for c, (_, dist, n, base) in enumerate(cells):
             for rep in range(reps):
                 try:
-                    query_dims(op, config.d)  # a rank cell on d > 1 data fails here
+                    query_dims(op, config.d)  # rank data needs d = 1, range-sum d >= 2
+                    spec = tmpl.resolve(op, config.d)
                     dataset = dist.sample(n, config.d, seed(f"{base}|{rep}|data"))
                 except LdboundsError as exc:
                     errors[c] = exc  # unless an earlier replicate fails to train
@@ -291,13 +310,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRun:
         trained = [[] for _ in cells]
         for c, (_, dataset, _), model in zip(owner, jobs, train_many(jobs, op)):
             trained[c].append((dataset, model))
-        bits = model_bits(spec, config.d)
         for c, (pos, dist, n, base) in enumerate(cells):
             diverged = (m for _, m in trained[c] if isinstance(m, LdboundsError))
             error = next(diverged, errors.get(c))
             if error is not None:
                 failures.append((pos, (base, str(error))))
                 continue
+            bits = model_bits(trained[c][0][1].spec, config.d)
             for k, norm in enumerate(config.norms):
                 cell = f"{base}|{norm}"
                 try:
@@ -314,7 +333,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRun:
         return rows, failures
 
     per_stack = max(1, _STACK_JOBS // reps)
-    units, unresolved = [], []
+    units = []
     for (oi, op), (ti, tmpl) in itertools.product(
         enumerate(config.ops), enumerate(config.models)
     ):
@@ -324,17 +343,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRun:
                 enumerate(config.distributions), enumerate(config.n_values)
             )
         ]
-        try:
-            spec = tmpl.resolve(op, config.d)
-        except LdboundsError as exc:
-            unresolved += [(pos, (base, str(exc))) for pos, _, _, base in group]
-            continue
         units += [
-            (op, tmpl, spec, group[s : s + per_stack])
-            for s in range(0, len(group), per_stack)
+            (op, tmpl, group[s : s + per_stack]) for s in range(0, len(group), per_stack)
         ]
     rows, failures = _in_processes(run_units, units)
-    failures = [f for _, f in sorted(unresolved + failures, key=lambda it: it[0])]
+    failures = [f for _, f in sorted(failures, key=lambda it: it[0])]
     for key, message in failures:
         log.warning("cell %s failed: %s", key, message)
     return ExperimentRun(
@@ -408,15 +421,12 @@ def _parse_model(doc) -> ModelTemplate:
     if not isinstance(doc, dict):
         raise InvalidParams(f"a model must be a preset name or an object, got {doc!r}")
     kind, m = doc.get("kind"), doc.get("m")
-    tmpl = ModelTemplate(
+    return ModelTemplate(
         model_id=doc.get("id", kind),
         kind=kind,
         hidden=_integer(doc.get("hidden", 0), "hidden"),
         m=None if m is None else _integer(m, "m"),
     )
-    # ModelSpec's checks: a known kind, an mlp's hidden >= 1, a sample's m >= 1
-    ModelSpec(kind, 1, tmpl.hidden, 1 if tmpl.m is None else tmpl.m)
-    return tmpl
 
 
 def _integer(value, name: str) -> int:
@@ -447,9 +457,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
     try:
         ops = tuple(OpKind(o) for o in doc["ops"])
         norms = tuple(doc["norms"])
-        for norm in norms:
-            if norm not in ("l1", "linf"):
-                raise InvalidParams(f"unknown norm {norm!r}")
         dists = tuple(_parse_distribution(x) for x in doc["distributions"])
         models = tuple(_parse_model(x) for x in doc["models"])
         return ExperimentConfig(

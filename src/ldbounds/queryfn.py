@@ -127,12 +127,9 @@ def cardinality(dataset: Dataset, query: RangeQuery) -> int:
 
 def range_sum(dataset: Dataset, query: RangeQuery) -> float:
     """Sum of the last attribute over records matching on the first d-1."""
-    if dataset.d < 2:
-        raise DimensionMismatch("range-sum data needs >= 2 attributes")
-    if query.dims != dataset.d - 1:
-        raise DimensionMismatch(
-            f"predicate has {query.dims} axes, expected {dataset.d - 1}"
-        )
+    dq = query_dims(OpKind.RANGE_SUM, dataset.d)
+    if query.dims != dq:
+        raise DimensionMismatch(f"predicate has {query.dims} axes, expected {dq}")
     v = dataset.values
     head = v[:, :-1]
     inside = np.all((head >= query.c) & (head <= query.c + query.r), axis=1)

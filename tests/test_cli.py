@@ -216,6 +216,35 @@ def test_certify_rejects_negative_mc_samples(capsys):
     assert capsys.readouterr().out == ""
 
 
+CERTIFY_ARGS = {  # construction -> (the op it builds, its other flags)
+    "packing-linf": ("index", ["--n", "10", "--d", "1", "--eps", "1", "--u", "4"]),
+    "packing-l1-index": ("index", ["--n", "100", "--eps", "0.5"]),
+    "packing-mu": ("index", ["--n", "100", "--eps", "0.5"]),
+    "packing-l1-ce": ("ce", ["--n", "100", "--d", "1", "--eps", "0.05"]),
+}
+
+
+@pytest.mark.parametrize("construction", sorted(CERTIFY_ARGS))
+def test_certify_op_defaults_to_the_construction_op(capsys, construction):
+    op, flags = CERTIFY_ARGS[construction]
+    argv = ["certify", "--construction", construction, *flags,
+            "--count", "4", "--pairs", "3", "--seed", "1"]
+    code, default = run_cli(capsys, *argv)
+    assert code == 0 and default["passed"] is True
+    assert run_cli(capsys, *argv, "--op", op) == (0, default)
+
+
+@pytest.mark.parametrize("construction", sorted(set(CERTIFY_ARGS) - {"packing-linf"}))
+def test_certify_rejects_an_op_its_construction_does_not_build(capsys, construction):
+    op, flags = CERTIFY_ARGS[construction]
+    for other in {"index", "ce", "rs"} - {op}:
+        code = main(["certify", "--construction", construction, *flags, "--op", other,
+                     "--count", "4", "--pairs", "3", "--seed", "1"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and f"not --op {other}" in err
+
+
 def test_encode_decode_roundtrip(tmp_path, capsys):
     ds = make_dataset(np.array([[0.1], [0.3], [0.62], [0.99]]))
     src = str(tmp_path / "data.csv")
@@ -285,6 +314,16 @@ def test_train_sample_with_m(tmp_path, capsys):
     assert code == 0
     assert doc["m"] == 5
     assert doc["model_bits"] == 5 * 2 * 32
+
+
+@pytest.mark.parametrize("model", ["linear", "nn-s1", "nn-s2"])
+def test_train_m_needs_a_sample_model(tmp_path, capsys, model):
+    src = str(tmp_path / "train.csv")
+    save_csv(make_dataset(np.linspace(0.0, 1.0, 10).reshape(-1, 1)), src)
+    code = main(["train", "--model", model, "--op", "index", "--data", src, "--m", "7"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "--m" in err
 
 
 @pytest.mark.parametrize(
@@ -365,6 +404,10 @@ def test_experiment_unknown_model(tmp_path, capsys):
         {"models": [{"kind": "sample", "m": "abc"}]},
         {"models": [{"kind": "sample", "m": 0}]},
         {"models": [{"kind": "mlp", "hidden": 0}]},
+        {"n_values": [0]}, {"d": 0}, {"domain_u": 0}, {"u": 0},
+        {"datasets_per_cell": 0},
+        {"ops": []}, {"norms": []}, {"distributions": []}, {"n_values": []},
+        {"models": []},
     ],
 )
 def test_experiment_malformed_entry(tmp_path, capsys, bad):

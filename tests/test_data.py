@@ -19,8 +19,13 @@ from ldbounds.data import (
     save_csv,
     sort_dataset_1d,
 )
-from ldbounds.errors import EntryOutOfRange, InvalidParams, RejectionStarvation
-from ldbounds.queryfn import rank
+from ldbounds.errors import (
+    DimensionMismatch,
+    EntryOutOfRange,
+    InvalidParams,
+    RejectionStarvation,
+)
+from ldbounds.queryfn import RangeQuery, range_sum, rank
 
 
 def test_make_dataset_shapes_and_flags():
@@ -169,3 +174,13 @@ def test_unit_interval_mass_matches_quadrature():
         pdf += w * np.exp(-0.5 * ((xs - mu) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
     numeric = np.trapezoid(pdf, xs)
     assert params.unit_interval_mass() == pytest.approx(numeric, rel=1e-6)
+
+
+def test_a_wrong_data_width_is_one_error_type():
+    # sort_dataset_1d and the scalar range_sum check widths through query_dims
+    two = make_dataset(np.array([[0.1, 0.2], [0.5, 0.4]]))
+    with pytest.raises(DimensionMismatch, match="rank data needs 1 attribute, got 2"):
+        sort_dataset_1d(two)
+    one = make_dataset(np.array([0.5]))
+    with pytest.raises(DimensionMismatch, match="range-sum data needs >= 2 attributes"):
+        range_sum(one, RangeQuery(c=[0.0], r=[1.0]))

@@ -358,6 +358,16 @@ def test_parse_config_overlays_defaults():
                 {"models": [{"kind": "sample", "m": "abc"}]},
                 {"models": [{"kind": "sample", "m": 0}]},
                 {"models": [{"kind": "mlp", "hidden": 0}]},
+                {"n_values": [0]},
+                {"d": 0},
+                {"domain_u": 0},
+                {"u": 0},
+                {"datasets_per_cell": 0},
+                {"ops": []},
+                {"norms": []},
+                {"distributions": []},
+                {"n_values": []},
+                {"models": []},
             )
         ),
     ],
@@ -365,6 +375,37 @@ def test_parse_config_overlays_defaults():
 def test_parse_config_rejects(doc):
     with pytest.raises(InvalidParams):
         parse_config(doc)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"norms": ("l2",)},
+        {"n_values": (40, 0)},
+        {"d": 0},
+        {"datasets_per_cell": 0},
+        {"domain_u": 0},
+        {"ops": ()},
+        {"models": ()},
+    ],
+)
+def test_experiment_config_checks_itself(bad):
+    with pytest.raises(InvalidParams):
+        small_config(**bad)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"kind": "rnn"},
+        {"kind": "mlp", "hidden": 0},
+        {"kind": "sample", "m": 0},
+        {"kind": "sample", "m": -2},
+    ],
+)
+def test_model_template_checks_itself(bad):
+    with pytest.raises(InvalidParams):
+        ModelTemplate(model_id="bad", **bad)
 
 
 MINIMAL_DOC = {
@@ -575,6 +616,43 @@ def test_every_process_count_gives_the_serial_run(cfg, units, forks, tmp_path):
         forks.clear()
         run = run_experiment(cfg)
         assert len(forks) == min(cpus, units) - 1  # the caller runs rank 0
+        assert run.rows == serial.rows and run.failures == serial.failures
+        assert _csv_bytes(run.rows, tmp_path / f"{cpus}.csv") == want
+        _no_child_left()
+
+
+def test_range_sum_cells_on_one_attribute_fail_in_every_process_count(
+    forks, monkeypatch, tmp_path
+):
+    # every (op, model) group forms a work unit, the rs ones included: their
+    # cells fail in the unit, under their own keys, once the width is checked
+    cfg = small_config(
+        ops=(OpKind.INDEX, OpKind.CARD_EST, OpKind.RANGE_SUM), norms=("l1", "linf"),
+        models=THREE_MODELS[:2],
+    )
+    calls = []
+    real = harness.train_many
+
+    def train_many(jobs, op):
+        calls.append(op)
+        return real(jobs, op)
+
+    monkeypatch.setattr(harness, "train_many", train_many)
+    forks.cpus(1)
+    serial = run_experiment(cfg)
+    assert calls == [op for op in cfg.ops for _ in range(2)]  # 6 units, one per group
+    assert [r.op for r in serial.rows] == ["index"] * 8 + ["ce"] * 8
+    assert serial.failures == tuple(
+        (f"rs|uniform|{n}|{model}", "range-sum data needs >= 2 attributes")
+        for n in (40, 60)
+        for model in ("linear", "nn-s1")
+    )
+    want = _csv_bytes(serial.rows, tmp_path / "serial.csv")
+    for cpus in (2, 3, 16):
+        forks.cpus(cpus)
+        forks.clear()
+        run = run_experiment(cfg)
+        assert len(forks) == min(cpus, 6) - 1
         assert run.rows == serial.rows and run.failures == serial.failures
         assert _csv_bytes(run.rows, tmp_path / f"{cpus}.csv") == want
         _no_child_left()

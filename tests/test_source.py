@@ -85,3 +85,17 @@ def test_private_imports_detects_an_underscore_name():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_imports(path):
     assert private_imports(path.read_text()) == []
+
+
+def test_all_lists_every_imported_name():
+    # `from ldbounds import *` gives exactly what the package imports
+    import ldbounds
+
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert sorted(ldbounds.__all__) == sorted(imported)
