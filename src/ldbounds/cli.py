@@ -79,21 +79,27 @@ def _cmd_eps_star(args) -> dict:
     return {"eps_star": res.eps, "formula_id": res.formula_id, "validity": res.flag}
 
 
+# construction -> (builder, the op it builds, the flags it takes in the
+# builder's argument order); one that takes --op builds any op
+_CONSTRUCTIONS = {
+    "packing-linf": (packing_linf, "index", ("op", "n", "d", "eps", "u", "count", "seed")),
+    "packing-l1-index": (packing_l1_index, "index", ("n", "eps", "count", "seed")),
+    "packing-l1-ce": (packing_l1_ce, "ce", ("n", "d", "eps", "count", "seed")),
+    "packing-mu": (packing_mu_index, "index", ("n", "eps", "cdf", "count", "seed")),
+}
+
+
 def _build_family(args):
     kind = args.construction
-    if kind == "packing-linf":
-        op = OpKind(args.op or "index")
-        return packing_linf(op, args.n, args.d, args.eps, args.u, args.count, args.seed)
-    built = "ce" if kind == "packing-l1-ce" else "index"
-    if args.op not in (None, built):
+    build, built, takes = _CONSTRUCTIONS[kind]
+    if "op" not in takes and args.op not in (None, built):
         raise InvalidRequest(f"{kind} builds {built} families, not --op {args.op}")
-    if kind == "packing-l1-index":
-        return packing_l1_index(args.n, args.eps, args.count, args.seed)
-    if kind == "packing-l1-ce":
-        return packing_l1_ce(args.n, args.d, args.eps, args.count, args.seed)
-    return packing_mu_index(
-        args.n, args.eps, CDF_PRESETS[args.cdf], args.count, args.seed
-    )
+    for flag in ("d", "u", "cdf"):
+        if flag not in takes and getattr(args, flag) is not None:
+            raise InvalidRequest(f"{kind} takes no --{flag}")
+    value = {"op": OpKind(args.op or built), "d": 1 if args.d is None else args.d,
+             "cdf": CDF_PRESETS[args.cdf or "square"]}
+    return build(*(value.get(flag, getattr(args, flag)) for flag in takes))
 
 
 def _cmd_certify(args) -> dict:
@@ -215,18 +221,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eps_star)
 
     p = sub.add_parser("certify", help="build a packing family and check separation")
-    p.add_argument(
-        "--construction",
-        choices=["packing-linf", "packing-l1-index", "packing-l1-ce", "packing-mu"],
-        required=True,
-    )
+    p.add_argument("--construction", choices=list(_CONSTRUCTIONS), required=True)
     _add_op(p, required=False)  # default: the op the construction builds
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, default=1)
+    p.add_argument("--d", type=int, default=None,
+                   help="data attributes for packing-linf and packing-l1-ce (default 1)")
     p.add_argument("--eps", type=float, required=True,
                    help="separation to certify (the delta target for packing-l1-ce)")
     p.add_argument("--u", type=int, default=None, help="grid size for packing-linf")
-    p.add_argument("--cdf", choices=sorted(CDF_PRESETS), default="square")
+    p.add_argument("--cdf", choices=sorted(CDF_PRESETS), default=None,
+                   help="measure for packing-mu (default square)")
     p.add_argument("--count", type=int, required=True, help="family size")
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)

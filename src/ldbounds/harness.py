@@ -79,6 +79,10 @@ class ModelTemplate:
     def __post_init__(self) -> None:
         # ModelSpec's checks: a known kind, an mlp's hidden >= 1, a sample's m >= 1
         ModelSpec(self.kind, 1, self.hidden, 1 if self.m is None else self.m)
+        if self.m is not None and self.kind != SAMPLE:
+            raise InvalidParams(f"m sets a sample model's size, not a {self.kind}'s")
+        if self.hidden and self.kind != MLP:
+            raise InvalidParams(f"hidden sets an mlp's width, not a {self.kind}'s")
 
     def resolve(self, op: OpKind, data_d: int) -> ModelSpec:
         input_dim = input_dim_for(op, data_d)

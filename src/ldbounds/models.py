@@ -287,10 +287,11 @@ def train_many(jobs, op: OpKind) -> list:
     they differ in seed and dataset.  Each job draws its queries from its
     own generator and answers them on its own dataset, in blocks of at most
     _BLOCK_QUERIES queries across the stack, and its parameters are one row
-    of a (K, P) array.  Returns, per job in order, the trained model, or the
-    `DivergenceDetected` for the first step whose loss was not finite; that
-    job leaves the stack and the others go on.  A job's result equals that
-    of the same job trained alone, bit for bit.
+    of a (K, P) array that keeps all K rows to the end.  Returns, per job in
+    order, the trained model, or the `DivergenceDetected` for the first step
+    whose loss was not finite, found once the stack ends; a diverged job
+    steps on meanwhile, and no kernel mixes its row into another's.  A job's
+    result equals that of the same job trained alone, bit for bit.
     """
     if not jobs:
         return []
@@ -315,27 +316,24 @@ def train_many(jobs, op: OpKind) -> list:
             pool = dataset.sorted_column[:, None] if op is OpKind.INDEX else dataset.values
             results.append(replace(model, records=pool[idx], n_train=n))
         return results
-    B, steps = cfg.batch, cfg.steps
+    B, steps, K = cfg.batch, cfg.steps, len(jobs)
+    per_block = max(1, _BLOCK_QUERIES // (K * B))  # steps a block
     flat = np.stack([_flatten(spec, model.params) for model, _, _ in jobs])
     velocity = np.zeros_like(flat)
     grads = np.empty_like(flat)
-    losses = np.empty((len(jobs), steps))
-    results = [None] * len(jobs)
-    live = np.arange(len(jobs))  # jobs still training: the rows of `flat`
-    done = 0
+    p, g = _bind(spec, flat), _bind(spec, grads)  # bound once: both change only in place
+    losses = np.empty((K, steps))
     # overflow here is the signal the loss check turns into an error
     with np.errstate(over="ignore", invalid="ignore"):
-        while done < steps and live.size:
+        for done in range(0, steps, per_block):
             # a block's queries are the same stream as one draw per step
-            k = min(max(1, _BLOCK_QUERIES // (live.size * B)), steps - done)
-            X = np.empty((live.size, k * B, spec.input_dim))
-            T = np.empty((live.size, k * B))
-            for row, j in enumerate(live):
-                _, dataset, _ = jobs[j]
-                block = uniform_block(op, dataset.d, k, B, gens[j])
+            k = min(per_block, steps - done)
+            X = np.empty((K, k * B, spec.input_dim))
+            T = np.empty((K, k * B))
+            for row, (_, dataset, _) in enumerate(jobs):
+                block = uniform_block(op, dataset.d, k, B, gens[row])
                 _features(op, block, out=X[row])
                 np.divide(eval_batch(dataset, op, block), dataset.n, out=T[row])
-            p, g = _bind(spec, flat), _bind(spec, grads)
             for t in range(k):
                 Xt, Tt = X[:, t * B : (t + 1) * B], T[:, t * B : (t + 1) * B]
                 out, cache = _forward(spec, p, Xt)
@@ -346,28 +344,21 @@ def train_many(jobs, op: OpKind) -> list:
                 velocity -= grads
                 flat += velocity
             # each step's loss from its residuals, squared in place
-            squares = np.square(T, out=T).reshape(live.size, k, B)
-            block_loss = np.add.reduce(squares, axis=2) / B
-            losses[live, done : done + k] = block_loss
-            finite = np.isfinite(block_loss)
-            ok = finite.all(axis=1)
-            for row in np.flatnonzero(~ok):
-                t = int(np.argmin(finite[row]))
-                results[live[row]] = DivergenceDetected(
-                    f"loss became {float(block_loss[row, t])} at step {done + t}"
-                )
-            live, flat, velocity = live[ok], flat[ok], velocity[ok]
-            grads = grads[: live.size]
-            done += k
+            squares = np.square(T, out=T).reshape(K, k, B)
+            np.divide(np.add.reduce(squares, axis=2), B, out=losses[:, done : done + k])
     params = _views(spec, flat)
-    for row, j in enumerate(live):
-        model, dataset, _ = jobs[j]
-        results[j] = replace(
-            model,
-            params={name: view[row] for name, view in params.items()},
-            n_train=dataset.n,
-            loss_trace=tuple(losses[j].tolist()),
-        )
+    for row, (model, dataset, _) in enumerate(jobs):
+        bad = np.flatnonzero(~np.isfinite(losses[row]))
+        if bad.size:
+            t, v = int(bad[0]), float(losses[row, bad[0]])
+            results.append(DivergenceDetected(f"loss became {v} at step {t}"))
+        else:
+            results.append(replace(
+                model,
+                params={name: view[row] for name, view in params.items()},
+                n_train=dataset.n,
+                loss_trace=tuple(losses[row].tolist()),
+            ))
     return results
 
 

@@ -255,29 +255,24 @@ def _draws(draw: Callable, samples: int, gen) -> Iterator:
 def _index_probes(col: np.ndarray, grid: int) -> Iterator[np.ndarray]:
     """model_error's rank probes in blocks of about _MC_CHUNK points.
 
-    A block holds whole gaps or, when one gap has more grid points than
-    _MC_CHUNK, a run of that gap's points.  It keeps the probes from its first
-    point up to the next block's, so the blocks partition the probe set: t <=
-    1 - 1/(grid + 1) keeps each gap point lo + t * (hi - lo) inside its gap,
-    and the next block's first point is excluded.  t_j = j * (1 / (grid + 1)),
-    as np.linspace makes it, is made one run at a time.
+    Position p of one ascending stream is the point edges[k] + t * width[k] of
+    gap k = p // (grid + 1), t = (p % (grid + 1)) * (1 / (grid + 1)) as
+    np.linspace makes it; t < 1 keeps it inside its gap, and the last position
+    is 1.0.  A block is _MC_CHUNK positions plus the points 1e-12 left of data
+    values, kept from its first point up to, not including, the next block's,
+    so the blocks partition the probe set.
     """
     edges = np.unique(np.concatenate([[0.0], col, [1.0]]))
-    left = np.clip(col - 1e-12, 0.0, 1.0)
-    step = max(1, _MC_CHUNK // (grid + 2))
-    run, unit = max(1, min(grid, _MC_CHUNK)), 1.0 / (grid + 1)
-    for k in range(0, edges.size - 1, step):
-        hi = edges[k + 1 : k + step + 1]
-        lo, top = edges[k : k + hi.size], hi[-1] if hi[-1] < 1.0 else np.inf
-        for j in range(0, max(1, grid), run):  # grid points j + 1 .. j + run
-            t = np.arange(j + 1, min(j + run, grid) + 1) * unit
-            inner = (lo[:, None] + t[None, :] * (hi - lo)[:, None]).ravel()
-            bottom = inner[0] if j else lo[0]
-            # the next run's first point, computed as it will be
-            cap = lo[0] + (j + run + 1) * unit * (hi[0] - lo[0]) if j + run < grid else top
-            own = left[np.searchsorted(left, bottom) : np.searchsorted(left, cap)]
-            pts = np.unique(np.concatenate([edges[k : k + step + 1], own, inner]))
-            yield pts[np.searchsorted(pts, bottom) : np.searchsorted(pts, cap)]
+    width, left = np.append(np.diff(edges), 0.0), np.clip(col - 1e-12, 0.0, 1.0)
+    per, unit, total = grid + 1, 1.0 / (grid + 1), (edges.size - 1) * (grid + 1) + 1
+    for start in range(0, total, _MC_CHUNK):
+        pos = np.arange(start, min(start + _MC_CHUNK + 1, total))  # and the next block's first
+        k = pos // per
+        pts = edges[k] + (pos % per * unit) * width[k]
+        bottom, cap = pts[0], pts[-1] if start + _MC_CHUNK < total else np.inf
+        own = left[np.searchsorted(left, bottom) : np.searchsorted(left, cap)]
+        pts = np.unique(np.concatenate([pts, own]))
+        yield pts[np.searchsorted(pts, bottom) : np.searchsorted(pts, cap)]
 
 
 def _mc_estimate(gaps: Callable, batches: Iterable, norm: str = L1) -> DistanceEstimate:
@@ -368,9 +363,8 @@ def model_error(
     `cfg.grid` points per gap (the truth is constant between data values,
     so probes bound the supremum from below), over range kinds
     `cfg.samples` uniform queries.  Queries come in _MC_CHUNK = 65,536-query
-    chunks and rank probes in blocks of about as many points (whole gaps, or
-    runs of one gap's grid points), so memory grows with neither
-    `cfg.samples` nor `cfg.grid`.
+    chunks and rank probes in blocks of about as many points, so memory
+    grows with neither `cfg.samples` nor `cfg.grid`.
     """
     if norm not in (L1, LINF, MU):
         raise InvalidRequest(f"model_error supports norms l1, linf and mu, got {norm!r}")

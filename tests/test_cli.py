@@ -245,6 +245,42 @@ def test_certify_rejects_an_op_its_construction_does_not_build(capsys, construct
         assert err.startswith("error: ") and f"not --op {other}" in err
 
 
+@pytest.mark.parametrize(
+    "construction, flag, value",
+    [
+        ("packing-linf", "--cdf", "sqrt"),
+        ("packing-l1-index", "--d", "3"),
+        ("packing-l1-index", "--u", "9"),
+        ("packing-l1-index", "--cdf", "sqrt"),
+        ("packing-l1-ce", "--u", "9"),
+        ("packing-l1-ce", "--cdf", "sqrt"),
+        ("packing-mu", "--d", "3"),
+        ("packing-mu", "--u", "9"),
+    ],
+)
+def test_certify_rejects_a_flag_its_construction_does_not_take(
+    capsys, construction, flag, value
+):
+    _, flags = CERTIFY_ARGS[construction]
+    code = main(["certify", "--construction", construction, *flags, flag, value,
+                 "--count", "4", "--pairs", "3", "--seed", "1"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and flag in err
+
+
+@pytest.mark.parametrize(
+    "construction, eps, default",
+    [("packing-l1-ce", "0.05", ["--d", "1"]), ("packing-mu", "0.5", ["--cdf", "square"])],
+)
+def test_certify_unset_d_and_cdf_read_as_their_defaults(capsys, construction, eps, default):
+    argv = ["certify", "--construction", construction, "--n", "100", "--eps", eps,
+            "--count", "4", "--pairs", "3", "--seed", "1"]
+    code, unset = run_cli(capsys, *argv)
+    assert code == 0 and unset["passed"] is True
+    assert run_cli(capsys, *argv, *default) == (0, unset)
+
+
 def test_encode_decode_roundtrip(tmp_path, capsys):
     ds = make_dataset(np.array([[0.1], [0.3], [0.62], [0.99]]))
     src = str(tmp_path / "data.csv")
@@ -404,6 +440,9 @@ def test_experiment_unknown_model(tmp_path, capsys):
         {"models": [{"kind": "sample", "m": "abc"}]},
         {"models": [{"kind": "sample", "m": 0}]},
         {"models": [{"kind": "mlp", "hidden": 0}]},
+        {"models": [{"kind": "linear", "m": 7}]},
+        {"models": [{"kind": "linear", "m": 7, "hidden": 5}]},
+        {"models": [{"kind": "sample", "hidden": 5}]},
         {"n_values": [0]}, {"d": 0}, {"domain_u": 0}, {"u": 0},
         {"datasets_per_cell": 0},
         {"ops": []}, {"norms": []}, {"distributions": []}, {"n_values": []},

@@ -358,6 +358,10 @@ def test_parse_config_overlays_defaults():
                 {"models": [{"kind": "sample", "m": "abc"}]},
                 {"models": [{"kind": "sample", "m": 0}]},
                 {"models": [{"kind": "mlp", "hidden": 0}]},
+                {"models": [{"kind": "linear", "m": 7}]},
+                {"models": [{"kind": "linear", "hidden": 5}]},
+                {"models": [{"kind": "sample", "hidden": 5}]},
+                {"models": [{"kind": "mlp", "hidden": 3, "m": 7}]},
                 {"n_values": [0]},
                 {"d": 0},
                 {"domain_u": 0},
@@ -401,6 +405,10 @@ def test_experiment_config_checks_itself(bad):
         {"kind": "mlp", "hidden": 0},
         {"kind": "sample", "m": 0},
         {"kind": "sample", "m": -2},
+        {"kind": "linear", "m": 7},
+        {"kind": "linear", "hidden": 5},
+        {"kind": "sample", "hidden": 5},
+        {"kind": "mlp", "hidden": 3, "m": 7},
     ],
 )
 def test_model_template_checks_itself(bad):
