@@ -32,14 +32,10 @@ from .constructions import (
 )
 from .data import load_csv, save_csv
 from .errors import InvalidRequest, LdboundsError, RuntimeFailure, ValidationError
-from .harness import (
-    PRESET_MODELS,
-    parse_config,
-    run_experiment,
-    emit_csv,
-    emit_plot_data,
+from .harness import ModelTemplate, emit_csv, emit_plot_data, parse_config, run_experiment
+from .models import (
+    PRESETS, SAMPLE, TrainConfig, init_model, model_bits, param_count, save_model, train
 )
-from .models import TrainConfig, init_model, model_bits, param_count, save_model, train
 from .queryfn import OpKind
 
 CDF_PRESETS = {
@@ -136,14 +132,12 @@ def _cmd_decode(args) -> dict:
 
 
 def _cmd_train(args) -> dict:
-    tmpl = PRESET_MODELS[args.model]
-    if args.m is not None:
-        if tmpl.kind != "sample":
-            raise InvalidRequest(f"--m sets a sample model's size, not a {args.model}'s")
-        tmpl = dataclasses.replace(tmpl, m=args.m)
+    kind, hidden = PRESETS[args.model]
+    if args.m is not None and kind != SAMPLE:
+        raise InvalidRequest(f"--m sets a sample model's size, not a {args.model}'s")
     dataset = load_csv(args.data)
     op = OpKind(args.op)
-    spec = tmpl.resolve(op, dataset.d)
+    spec = ModelTemplate(args.model, kind, hidden, args.m).resolve(op, dataset.d)
     cfg = TrainConfig(
         steps=args.steps,
         batch=args.batch,
@@ -162,7 +156,7 @@ def _cmd_train(args) -> dict:
         "n": dataset.n,
         "d": dataset.d,
     }
-    if spec.kind == "sample":
+    if spec.kind == SAMPLE:
         doc["m"] = spec.m
     else:
         doc["params"] = param_count(spec)
@@ -253,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("train", help="fit a model to a dataset's query function")
-    p.add_argument("--model", choices=sorted(PRESET_MODELS), required=True)
+    p.add_argument("--model", choices=sorted(PRESETS), required=True)
     _add_op(p)
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--steps", type=int, default=TrainConfig.steps)

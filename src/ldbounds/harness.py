@@ -31,9 +31,7 @@ from . import bounds as bnd
 from .data import Dataset, GmmParams, sample_gmm, sample_uniform
 from .errors import InvalidParams, LdboundsError, RuntimeFailure
 from .models import (
-    LINEAR,
-    MLP,
-    PRESET_HIDDEN,
+    PRESETS,
     SAMPLE,
     ModelSpec,
     TrainConfig,
@@ -71,34 +69,25 @@ class DistSpec:
 
 @dataclass(frozen=True)
 class ModelTemplate:
+    """A ModelSpec less its input width; `m` None sizes a sample to the affine model."""
+
     model_id: str
     kind: str
     hidden: int = 0
     m: int | None = None
 
     def __post_init__(self) -> None:
-        # ModelSpec's checks: a known kind, an mlp's hidden >= 1, a sample's m >= 1
-        ModelSpec(self.kind, 1, self.hidden, 1 if self.m is None else self.m)
-        if self.m is not None and self.kind != SAMPLE:
-            raise InvalidParams(f"m sets a sample model's size, not a {self.kind}'s")
-        if self.hidden and self.kind != MLP:
-            raise InvalidParams(f"hidden sets an mlp's width, not a {self.kind}'s")
+        self.resolve(OpKind.INDEX, 1)  # ModelSpec's checks, before any cell runs
 
     def resolve(self, op: OpKind, data_d: int) -> ModelSpec:
-        input_dim = input_dim_for(op, data_d)
-        if self.kind == SAMPLE:
-            m = self.m if self.m is not None else matching_sample_m(op, data_d)
-            return ModelSpec(kind=SAMPLE, input_dim=input_dim, m=m)
-        if self.kind == MLP:
-            return ModelSpec(kind=MLP, input_dim=input_dim, hidden=self.hidden)
-        return ModelSpec(kind=LINEAR, input_dim=input_dim)
+        m = self.m
+        if m is None:
+            m = matching_sample_m(op, data_d) if self.kind == SAMPLE else 0
+        return ModelSpec(self.kind, input_dim_for(op, data_d), self.hidden, m)
 
 
 PRESET_MODELS = {
-    "linear": ModelTemplate(model_id="linear", kind=LINEAR),
-    "nn-s1": ModelTemplate(model_id="nn-s1", kind=MLP, hidden=PRESET_HIDDEN["nn-s1"]),
-    "nn-s2": ModelTemplate(model_id="nn-s2", kind=MLP, hidden=PRESET_HIDDEN["nn-s2"]),
-    "sample": ModelTemplate(model_id="sample", kind=SAMPLE),
+    name: ModelTemplate(name, kind, hidden) for name, (kind, hidden) in PRESETS.items()
 }
 
 
@@ -108,8 +97,8 @@ class ExperimentConfig:
     norms: tuple[str, ...]
     distributions: tuple[DistSpec, ...]
     n_values: tuple[int, ...]
-    d: int
     models: tuple[ModelTemplate, ...]
+    d: int = 1
     datasets_per_cell: int = 1
     train: TrainConfig = field(default_factory=TrainConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
@@ -117,9 +106,17 @@ class ExperimentConfig:
     domain_u: int = DEFAULT_DOMAIN_U
 
     def __post_init__(self) -> None:
-        for name in ("ops", "norms", "distributions", "n_values", "models"):
-            if not getattr(self, name):
+        coordinates = {  # each list's entries tell its cells apart
+            "ops": [op.value for op in self.ops], "norms": self.norms,
+            "distributions": [dist.name for dist in self.distributions],
+            "n_values": self.n_values, "models": [tmpl.model_id for tmpl in self.models],
+        }
+        for name, keys in coordinates.items():
+            if not keys:
                 raise InvalidParams(f"config field {name!r} must not be empty")
+            repeated = [key for i, key in enumerate(keys) if key in keys[:i]]
+            if repeated:
+                raise InvalidParams(f"config field {name!r} repeats {repeated[0]!r}")
         for norm in self.norms:
             if norm not in ("l1", "linf"):
                 raise InvalidParams(f"unknown norm {norm!r}")
@@ -293,16 +290,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRun:
     def run_stack(op, tmpl, cells, rows, failures):
         """Fit `cells` in lockstep, then measure each; all is freed on return.
 
-        The data width is checked (`query_dims`) and `tmpl` resolved for each
-        replicate before it is sampled.  Each row or failure is appended
-        keyed by its cell's index in the product, then its norm's index.
+        `tmpl` is resolved (which checks the data width) for each replicate
+        before it is sampled.  Each row or failure is appended keyed by its
+        cell's index in the product, then its norm's index.
         """
         jobs, owner, errors = [], [], {}
         for c, (_, dist, n, base) in enumerate(cells):
             for rep in range(reps):
                 try:
-                    query_dims(op, config.d)  # rank data needs d = 1, range-sum d >= 2
-                    spec = tmpl.resolve(op, config.d)
+                    spec = tmpl.resolve(op, config.d)  # rank needs d = 1, range-sum d >= 2
                     dataset = dist.sample(n, config.d, seed(f"{base}|{rep}|data"))
                 except LdboundsError as exc:
                     errors[c] = exc  # unless an earlier replicate fails to train
@@ -403,18 +399,26 @@ def emit_plot_data(rows, path: str) -> None:
 # -- config parsing ----------------------------------------------------------
 
 
-def _parse_distribution(doc: dict) -> DistSpec:
+def _object(doc, name: str, known) -> dict:
+    """`doc`, a JSON object whose every key is in `known`; `name` says what it is."""
     if not isinstance(doc, dict):
-        raise InvalidParams(f"a distribution must be an object, got {doc!r}")
-    kind = doc.get("kind")
-    if kind == "uniform":
+        raise InvalidParams(f"{name} must be an object, got {doc!r}")
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        names = ", ".join(sorted(known))
+        raise InvalidParams(f"unknown field {unknown[0]!r} in {name}; known: {names}")
+    return doc
+
+
+def _parse_distribution(doc) -> DistSpec:
+    if not isinstance(doc, dict) or doc.get("kind") not in ("uniform", "gmm"):
+        raise InvalidParams(f"a distribution must be a uniform or gmm object: {doc!r}")
+    if doc["kind"] == "uniform":
+        _object(doc, "a uniform distribution", ("kind", "name"))
         return DistSpec(name=doc.get("name", "uniform"))
-    if kind == "gmm":
-        comps = tuple(tuple(float(x) for x in c) for c in doc["components"])
-        return DistSpec(
-            name=doc.get("name", f"gmm{len(comps)}"), gmm=GmmParams(components=comps)
-        )
-    raise InvalidParams(f"unknown distribution kind {kind!r}")
+    _object(doc, "a gmm distribution", ("kind", "name", "components"))
+    comps = tuple(tuple(float(x) for x in c) for c in doc["components"])
+    return DistSpec(doc.get("name", f"gmm{len(comps)}"), GmmParams(components=comps))
 
 
 def _parse_model(doc) -> ModelTemplate:
@@ -422,8 +426,7 @@ def _parse_model(doc) -> ModelTemplate:
         if doc not in PRESET_MODELS:
             raise InvalidParams(f"unknown model preset {doc!r}")
         return PRESET_MODELS[doc]
-    if not isinstance(doc, dict):
-        raise InvalidParams(f"a model must be a preset name or an object, got {doc!r}")
+    _object(doc, "a model other than a preset", ("kind", "id", "hidden", "m"))
     kind, m = doc.get("kind"), doc.get("m")
     return ModelTemplate(
         model_id=doc.get("id", kind),
@@ -440,45 +443,40 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
-def _overlay(default, config: dict, key: str):
-    """`default` with each field `config[key]` sets, cast to the type of its default."""
-    doc = config.get(key, {})
-    if not isinstance(doc, dict):
-        raise InvalidParams(f"config field {key!r} must be an object")
+def _read(cls, doc, key: str = "", **readers):
+    """A `cls` from the JSON object `doc` at config field `key` ("": the config).
 
-    def cast(name: str, value):
-        kind = type(getattr(default, name))
-        return _integer(value, f"{key}.{name}") if kind is int else kind(value)
+    A config sets each field but a `seed` (a cell derives its seeds from
+    `master_seed`).  An unset field keeps its default; a set one is read by
+    `readers[field]` or cast to its default's type, an int refusing a fraction.
+    """
+    settable = [f for f in fields(cls) if f.name != "seed"]
+    name = f"config field {key!r}" if key else "the config"
+    doc = _object(doc, name, [f.name for f in settable])
 
-    return replace(
-        default,
-        **{f.name: cast(f.name, doc[f.name]) for f in fields(default) if f.name in doc},
-    )
+    def cast(f, value):
+        if f.name in readers:
+            return readers[f.name](value)
+        if type(f.default) is int:
+            return _integer(value, f"{key}.{f.name}" if key else f.name)
+        return type(f.default)(value)
+
+    return cls(**{f.name: cast(f, doc[f.name]) for f in settable if f.name in doc})
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from a plain JSON-style dict."""
+    """Build an ExperimentConfig from a plain JSON-style dict; every object in it
+    must set only fields it has (`_read`, `_object`)."""
     try:
-        ops = tuple(OpKind(o) for o in doc["ops"])
-        norms = tuple(doc["norms"])
-        dists = tuple(_parse_distribution(x) for x in doc["distributions"])
-        models = tuple(_parse_model(x) for x in doc["models"])
-        return ExperimentConfig(
-            ops=ops,
-            norms=norms,
-            distributions=dists,
-            n_values=tuple(_integer(x, "n_values") for x in doc["n_values"]),
-            d=_integer(doc.get("d", 1), "d"),
-            models=models,
-            datasets_per_cell=_integer(
-                doc.get("datasets_per_cell", 1), "datasets_per_cell"
-            ),
-            train=_overlay(TrainConfig(), doc, "train"),
-            eval=_overlay(EvalConfig(), doc, "eval"),
-            master_seed=_integer(doc.get("master_seed", 0), "master_seed"),
-            domain_u=_integer(
-                doc.get("domain_u", doc.get("u", DEFAULT_DOMAIN_U)), "domain_u"
-            ),
+        return _read(
+            ExperimentConfig, doc,
+            ops=lambda v: tuple(OpKind(o) for o in v),
+            norms=tuple,
+            distributions=lambda v: tuple(_parse_distribution(x) for x in v),
+            n_values=lambda v: tuple(_integer(x, "n_values") for x in v),
+            models=lambda v: tuple(_parse_model(x) for x in v),
+            train=lambda v: _read(TrainConfig, v, "train"),
+            eval=lambda v: _read(EvalConfig, v, "eval"),
         )
     except KeyError as exc:
         raise InvalidParams(f"config missing required field {exc}") from exc

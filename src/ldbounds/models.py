@@ -36,8 +36,10 @@ SAMPLE = "sample"
 # storage charged per parameter, and per coordinate of a stored record
 PRECISION_BITS = 32
 
-# hidden width of each named network preset
-PRESET_HIDDEN = {"nn-s1": 3, "nn-s2": 16}
+# each named model preset's kind and hidden width
+PRESETS = {
+    "linear": (LINEAR, 0), "nn-s1": (MLP, 3), "nn-s2": (MLP, 16), "sample": (SAMPLE, 0),
+}
 
 # queries a training stack draws and answers at once, over all its models;
 # bounds a block's memory at any step count and stack size
@@ -60,6 +62,8 @@ class ModelSpec:
             raise InvalidParams("mlp needs hidden >= 1")
         if self.kind == SAMPLE and self.m < 1:
             raise InvalidParams("sample needs m >= 1")
+        if self.hidden and self.kind != MLP or self.m and self.kind != SAMPLE:
+            raise InvalidParams(f"hidden sizes an mlp and m a sample, not a {self.kind}")
 
 
 @dataclass(frozen=True)
@@ -112,10 +116,12 @@ def model_bits(spec: ModelSpec, data_d: int = 1) -> int:
 
 
 def input_dim_for(op: OpKind, data_d: int) -> int:
-    """1 feature for rank queries, 2 per predicate axis for range queries."""
-    if op is OpKind.INDEX:
-        return 1
-    return 2 * query_dims(op, data_d)
+    """1 feature for rank queries, 2 per predicate axis for range queries.
+
+    Data of the wrong width for `op` raises DimensionMismatch (`query_dims`).
+    """
+    dq = query_dims(op, data_d)
+    return 1 if op is OpKind.INDEX else 2 * dq
 
 
 def matching_sample_m(op: OpKind, data_d: int) -> int:
@@ -124,11 +130,11 @@ def matching_sample_m(op: OpKind, data_d: int) -> int:
 
 
 def nn_s1(input_dim: int) -> ModelSpec:
-    return ModelSpec(kind=MLP, input_dim=input_dim, hidden=PRESET_HIDDEN["nn-s1"])
+    return ModelSpec(MLP, input_dim, hidden=PRESETS["nn-s1"][1])
 
 
 def nn_s2(input_dim: int) -> ModelSpec:
-    return ModelSpec(kind=MLP, input_dim=input_dim, hidden=PRESET_HIDDEN["nn-s2"])
+    return ModelSpec(MLP, input_dim, hidden=PRESETS["nn-s2"][1])
 
 
 def init_model(spec: ModelSpec, seed: int) -> TrainedModel:
@@ -270,7 +276,7 @@ def train(
     baseline just draws its records (without replacement when m <= n) and
     has an empty trace; for rank data it draws them by position in the
     sorted column, so a shuffled dataset gives the model of its sorted copy.
-    Data of the wrong width for `op` (`query_dims`) raises DimensionMismatch.
+    Data of the wrong width for `op` (`input_dim_for`) raises DimensionMismatch.
     This is `train_many` with one job; it raises the job's
     `DivergenceDetected`.
     """
@@ -299,7 +305,6 @@ def train_many(jobs, op: OpKind) -> list:
     for model, dataset, job_cfg in jobs:
         if model.spec != spec or replace(job_cfg, seed=cfg.seed) != cfg:
             raise InvalidParams("stacked jobs must share one model spec and setting")
-        query_dims(op, dataset.d)
         expected = input_dim_for(op, dataset.d)
         if spec.kind != SAMPLE and spec.input_dim != expected:
             raise InvalidParams(

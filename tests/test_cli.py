@@ -447,6 +447,9 @@ def test_experiment_unknown_model(tmp_path, capsys):
         {"datasets_per_cell": 0},
         {"ops": []}, {"norms": []}, {"distributions": []}, {"n_values": []},
         {"models": []},
+        {"train": {"step": 100}}, {"train": {"seed": 5}}, {"eval": {"seed": 5}},
+        {"ops": ["index", "index"]},
+        {"models": [{"kind": "sample", "m": 2}, {"kind": "sample", "m": 50}]},
     ],
 )
 def test_experiment_malformed_entry(tmp_path, capsys, bad):
@@ -456,6 +459,7 @@ def test_experiment_malformed_entry(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_experiment_fractional_steps(tmp_path, capsys):

@@ -391,6 +391,11 @@ def test_parse_config_rejects(doc):
         {"domain_u": 0},
         {"ops": ()},
         {"models": ()},
+        {"ops": (OpKind.INDEX, OpKind.INDEX)},
+        {"norms": ("l1", "linf", "l1")},
+        {"n_values": (40, 40)},
+        {"distributions": (DistSpec(name="uniform"), DistSpec(name="uniform"))},
+        {"models": (PRESET_MODELS["sample"], ModelTemplate(model_id="sample", kind="sample", m=9))},
     ],
 )
 def test_experiment_config_checks_itself(bad):
@@ -433,10 +438,10 @@ MINIMAL_DOC = {
         ("datasets_per_cell", {"datasets_per_cell": 2.5}),
         ("master_seed", {"master_seed": 3.25}),
         ("domain_u", {"domain_u": 1000.5}),
-        ("domain_u", {"u": 1000.5}),
+        ("domain_u", {"domain_u": 2**32 + 0.5}),
         ("train.steps", {"train": {"steps": 10.9}}),
         ("train.batch", {"train": {"batch": 64.5}}),
-        ("train.seed", {"train": {"seed": 1.5}}),
+        ("n_values", {"n_values": [100, 2.5]}),
         ("eval.samples", {"eval": {"samples": 100.2}}),
         ("eval.grid", {"eval": {"grid": 2.5}}),
         ("hidden", {"models": [{"kind": "mlp", "hidden": 4.5}]}),
@@ -446,6 +451,70 @@ MINIMAL_DOC = {
 def test_parse_config_rejects_a_fraction_in_an_integer_field(field, bad):
     with pytest.raises(InvalidParams, match=f"'{field}' must be an integer"):
         parse_config(dict(MINIMAL_DOC, **bad))
+
+
+@pytest.mark.parametrize(
+    "key, bad",
+    [
+        ("master_sed", {"master_sed": 3}),
+        ("step", {"train": {"step": 100}}),
+        ("sample", {"eval": {"sample": 100}}),
+        ("width", {"models": [{"kind": "mlp", "hidden": 3, "width": 3}]}),
+        ("components", {"distributions": [{"kind": "uniform", "components": [[1, 0.5, 0.1]]}]}),
+        ("weights", {"distributions": [{"kind": "gmm", "components": [[1, 0.5, 0.1]], "weights": [1]}]}),
+        # `u` is not a second spelling of `domain_u`, and a config sets no
+        # seed: each cell derives its training and evaluation seeds from master_seed
+        ("u", {"u": 1000}),
+        ("u", {"u": 1000.5}),
+        ("seed", {"train": {"seed": 5}}),
+        ("seed", {"train": {"seed": 1.5}}),
+        ("seed", {"eval": {"seed": 5}}),
+    ],
+    ids=[
+        "top", "train", "eval", "model", "uniform", "gmm",
+        "u", "u-fraction", "train.seed", "train.seed-fraction", "eval.seed",
+    ],
+)
+def test_parse_config_rejects_an_unknown_field(key, bad):
+    with pytest.raises(InvalidParams, match=f"unknown field '{key}'"):
+        parse_config(dict(MINIMAL_DOC, **bad))
+
+
+GMM_COMPONENTS = [[0.5, 0.25, 0.1], [0.5, 0.75, 0.1]]
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("ops", {"ops": ["index", "ce", "index"]}),
+        ("norms", {"norms": ["l1", "l1"]}),
+        ("n_values", {"n_values": [100, 100.0]}),
+        ("distributions", {"distributions": [{"kind": "uniform"}, {"kind": "uniform"}]}),
+        # two unnamed 2-component mixtures are both gmm2
+        ("distributions", {"distributions": [
+            {"kind": "gmm", "components": GMM_COMPONENTS},
+            {"kind": "gmm", "components": GMM_COMPONENTS[::-1]},
+        ]}),
+        ("models", {"models": [{"kind": "sample", "m": 2}, {"kind": "sample", "m": 50}]}),
+        ("models", {"models": ["nn-s1", {"kind": "mlp", "hidden": 5, "id": "nn-s1"}]}),
+    ],
+)
+def test_parse_config_rejects_a_repeated_cell_coordinate(field, bad):
+    with pytest.raises(InvalidParams, match=f"config field '{field}' repeats"):
+        parse_config(dict(MINIMAL_DOC, **bad))
+
+
+def test_parse_config_reads_the_readme_example():
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    block = readme.split("Config schema (JSON):", 1)[1].split("```json\n", 1)[1]
+    doc = json.loads(block.split("```", 1)[0])
+    cfg = parse_config(doc)
+    assert cfg.ops == (OpKind.INDEX, OpKind.CARD_EST) and cfg.d == doc["d"]
+    assert [dist.name for dist in cfg.distributions] == ["uniform", "gmm2"]
+    assert cfg.models == tuple(PRESET_MODELS[name] for name in doc["models"])
+    assert cfg.train == replace(TrainConfig(), **doc["train"])
+    assert cfg.eval == replace(EvalConfig(), **doc["eval"])
+    assert (cfg.master_seed, cfg.domain_u) == (doc["master_seed"], doc["domain_u"])
 
 
 def test_parse_config_sample_m_is_an_integer_or_unset():
@@ -459,13 +528,13 @@ def test_parse_config_accepts_integral_floats():
     cfg = parse_config(
         dict(
             MINIMAL_DOC, n_values=[1e4, 200.0], d=1.0, datasets_per_cell=2.0,
-            master_seed=3.0, u=1e3, train={"steps": 1e2, "batch": 64.0, "seed": 5.0},
+            master_seed=3.0, domain_u=1e3, train={"steps": 1e2, "batch": 64.0},
             eval={"samples": 1e3, "grid": 2.0},
         )
     )
     assert cfg.n_values == (10_000, 200) and cfg.d == 1 and cfg.datasets_per_cell == 2
     assert cfg.master_seed == 3 and cfg.domain_u == 1000
-    assert (cfg.train.steps, cfg.train.batch, cfg.train.seed) == (100, 64, 5)
+    assert (cfg.train.steps, cfg.train.batch) == (100, 64)
     assert (cfg.eval.samples, cfg.eval.grid) == (1000, 2)
     assert all(
         type(v) is int

@@ -76,6 +76,11 @@ def test_spec_validation():
         ModelSpec(kind="sample", input_dim=1, m=0)
     with pytest.raises(InvalidParams):
         ModelSpec(kind="nonsense", input_dim=1)
+    # hidden sizes an mlp only, m a sample model only
+    for bad in ({"kind": "linear", "hidden": 5}, {"kind": "sample", "hidden": 5, "m": 3},
+                {"kind": "linear", "m": 7}, {"kind": "mlp", "hidden": 3, "m": 7}):
+        with pytest.raises(InvalidParams):
+            ModelSpec(input_dim=1, **bad)
 
 
 @pytest.mark.parametrize(
@@ -267,11 +272,13 @@ def test_grad_check_random_instances():
 def test_save_load_roundtrip(tmp_path):
     ds = random_sorted(50, seed=31)
     cfg = TrainConfig(steps=40, batch=16, lr=0.05, momentum=0.9, seed=32)
-    for spec in (nn_s1(1), ModelSpec(kind="linear", input_dim=1), ModelSpec(kind="sample", input_dim=1, m=5)):
+    specs = (nn_s1(1), nn_s2(1), ModelSpec(kind="linear", input_dim=1), ModelSpec(kind="sample", input_dim=1, m=5))
+    for spec in specs:
         model = train(init_model(spec, 33), ds, OpKind.INDEX, cfg)
-        path = str(tmp_path / f"{spec.kind}.json")
+        path = str(tmp_path / f"{spec.kind}-{spec.hidden}.json")
         save_model(model, path)
         back = load_model(path)
+        assert back.spec == spec
         qs = np.linspace(0.0, 1.0, 7)
         assert np.array_equal(
             predict(model, OpKind.INDEX, qs), predict(back, OpKind.INDEX, qs)
