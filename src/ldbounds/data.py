@@ -48,8 +48,14 @@ class Dataset:
         return col
 
     @cached_property
+    def rank_lookup(self):
+        from .queryfn import SortedLookup  # queryfn imports this module
+
+        return SortedLookup(self.sorted_column)
+
+    @cached_property
     def count_index(self):
-        from .queryfn import BoxSum  # queryfn imports this module
+        from .queryfn import BoxSum
 
         return BoxSum(self.values, np.ones(self.n))
 

@@ -117,6 +117,14 @@ class ExperimentConfig:
             repeated = [key for i, key in enumerate(keys) if key in keys[:i]]
             if repeated:
                 raise InvalidParams(f"config field {name!r} repeats {repeated[0]!r}")
+        for label in coordinates["distributions"] + coordinates["models"]:
+            # printed in unquoted CSV fields and joined by '|' into cell keys
+            one_line = isinstance(label, str) and label == "".join(label.splitlines())
+            if not one_line or "," in label or "|" in label:
+                raise InvalidParams(
+                    "a distribution name or model id must be a string without "
+                    f"',', '|' or a line break, got {label!r}"
+                )
         for norm in self.norms:
             if norm not in ("l1", "linf"):
                 raise InvalidParams(f"unknown norm {norm!r}")
@@ -417,7 +425,7 @@ def _parse_distribution(doc) -> DistSpec:
         _object(doc, "a uniform distribution", ("kind", "name"))
         return DistSpec(name=doc.get("name", "uniform"))
     _object(doc, "a gmm distribution", ("kind", "name", "components"))
-    comps = tuple(tuple(float(x) for x in c) for c in doc["components"])
+    comps = tuple(tuple(float(_number(x, "components")) for x in c) for c in doc["components"])
     return DistSpec(doc.get("name", f"gmm{len(comps)}"), GmmParams(components=comps))
 
 
@@ -436,9 +444,16 @@ def _parse_model(doc) -> ModelTemplate:
     )
 
 
+def _number(value, name: str):
+    """`value`, refusing true and false, which Python would read as 1 and 0."""
+    if isinstance(value, bool):
+        raise InvalidParams(f"config field {name!r} must be a number, got {value!r}")
+    return value
+
+
 def _integer(value, name: str) -> int:
     """`int(value)`, refusing a number with a fractional part (1e4 is 10000)."""
-    if isinstance(value, float) and not value.is_integer():
+    if isinstance(_number(value, name), float) and not value.is_integer():
         raise InvalidParams(f"config field {name!r} must be an integer, got {value!r}")
     return int(value)
 
@@ -448,7 +463,8 @@ def _read(cls, doc, key: str = "", **readers):
 
     A config sets each field but a `seed` (a cell derives its seeds from
     `master_seed`).  An unset field keeps its default; a set one is read by
-    `readers[field]` or cast to its default's type, an int refusing a fraction.
+    `readers[field]` or cast to its default's type, an int refusing a fraction
+    and either refusing a boolean.
     """
     settable = [f for f in fields(cls) if f.name != "seed"]
     name = f"config field {key!r}" if key else "the config"
@@ -457,9 +473,10 @@ def _read(cls, doc, key: str = "", **readers):
     def cast(f, value):
         if f.name in readers:
             return readers[f.name](value)
+        field_name = f"{key}.{f.name}" if key else f.name
         if type(f.default) is int:
-            return _integer(value, f"{key}.{f.name}" if key else f.name)
-        return type(f.default)(value)
+            return _integer(value, field_name)
+        return type(f.default)(_number(value, field_name))
 
     return cls(**{f.name: cast(f, doc[f.name]) for f in settable if f.name in doc})
 

@@ -111,11 +111,12 @@ def _forget_signed(ref: weakref.ref) -> None:
 def _signed_table(a: Dataset, b: Dataset) -> BoxSum:
     """Counts of a single-attribute pair, a's records weighing +1 and b's -1.
 
-    Merged from the cached sorted columns: levels[0] are the breakpoints of
-    the steps of f_a - f_b, table[1:] their values and table[0] = 0 the value
-    before any data.  Whole-number sums are exact in any order.  The last
-    pair's table is kept while both datasets live, so the exact routes and
-    mc_mu on one pair build it once; callers only read it.
+    Merged from the cached sorted columns: lookups[0].levels are the
+    breakpoints of the steps of f_a - f_b, table[1:] their values and
+    table[0] = 0 the value before any data.  Whole-number sums are exact in
+    any order.  The last pair's table is kept while both datasets live, so
+    the exact routes and mc_mu on one pair build it, and its lookup, once;
+    callers only read it.
     """
     global _last_signed
     xa, xb = _pair_columns(a, b)
@@ -139,7 +140,7 @@ def rank_l1_oracle(a: Dataset, b: Dataset) -> float:
     """
     _pair_columns(a, b, "rank_l1_oracle")
     t = _signed_table(a, b)
-    widths = np.clip(np.diff(np.append(t.levels[0], 1.0)), 0.0, None)
+    widths = np.clip(np.diff(np.append(t.lookups[0].levels, 1.0)), 0.0, None)
     return float((np.abs(t.table[1:]) * widths).sum())
 
 
@@ -200,7 +201,7 @@ def card1d_l1(a: Dataset, b: Dataset) -> float:
     time and O(n) memory by the identity above.
     """
     t = _signed_table(a, b)
-    edges = np.concatenate([[0.0], t.levels[0], [1.0]])
+    edges = np.concatenate([[0.0], t.lookups[0].levels, [1.0]])
     g = t.table  # table[0] = 0: before any data
     w = np.diff(edges)
     near = np.abs(g) * w * (1.0 - 0.5 * (edges[:-1] + edges[1:]))
@@ -303,7 +304,7 @@ def _mc_estimate(gaps: Callable, batches: Iterable, norm: str = L1) -> DistanceE
 
 def _pair_gaps(a: Dataset, b: Dataset, op: OpKind) -> Callable:
     """batch -> |f_a - f_b| per query, for ce at d = 1 from the signed table."""
-    if op is OpKind.CARD_EST and a.d == 1:  # two key-order searches a batch, not four
+    if op is OpKind.CARD_EST and a.d == 1:  # two one-axis searches a batch, not four
         signed = _signed_table(a, b)
         return lambda batch: np.abs(signed(*batch))
     return lambda batch: np.abs(eval_batch(a, op, batch) - eval_batch(b, op, batch))

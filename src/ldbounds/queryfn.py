@@ -11,9 +11,10 @@ cardinality weighs records by 1, range-sum by the last attribute).  Over
 n records with u distinct predicate rows and u_j distinct values on axis
 j, it is one of two structures, built once per dataset:
 
-- a summed-area table: O(n log n + prod_j (u_j + 1)) to build, and
-  O(m * (dq log u + 2**dq)) for m queries (two binary searches per axis,
-  run in key order, then 2**dq table cells);
+- a summed-area table: O(n log n + prod_j (u_j + 1)) to build, and an
+  expected O(m * (dq + 2**dq)) for m queries (two cell lookups per axis,
+  `SortedLookup`, with a log u binary search only for keys that fall back,
+  then 2**dq table cells);
 - a mask over the distinct rows: O(n log n) to build, O(m * u * dq) for m
   queries.
 
@@ -143,13 +144,13 @@ def range_sum(dataset: Dataset, query: RangeQuery) -> float:
 # arrays.
 
 _CHUNK_CELLS = 4_000_000
-# search_sorted places the levels among the keys below this many levels a
-# key, and searches the keys among the levels from it on.  Time of placing
-# against searching, medians of 60 interleaved calls on 2,048-65,536 random
-# keys (2-vCPU x86-64, numpy 2.4.6): 0.76-0.90 at 1/16 and 1/8, 0.78-0.91
-# at 1/4, 0.87-0.94 at 3/8, 0.93-1.06 at 1/2, 0.95-1.18 at 5/8 and
-# 1.10-1.24 at equal sizes.
-_LEVELS_PER_KEY = 0.5
+# Below this many keys a search is np.searchsorted on the keys as they come,
+# with no cell table to build.  The lookup's dozen passes cost about 15 us a
+# call; it overtakes np.searchsorted from about 512 random keys over 10,000
+# levels, 768 over 1,000 and past 1,024 over 100 (2-vCPU x86-64, numpy 2.4.6).
+_SMALL_BATCH = 512
+# by search side: (a level counts for a key, a level lies above a key)
+_LEVEL_TESTS = {"right": (np.less_equal, np.greater), "left": (np.less, np.greater_equal)}
 # Up to this many distinct predicate rows a dq >= 2 box sum stays on the
 # mask, query-major for counts: below it the row-major mask is faster at
 # dq = 3 (the measured crossover, in the README's "Query kernel costs").
@@ -167,7 +168,8 @@ class BoxSum:
     """Weighted records prepared once for closed-box sums.
 
     Table: a summed-area table over rank-compressed coordinates.  Axis j
-    has the sorted distinct values of column j as levels; table cell
+    has the sorted distinct values of column j as levels, searched through
+    `lookups[j]`, a SortedLookup; table cell
     (i_0, .., i_{dq-1}) holds the weight of the records whose value on
     every axis j is at or below level i_j - 1 (row 0 on each axis is the
     zero pad), so a box sum is an inclusion-exclusion over 2**dq cells.
@@ -209,7 +211,7 @@ class BoxSum:
                     grid = self.table.reshape(shape)  # a view: sums in place
                     for j in range(self.dq):
                         np.cumsum(grid, axis=j, out=grid)
-                self.levels = [levels for levels, _ in axes]
+                self.lookups = [SortedLookup(levels) for levels, _ in axes]
                 self.strides = [math.prod(shape[j + 1 :]) for j in range(self.dq)]
                 return
         rows, inverse = np.unique(points, axis=0, return_inverse=True)
@@ -228,7 +230,7 @@ class BoxSum:
     def steps(cls, levels: np.ndarray, table: np.ndarray) -> BoxSum:
         """A one-axis table from its sorted distinct levels and its cells."""
         box = cls.__new__(cls)
-        box.dq, box.levels, box.table, box.strides = 1, [levels], table, [1]
+        box.dq, box.lookups, box.table, box.strides = 1, [SortedLookup(levels)], table, [1]
         return box
 
     def _corners(self, edges: list, j: int, base: np.ndarray | None) -> np.ndarray:
@@ -249,9 +251,9 @@ class BoxSum:
             raise DimensionMismatch("predicate width does not match the data")
         if self.table is not None:
             edges = []
-            for j, levels in enumerate(self.levels):
-                lo = search_sorted(levels, C[:, j], "left")
-                top = search_sorted(levels, C[:, j] + R[:, j], "right")
+            for j, search in enumerate(self.lookups):
+                lo = search(C[:, j], "left")
+                top = search(C[:, j] + R[:, j], "right")
                 # the last axis has stride 1; skipping its multiply keeps a
                 # one-axis call as cheap as a plain prefix-sum lookup
                 if self.strides[j] != 1:
@@ -307,27 +309,66 @@ def _orthant_table(
     return table
 
 
-def search_sorted(levels: np.ndarray, keys: np.ndarray, side: str) -> np.ndarray:
-    """`np.searchsorted(levels, keys, side=side)`, searched in key order.
+class SortedLookup:
+    """`np.searchsorted(levels, keys, side)` over fixed sorted levels.
 
-    The keys are sorted, searched and scattered back: numpy narrows each
-    search from the one before when its needles ascend, and the walk stays
-    in cache.  With at least _LEVELS_PER_KEY levels a key, each sorted key
-    is searched among the levels.  With fewer, the levels are placed among
-    the sorted keys instead: level l first counts for the key at its
-    position, so a running count of the levels placed at or before each
-    key is the answer.  The same integers either way, faster from about
-    2,048 random keys up (the README's "Query kernel costs").
+    [levels[0], levels[-1]] is cut into 4 equal cells a level, less one;
+    `counts` (int32, 16 bytes a level) holds each cell's number of levels in
+    earlier cells.  A key's answer is its cell's count, plus one if the next
+    level passes (<= the key, < for side "left").  Keys whose following level
+    passes too, and NaN, are searched again by np.searchsorted.  Levels and
+    keys share one monotone map to cells, so the answers are exact (the
+    README's "Query kernel costs").  Batches under _SMALL_BATCH keys, and
+    fewer than two levels, skip the lookup; the first other search builds it.
     """
-    order = np.argsort(keys)
-    ordered = keys[order]
-    out = np.empty(keys.shape, dtype=np.intp)
-    if levels.shape[0] < _LEVELS_PER_KEY * keys.shape[0]:
-        pos = np.searchsorted(ordered, levels, side="left" if side == "right" else "right")
-        out[order] = np.cumsum(np.bincount(pos, minlength=keys.shape[0] + 1)[:-1])
-    else:
-        out[order] = np.searchsorted(levels, ordered, side=side)
-    return out
+
+    def __init__(self, levels: np.ndarray) -> None:
+        self.levels = np.asarray(levels, dtype=np.float64)
+        self.counts = None
+
+    def _scaled(self, x: np.ndarray) -> np.ndarray:
+        """(clip(x, lo, hi) - lo) * scale, whose integer part is x's cell."""
+        lo, hi, scale = self.cell_map
+        t = np.fmin(x, hi, dtype=np.float64)  # clipped first: no inf or NaN is scaled
+        np.fmax(t, lo, out=t)
+        t -= lo
+        t *= scale
+        return t
+
+    def _build(self) -> None:
+        cells = 4 * self.levels.shape[0]
+        lo, hi = float(self.levels[0]), float(self.levels[-1])
+        scale = (cells - 1) / (hi - lo) if hi > lo else 0.0
+        # equal levels, or a span too narrow or too wide to scale: one cell
+        self.cell_map = (lo, hi, scale) if 0.0 < scale < math.inf else (0.0, 0.0, 0.0)
+        counts = np.zeros(cells, dtype=np.int32)
+        cell = self._scaled(self.levels).astype(np.intp)
+        np.cumsum(np.bincount(cell, minlength=cells)[:-1], out=counts[1:])
+        self.counts = counts  # last: a search that sees it sees the whole lookup
+
+    def __call__(self, keys: np.ndarray, side: str) -> np.ndarray:
+        if keys.shape[0] < _SMALL_BATCH or self.levels.shape[0] < 2:
+            return np.searchsorted(self.levels, keys, side=side)
+        if self.counts is None:
+            self._build()
+        passes, above = _LEVEL_TESTS[side]
+        t = self._scaled(keys)
+        out = t.astype(np.intp)
+        at = self.counts.take(out)
+        nxt = self.levels.take(at, out=t)
+        hit = passes(nxt, keys)
+        np.add(at, hit, out=out)
+        self.levels.take(out, mode="clip", out=nxt)
+        above(nxt, keys, out=hit)  # False where the following level passes, or on NaN
+        if np.count_nonzero(hit) < keys.shape[0]:
+            miss = np.flatnonzero(~hit)
+            out[miss] = np.searchsorted(self.levels, keys[miss], side=side)
+        return out
+
+
+def search_sorted(levels: np.ndarray, keys: np.ndarray, side: str) -> np.ndarray:
+    """`np.searchsorted(levels, keys, side=side)` through a one-off SortedLookup."""
+    return SortedLookup(levels)(keys, side)
 
 
 def box_sum(
@@ -353,7 +394,7 @@ def eval_batch(dataset: Dataset, op: OpKind, batch) -> np.ndarray:
     """True answers for a query batch, from structures cached on `dataset`."""
     query_dims(op, dataset.d)
     if op is OpKind.INDEX:
-        return rank_batch(dataset.sorted_column, np.asarray(batch, dtype=np.float64))
+        return dataset.rank_lookup(np.asarray(batch, dtype=np.float64), "right").astype(np.float64)
     if op is OpKind.CARD_EST:
         return dataset.count_index(*batch)
     return dataset.sum_index(*batch)

@@ -450,6 +450,11 @@ def test_experiment_unknown_model(tmp_path, capsys):
         {"train": {"step": 100}}, {"train": {"seed": 5}}, {"eval": {"seed": 5}},
         {"ops": ["index", "index"]},
         {"models": [{"kind": "sample", "m": 2}, {"kind": "sample", "m": 50}]},
+        # a comma would shift the CSV row's fields; booleans are not numbers
+        {"distributions": [{"kind": "uniform", "name": "a,b"}]},
+        {"models": [{"kind": "linear", "id": "lin,ear"}]},
+        {"models": [{"kind": "linear", "id": 7}]},
+        {"train": {"steps": True, "lr": False}}, {"d": True},
     ],
 )
 def test_experiment_malformed_entry(tmp_path, capsys, bad):

@@ -454,6 +454,43 @@ def test_parse_config_rejects_a_fraction_in_an_integer_field(field, bad):
 
 
 @pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("d", {"d": True}),
+        ("n_values", {"n_values": [100, True]}),
+        ("train.steps", {"train": {"steps": True}}),
+        ("train.lr", {"train": {"lr": False}}),
+        ("train.momentum", {"train": {"momentum": True}}),
+        ("eval.grid", {"eval": {"grid": False}}),
+        ("hidden", {"models": [{"kind": "mlp", "hidden": True}]}),
+        ("m", {"models": [{"kind": "sample", "m": True}]}),
+        ("components", {"distributions": [{"kind": "gmm", "components": [[True, 0.5, 0.1]]}]}),
+    ],
+)
+def test_parse_config_reads_numbers_only_from_json_numbers(field, bad):
+    with pytest.raises(InvalidParams, match=f"'{field}' must be a number"):
+        parse_config(dict(MINIMAL_DOC, **bad))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"distributions": [{"kind": "uniform", "name": "a,b"}]},
+        {"distributions": [{"kind": "uniform", "name": "a|b"}]},
+        {"distributions": [{"kind": "uniform", "name": 3}]},
+        {"models": [{"kind": "linear", "id": "lin,ear"}]},
+        {"models": [{"kind": "linear", "id": "line\nar"}]},
+        {"models": [{"kind": "linear", "id": "linear\r"}]},
+        {"models": [{"kind": "linear", "id": 7}]},
+        {"models": [{"kind": "linear", "id": None}]},
+    ],
+)
+def test_parse_config_rejects_a_label_that_breaks_a_csv_row(bad):
+    with pytest.raises(InvalidParams, match="must be a string without ',', '|' or a line break"):
+        parse_config(dict(MINIMAL_DOC, **bad))
+
+
+@pytest.mark.parametrize(
     "key, bad",
     [
         ("master_sed", {"master_sed": 3}),

@@ -37,6 +37,7 @@ from ldbounds.norms import (
 from ldbounds.queryfn import (
     BoxSum,
     OpKind,
+    SortedLookup,
     eval_batch,
     rank,
     sample_easy_queries,
@@ -596,7 +597,7 @@ def test_signed_table_gaps_equal_the_two_evaluations(a, b):
     signed = norms._signed_table(a, b)
     ones = np.repeat([1.0, -1.0], [a.n, b.n])
     stacked = BoxSum(np.concatenate([a.values, b.values]), ones)  # the generic build
-    assert np.array_equal(signed.levels[0], stacked.levels[0])
+    assert np.array_equal(signed.lookups[0].levels, stacked.lookups[0].levels)
     assert np.array_equal(signed.table, stacked.table)
     for batch in (_edge_batch(a, b, gen), uniform_block(OpKind.CARD_EST, 1, 1, 500, gen)):
         want = np.abs(eval_batch(a, OpKind.CARD_EST, batch) - eval_batch(b, OpKind.CARD_EST, batch))
@@ -656,14 +657,17 @@ def test_one_pair_builds_its_signed_table_once(monkeypatch):
         return steps(*args)
 
     monkeypatch.setattr(BoxSum, "steps", classmethod(counting_steps))
+    lookups = []  # and mc_l1's two searches a batch build one lookup
+    build = SortedLookup._build
+    monkeypatch.setattr(SortedLookup, "_build", lambda self: lookups.append(self) or build(self))
     a, b = _pair(300, seed=60)
     values = (card1d_l1(a, b), card1d_linf(a, b), mc_l1(a, b, OpKind.CARD_EST, 4000, seed=9),
               rank_linf(a, b), rank_l1_oracle(a, b))
-    assert len(builds) == 1
+    assert len(builds) == 1 and len(lookups) == 1
     monkeypatch.setattr(norms, "_last_signed", ())  # forget it: the same numbers
     assert (card1d_l1(a, b), card1d_linf(a, b), mc_l1(a, b, OpKind.CARD_EST, 4000, seed=9),
             rank_linf(a, b), rank_l1_oracle(a, b)) == values
-    assert len(builds) == 2
+    assert len(builds) == 2 and len(lookups) == 2
 
 
 def test_signed_tables_are_kept_per_ordered_pair():
@@ -674,7 +678,7 @@ def test_signed_tables_are_kept_per_ordered_pair():
 
     for x, y in ((a, b), (b, a), (a, c), (a, b)):
         got, want = norms._signed_table(x, y), built(x, y)
-        assert np.array_equal(got.levels[0], want.levels[0])
+        assert np.array_equal(got.lookups[0].levels, want.lookups[0].levels)
         assert np.array_equal(got.table, want.table)
         assert norms._signed_table(x, y) is got
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from ldbounds.queryfn import (
     OpKind,
     RangeQuery,
     RankQuery,
+    SortedLookup,
     box_sum,
     cardinality,
     cardinality_batch,
@@ -390,38 +392,87 @@ _POOL = st.sampled_from([-0.75, -0.5, -0.0, 0.0, 0.125, 0.25, 0.5, 1.0, 1.5])
 _KEYS = _POOL | st.floats(-2.0, 2.0)
 
 
-@settings(max_examples=200, deadline=None)
+# level sets that stress the cell lookup: ties and -0.0 against 0.0, one
+# level, all-equal levels, clusters that crowd a cell (so keys fall back),
+# infinite levels, and spans too narrow or too wide to scale
+_LEVELS = (
+    st.lists(_POOL, max_size=40)
+    | st.builds(lambda v, k: [v] * k, _POOL, st.integers(1, 40))
+    | st.builds(
+        lambda k, far: [i * 1e-9 for i in range(k)] + [far],
+        st.integers(2, 40), st.sampled_from([1e-6, 1.0, 1e300]),
+    )
+    | st.lists(st.sampled_from([-5e-324, 0.0, 5e-324]), min_size=1, max_size=40)
+    | st.lists(st.sampled_from([1e-300, 1e-10, 1.0, 1e300]), min_size=1, max_size=40)
+    | st.lists(st.floats(allow_nan=False), min_size=1, max_size=40)
+)
+
+
+@settings(max_examples=300, deadline=None)
 @given(
-    # few levels against many keys (placed among the keys) and the reverse
-    st.tuples(st.lists(_POOL, max_size=12), st.lists(_KEYS, max_size=200))
-    | st.tuples(st.lists(_KEYS, max_size=200), st.lists(_KEYS, max_size=12)),
+    _LEVELS,
+    # keys on the levels, past both ends, +-inf, subnormals and NaN
+    st.lists(_KEYS | st.floats() | st.sampled_from([5e-324, -5e-324, 1e-300, 1e300]),
+             min_size=1, max_size=60),
     st.sampled_from(["left", "right"]),
 )
-def test_search_sorted_matches_numpy(case, side):
-    levels, keys = case
+def test_search_sorted_matches_numpy(levels, keys, side):
     levels = np.sort(np.array(levels, dtype=np.float64))
     keys = np.array(keys, dtype=np.float64)
-    got = search_sorted(levels, keys, side)
-    assert got.shape == keys.shape
-    assert np.array_equal(got, np.searchsorted(levels, keys, side=side))
+    # as drawn (below the tiny-batch gate), then repeated past it (the lookup)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for batch in (keys, np.resize(keys, queryfn._SMALL_BATCH + keys.size)):
+            got = search_sorted(levels, batch, side)
+            assert got.dtype == np.intp and got.shape == batch.shape
+            assert np.array_equal(got, np.searchsorted(levels, batch, side=side))
 
 
 @pytest.mark.parametrize(
-    "u, m, placed",
-    [(0, 0, False), (5, 0, False), (0, 60, True), (1, 60, True), (29, 60, True),
-     (30, 60, False), (60, 60, False), (200, 7, False)],
+    "u, m, built",
+    [(0, 600, False), (1, 600, False), (2, 600, True), (60, 0, False),
+     (60, queryfn._SMALL_BATCH - 1, False), (60, queryfn._SMALL_BATCH, True),
+     (200, 5000, True)],
 )
-def test_search_sorted_on_each_side_of_the_crossover(u, m, placed, gen):
-    # levels and keys on one coarse grid: repeated levels, keys on levels,
-    # and -0.0 keys against 0.0 levels
-    assert (u < queryfn._LEVELS_PER_KEY * m) is placed
+def test_search_sorted_at_the_lookup_boundaries(u, m, built, gen):
+    # empty levels, one level and batches below the gate go to np.searchsorted;
+    # on one coarse grid, levels repeat (crowding cells, so keys fall back),
+    # keys land on levels and -0.0 keys meet 0.0 levels
     levels = np.sort(np.round(gen.random(u) * 8) / 8)
     keys = np.round(gen.random(m) * 10 - 1) / 8
     keys[keys == 0.0] = -0.0
+    lookup = SortedLookup(levels)
     for side in ("left", "right"):
-        got = search_sorted(levels, keys, side)
+        got = lookup(keys, side)
         assert got.dtype == np.intp
         assert np.array_equal(got, np.searchsorted(levels, keys, side=side))
+    assert (lookup.counts is not None) is built
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_lookup_searches_again_only_keys_in_a_crowded_cell(side, monkeypatch):
+    # 5 levels, so 20 cells of width 1/19; the first holds 4 levels
+    levels = np.array([0.0, 1e-6, 2e-6, 3e-6, 1.0])
+    keys = np.linspace(-0.5, 0.99, 600)
+    want = np.searchsorted(levels, keys, side=side)
+    crowded = np.count_nonzero((keys >= 1e-6) & (keys < 1 / 19))  # two levels pass
+    searched = []
+    search = np.searchsorted
+
+    def counting(a, v, side):
+        searched.append(v.size)
+        return search(a, v, side=side)
+
+    monkeypatch.setattr(np, "searchsorted", counting)
+    assert np.array_equal(SortedLookup(levels)(keys, side), want)
+    assert crowded > 0 and searched == [crowded]
+
+
+def test_lookup_table_takes_16_bytes_a_level(gen):
+    for u in (2, 3, 1000, 4096):
+        lookup = SortedLookup(np.sort(gen.random(u)))
+        lookup(gen.random(queryfn._SMALL_BATCH), "right")
+        assert lookup.counts.dtype == np.int32 and lookup.counts.nbytes <= 16 * u
 
 
 def _cumsum_table(points, weights):
@@ -557,3 +608,9 @@ def test_index_batches_reuse_sorted_column():
     assert ds.sorted_column is col
     qs = np.array([0.1, 0.5, 0.9])
     assert np.array_equal(eval_batch(ds, OpKind.INDEX, qs), rank_batch(col, qs))
+    qs = np.linspace(-0.5, 1.5, 1000)  # past the gate: the dataset's one lookup
+    assert np.array_equal(eval_batch(ds, OpKind.INDEX, qs), np.searchsorted(col, qs, "right"))
+    lookup = ds.rank_lookup
+    assert lookup.levels is col and lookup.counts is not None
+    eval_batch(ds, OpKind.INDEX, qs)
+    assert ds.rank_lookup is lookup
