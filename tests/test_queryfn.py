@@ -430,14 +430,15 @@ def test_search_sorted_matches_numpy(levels, keys, side):
 
 @pytest.mark.parametrize(
     "u, m, built",
-    [(0, 600, False), (1, 600, False), (2, 600, True), (60, 0, False),
+    [(0, 0, False), (0, 600, False), (1, 600, False), (2, 600, True),
+     (5, 0, False), (60, 0, False),
      (60, queryfn._SMALL_BATCH - 1, False), (60, queryfn._SMALL_BATCH, True),
      (200, 5000, True)],
 )
 def test_search_sorted_at_the_lookup_boundaries(u, m, built, gen):
-    # empty levels, one level and batches below the gate go to np.searchsorted;
-    # on one coarse grid, levels repeat (crowding cells, so keys fall back),
-    # keys land on levels and -0.0 keys meet 0.0 levels
+    # empty levels, one level, empty key batches and batches below the gate go
+    # to np.searchsorted; on one coarse grid, levels repeat (crowding cells, so
+    # keys fall back), keys land on levels and -0.0 keys meet 0.0 levels
     levels = np.sort(np.round(gen.random(u) * 8) / 8)
     keys = np.round(gen.random(m) * 10 - 1) / 8
     keys[keys == 0.0] = -0.0
