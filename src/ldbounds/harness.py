@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+import numbers
 import os
 import pickle
 import threading
@@ -445,8 +446,9 @@ def _parse_model(doc) -> ModelTemplate:
 
 
 def _number(value, name: str):
-    """`value`, refusing true and false, which Python would read as 1 and 0."""
-    if isinstance(value, bool):
+    """`value` if a JSON number: not true or false, which Python would read as
+    1 and 0, nor a string such as "11", which int() and float() would read."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidParams(f"config field {name!r} must be a number, got {value!r}")
     return value
 
@@ -464,7 +466,7 @@ def _read(cls, doc, key: str = "", **readers):
     A config sets each field but a `seed` (a cell derives its seeds from
     `master_seed`).  An unset field keeps its default; a set one is read by
     `readers[field]` or cast to its default's type, an int refusing a fraction
-    and either refusing a boolean.
+    and either refusing a boolean or a string.
     """
     settable = [f for f in fields(cls) if f.name != "seed"]
     name = f"config field {key!r}" if key else "the config"

@@ -23,7 +23,9 @@ dq >= 2 axes take it when u > 32 and the table has at most _CHUNK_CELLS
 cells, else the mask.  A count mask over at most 32 rows is laid out
 query-major, (u, chunk), so numpy's inner loops run over the queries
 rather than over the rows; range-sum masks and masks over more rows stay
-row-major, (chunk, u), which keeps range-sum rounding fixed.
+row-major, (chunk, u), which keeps range-sum rounding fixed.  Whole weights
+whose magnitudes sum below 2**24 (every count) are summed in float32, exact
+since each partial sum is an integer below 2**24; others in float64.
 """
 
 from __future__ import annotations
@@ -188,7 +190,11 @@ class BoxSum:
     _TABLE_MIN_ROWS rows: comparisons and ANDs then run a chunk of queries
     per inner loop instead of u rows.  Range sums stay row-major, (chunk,
     u), because BLAS rounds a product by how it blocks the rows, and so do
-    masks over more rows, where row-major is faster.
+    masks over more rows, where row-major is faster.  Merged weights that
+    are whole with magnitudes summing below 2**24 are kept as float32, so
+    either layout's product casts the mask to 4 bytes a cell and sums in
+    single precision; every partial sum is an integer float32 holds, so
+    the answers equal the float64 product's.  Other weights stay float64.
     """
 
     def __init__(self, points: np.ndarray, weights: np.ndarray) -> None:
@@ -219,12 +225,16 @@ class BoxSum:
         self.weights = np.bincount(
             inverse.ravel(), weights=weights, minlength=rows.shape[0]
         )
-        # The product casts a chunk's bool mask to float64: 8 more bytes a
-        # cell.  Whole-number weights (counts) sum exactly in any grouping,
-        # so their chunks are sized to hold that copy too.  Other weights
-        # keep one byte a cell: BLAS rounds a row's product by how its call
-        # blocks the rows, so other chunks would move range sums by rounding.
+        # The product casts a chunk's bool mask to the weights' type.  Whole
+        # weights (counts) sum exactly in any grouping, so their chunks are
+        # sized to hold a float64 copy too, 8 more bytes a cell; those whose
+        # magnitudes sum below 2**24 are float32, so every partial sum is an
+        # integer float32 holds and the copy takes 4 of those bytes.  Other
+        # weights keep one byte a cell: BLAS rounds a row's product by how
+        # its call blocks the rows, so other chunks would move range sums.
         self.cell_bytes = 9 if _whole(self.weights, 2.0**53) else 1
+        if _whole(self.weights, 2.0**24):
+            self.weights = self.weights.astype(np.float32)
 
     @classmethod
     def steps(cls, levels: np.ndarray, table: np.ndarray) -> BoxSum:

@@ -262,7 +262,7 @@ def test_parse_config_overlays_defaults():
             "distributions": [{"kind": "uniform"}],
             "n_values": [100],
             "models": ["linear"],
-            "train": {"steps": "11", "lr": 1},
+            "train": {"steps": 11.0, "lr": 1},
             "eval": {"grid": 3.0},
         }
     )
@@ -465,6 +465,16 @@ def test_parse_config_rejects_a_fraction_in_an_integer_field(field, bad):
         ("hidden", {"models": [{"kind": "mlp", "hidden": True}]}),
         ("m", {"models": [{"kind": "sample", "m": True}]}),
         ("components", {"distributions": [{"kind": "gmm", "components": [[True, 0.5, 0.1]]}]}),
+        ("train.steps", {"train": {"steps": "11"}}),
+        ("train.steps", {"train": {"steps": "1e4"}}),
+        ("train.lr", {"train": {"lr": "0.05"}}),
+        ("d", {"d": "2"}),
+        ("master_seed", {"master_seed": None}),
+        ("n_values", {"n_values": ["100"]}),
+        ("eval.samples", {"eval": {"samples": "2048"}}),
+        ("hidden", {"models": [{"kind": "mlp", "hidden": "4"}]}),
+        ("m", {"models": [{"kind": "sample", "m": "8"}]}),
+        ("components", {"distributions": [{"kind": "gmm", "components": [["1", 0.5, 0.1]]}]}),
     ],
 )
 def test_parse_config_reads_numbers_only_from_json_numbers(field, bad):

@@ -286,6 +286,45 @@ def test_box_table_over_cap_falls_back_to_mask(monkeypatch, gen):
     assert BoxSum(points[:, :1], weights).table is not None
 
 
+def _whole_row_weights(edge, rows, gen):
+    """Whole weights for `rows` rows, some negative, on one side of float32's
+    exact range."""
+    weights = gen.integers(-1000, 1000, size=rows).astype(np.float64)
+    if edge == "below-2**24":  # magnitudes summing to 2**24 - 1
+        weights[-1] = -(2**24 - 1 - np.abs(weights[:-1]).sum())
+    elif edge == "row-over-2**24":  # float32(2**24 + 1) is 2**24
+        weights[-1] = 2**24 + 1
+    else:  # even rows but one, summing to 2**24 + 1: no float32 sum order holds it
+        weights *= 2
+        weights[-3:] = 2**23, 2**23, 1 - weights[:-3].sum()
+    return weights
+
+
+@pytest.mark.parametrize("edge", ["below-2**24", "row-over-2**24", "sum-over-2**24"])
+@pytest.mark.parametrize("layout", ["query-major", "row-major"])
+def test_count_mask_sums_whole_weights_exactly(monkeypatch, gen, layout, edge):
+    rows = 12 if layout == "query-major" else 60
+    points = _distinct_rows(rows, 2, gen)  # each row twice: ties merge first
+    row_weights = _whole_row_weights(edge, rows, gen)
+    dtype = np.float32 if edge == "below-2**24" else np.float64
+    weights = np.repeat(row_weights, 2)
+    weights[::2] = np.floor(row_weights / 2)
+    weights[1::2] = row_weights - weights[::2]
+    if layout == "row-major":
+        monkeypatch.setattr(queryfn, "_CHUNK_CELLS", BoxSum(points, weights).table.size - 1)
+    kernel = BoxSum(points, weights)
+    assert kernel.table is None and kernel.weights.dtype == dtype
+    assert (kernel.columns.shape[1] <= queryfn._TABLE_MIN_ROWS) is (layout == "query-major")
+    # every box on one row alone, the whole square, then uniform boxes
+    C, R = sample_range_queries(200, 2, gen)
+    C = np.concatenate([points[::2], [[0.0, 0.0]], C])
+    R = np.concatenate([np.zeros((rows, 2)), [[1.0, 1.0]], R])
+    inside = np.all((points >= C[:, None]) & (points <= (C + R)[:, None]), axis=2)
+    want = inside.astype(np.float64) @ weights  # whole sums below 2**53: exact
+    assert want[rows] == row_weights.sum()
+    assert np.array_equal(kernel(C, R), want)
+
+
 @pytest.mark.parametrize("dq", [2, 3])
 @pytest.mark.parametrize("rows", [8, 45])
 def test_count_mask_chunks_give_one_chunks_answers(monkeypatch, gen, dq, rows):
@@ -335,9 +374,9 @@ def test_box_build_memory_within_cap(monkeypatch, gen):
 
 
 def test_mask_product_memory_within_cap(monkeypatch, gen):
-    # a count kernel's chunk holds its bool mask and the product's float64
-    # copy of it within the cap; the rest is one chunk's per-axis edges, the
-    # (m,) answers and one chunk's product
+    # a count kernel's chunk holds its bool mask and the product's float32
+    # copy of it (float64 for larger whole weights) within the cap; the rest
+    # is one chunk's per-axis edges, the (m,) answers and one chunk's product
     cap = 400_000
     monkeypatch.setattr(queryfn, "_CHUNK_CELLS", cap)
     BoxSum(gen.random((50, 2)), np.ones(50))(*sample_range_queries(5, 2, gen))
