@@ -14,10 +14,14 @@ probe lower bound (worst case) or a Monte Carlo mean (average case).
 Every other estimate, a mean or a maximum, is reduced here by one loop over
 batches of about 65,536 queries, and each names its route in `method`.
 Single-attribute routes read the cached sorted columns, records in any order,
-and `_pair_columns` checks a pair.  A pair's steps come from one signed count
-table, `_signed_table`, read by the exact d = 1 routes and by mc_mu.
-The last pair's table is kept, held by weak references to the pair, so the
-exact routes and mc_l1 on one pair build it once.
+and `_pair_columns` checks a pair.  A ce pair's gaps come from one signed count
+kernel, a's records weighing +1 and b's -1: at d = 1 the table
+`_signed_table`, whose steps the exact routes read too, and at d >= 2 one
+BoxSum over `_signed_rows`, the distinct rows whose net count is not 0, which
+are also the probe's points.  The last pair's signed counts are kept, held by
+weak references to the pair, so the routes on one pair build them once.
+Range-sum pairs, and d >= 2 ce pairs whose signed kernel would be the
+row-major mask, evaluate each dataset's own kernel.
 """
 
 from __future__ import annotations
@@ -97,8 +101,9 @@ def rank_l1(a: Dataset, b: Dataset) -> float:
     return float(np.abs(xa - xb).sum())
 
 
-# (weak a, weak b, table): the last pair _signed_table built.  Weak references
-# keep neither dataset alive, and either one's death drops the entry.
+# (weak a, weak b, build, counts): the last pair's signed counts, as `build`
+# made them.  Weak references keep neither dataset alive, and either one's
+# death drops the entry.
 _last_signed: tuple = ()
 
 
@@ -108,29 +113,66 @@ def _forget_signed(ref: weakref.ref) -> None:
         _last_signed = ()
 
 
+def _kept(a: Dataset, b: Dataset, build: Callable):
+    """build(a, b), kept for the last pair while both datasets live.
+
+    So the routes that read one pair's signed counts build them once;
+    callers only read them.
+    """
+    global _last_signed
+    memo = _last_signed  # one read: another thread may replace the entry
+    if memo and memo[0]() is a and memo[1]() is b and memo[2] is build:
+        return memo[3]
+    counts = build(a, b)
+    _last_signed = (weakref.ref(a, _forget_signed), weakref.ref(b, _forget_signed), build, counts)
+    return counts
+
+
 def _signed_table(a: Dataset, b: Dataset) -> BoxSum:
     """Counts of a single-attribute pair, a's records weighing +1 and b's -1.
 
     Merged from the cached sorted columns: lookups[0].levels are the
     breakpoints of the steps of f_a - f_b, table[1:] their values and
     table[0] = 0 the value before any data.  Whole-number sums are exact in
-    any order.  The last pair's table is kept while both datasets live, so
-    the exact routes and mc_mu on one pair build it, and its lookup, once;
-    callers only read it.
+    any order.  Kept for the last pair, so the exact routes and mc_mu on one
+    pair build it, and its lookup, once.
     """
-    global _last_signed
-    xa, xb = _pair_columns(a, b)
-    memo = _last_signed  # one read: another thread may replace the entry
-    if memo and memo[0]() is a and memo[1]() is b:
-        return memo[2]
-    x = np.concatenate([xa, xb])
+    _pair_columns(a, b)
+    return _kept(a, b, _merge_columns)
+
+
+def _merge_columns(a: Dataset, b: Dataset) -> BoxSum:
+    x = np.concatenate([a.sorted_column, b.sorted_column])
     order = np.argsort(x, kind="stable")  # a merge of the two sorted runs
     x = x[order]
     last = np.diff(x, append=np.inf) != 0  # the last record at each level
     steps = np.cumsum(np.where(order < a.n, 1.0, -1.0))[last]
-    table = BoxSum.steps(x[last], np.concatenate([[0.0], steps]))
-    _last_signed = (weakref.ref(a, _forget_signed), weakref.ref(b, _forget_signed), table)
-    return table
+    return BoxSum.steps(x[last], np.concatenate([[0.0], steps]))
+
+
+def _signed_rows(a: Dataset, b: Dataset) -> tuple[np.ndarray, BoxSum | None]:
+    """Counts of a pair of d-attribute datasets, a's records +1 and b's -1.
+
+    The stacked records are lexsorted once and split into runs of equal
+    rows, and each distinct row keeps its net count; rows netting 0 (a row
+    both datasets hold equally often, such as packing members' padding) are
+    dropped.  Returns those rows, ascending, and one BoxSum over them, or
+    None where that kernel would be the row-major mask: each dataset's own
+    cached kernel then answers faster.  Kept for the last pair.
+    """
+    return _kept(a, b, _merge_rows)
+
+
+def _merge_rows(a: Dataset, b: Dataset) -> tuple[np.ndarray, BoxSum | None]:
+    rows = np.concatenate([a.values, b.values])
+    order = np.lexsort(rows.T[::-1])  # column 0 first
+    rows = rows[order]
+    first = np.ones(rows.shape[0], dtype=bool)
+    first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    net = np.add.reduceat(np.where(order < a.n, 1.0, -1.0), np.flatnonzero(first))
+    keep = net != 0
+    rows, net = rows[first][keep], net[keep]
+    return rows, None if BoxSum.row_major(rows) else BoxSum.distinct(rows, net)
 
 
 def rank_l1_oracle(a: Dataset, b: Dataset) -> float:
@@ -303,10 +345,20 @@ def _mc_estimate(gaps: Callable, batches: Iterable, norm: str = L1) -> DistanceE
 
 
 def _pair_gaps(a: Dataset, b: Dataset, op: OpKind) -> Callable:
-    """batch -> |f_a - f_b| per query, for ce at d = 1 from the signed table."""
-    if op is OpKind.CARD_EST and a.d == 1:  # two one-axis searches a batch, not four
-        signed = _signed_table(a, b)
-        return lambda batch: np.abs(signed(*batch))
+    """batch -> |f_a - f_b| per query, checking that a and b share a width.
+
+    A ce pair reads one signed kernel: the signed table at d = 1, and at
+    d >= 2 `_signed_rows`'s kernel, unless that would be the row-major mask.
+    Its answers are whole counts, so they equal the two evaluations' exactly.
+    Other pairs (range sums, whose signed sums would round differently)
+    evaluate each dataset.
+    """
+    if op is not OpKind.INDEX and a.d != b.d:
+        raise DimensionMismatch(f"datasets must share dimensionality, got {a.d} and {b.d}")
+    if op is OpKind.CARD_EST:
+        signed = _signed_table(a, b) if a.d == 1 else _signed_rows(a, b)[1]
+        if signed is not None:
+            return lambda batch: np.abs(signed(*batch))
     return lambda batch: np.abs(eval_batch(a, op, batch) - eval_batch(b, op, batch))
 
 
@@ -316,7 +368,7 @@ def mc_l1(a: Dataset, b: Dataset, op: OpKind, samples: int, seed: int) -> Distan
     The query space has volume 1, so the sample mean estimates the
     integral directly.
     """
-    draw = uniform_sampler(op, max(a.d, b.d))
+    draw = uniform_sampler(op, a.d)
     return mc_mu(a, b, op, draw, samples, seed)
 
 
@@ -336,8 +388,6 @@ def mc_mu(
     """
     if samples < 2:
         raise InvalidParams("need at least 2 samples")
-    if op is not OpKind.INDEX and a.d != b.d:
-        raise DimensionMismatch("datasets must share dimensionality")
     batches = _draws(query_sampler, samples, make_generator(seed))
     return _mc_estimate(_pair_gaps(a, b, op), batches)
 
@@ -399,10 +449,13 @@ def distance(
     card1d_l1 and card1d_linf for ce at d = 1.  Otherwise, worst case: a
     probe, the maximum over point queries at every distinct predicate
     projection of both datasets (closed intervals make a zero-width box a
-    point), then over `samples` uniform queries from `seed` (`samples`
-    counts these only).  Otherwise, average case: mc_l1.  Anything else
-    raises InvalidRequest.  `method` names the route.  Each route is
-    looked up in this module's globals at call time.
+    point; for ce, the rows of `_signed_rows`, since every other point's
+    gap is 0), then over `samples` uniform queries from `seed` (`samples`
+    counts these only).  Otherwise, average case: mc_l1.  The sampled
+    routes read a ce pair's one signed kernel (see `_pair_gaps`).  A pair
+    of unequal widths raises DimensionMismatch for every non-index op;
+    anything else unserved raises InvalidRequest.  `method` names the
+    route.  Each route is looked up in this module's globals at call time.
     """
     route = None
     if op is OpKind.INDEX and norm == MU:
@@ -416,11 +469,14 @@ def distance(
     if route is not None:
         return DistanceEstimate(route(a, b), "exact")
     if norm == LINF:
-        dq = query_dims(op, a.d)
-        pts = np.unique(np.vstack([a.values[:, :dq], b.values[:, :dq]]), axis=0)
+        gaps = _pair_gaps(a, b, op)  # first: it checks the pair's widths
+        if op is OpKind.CARD_EST:  # a point's gap is its net count, 0 off these rows
+            pts = _signed_rows(a, b)[0]
+        else:
+            dq = query_dims(op, a.d)
+            pts = np.unique(np.vstack([a.values[:, :dq], b.values[:, :dq]]), axis=0)
         draws = _draws(uniform_sampler(op, a.d), samples, make_generator(seed))
-        batches = chain([(pts, np.zeros_like(pts))], draws)
-        est = _mc_estimate(_pair_gaps(a, b, op), batches, LINF)
+        est = _mc_estimate(gaps, chain([(pts, np.zeros_like(pts))], draws), LINF)
         return replace(est, samples=samples)
     if norm == L1:
         return mc_l1(a, b, op, samples, seed)

@@ -180,6 +180,8 @@ class BoxSum:
     _SLAB_CELLS cells with one distinct row per axis-0 level, filled in
     int32 by `_orthant_table`; answers are float64 either way.
     Mask: distinct rows with summed weights, stored column by column.
+    `distinct` builds the same kernel from rows already distinct, and
+    `steps` a one-axis table from its levels and cells.
 
     One axis always uses the table.  More axes use it when there are over
     _TABLE_MIN_ROWS distinct rows and it has at most _CHUNK_CELLS cells, as
@@ -221,10 +223,36 @@ class BoxSum:
                 self.strides = [math.prod(shape[j + 1 :]) for j in range(self.dq)]
                 return
         rows, inverse = np.unique(points, axis=0, return_inverse=True)
+        self._mask(rows, np.bincount(inverse.ravel(), weights=weights, minlength=rows.shape[0]))
+
+    @classmethod
+    def distinct(cls, rows: np.ndarray, weights: np.ndarray) -> BoxSum:
+        """The constructor's kernel for distinct `rows` over dq >= 2 axes,
+        one weight each.
+
+        At most _TABLE_MIN_ROWS rows take the mask as given, with none of
+        the constructor's np.unique passes; more take the constructor.
+        """
+        if rows.shape[0] > _TABLE_MIN_ROWS:
+            return cls(rows, weights)
+        box = cls.__new__(cls)
+        box.dq, box.table = rows.shape[1], None
+        box._mask(rows, weights)
+        return box
+
+    @staticmethod
+    def row_major(rows: np.ndarray) -> bool:
+        """Whether a count kernel over distinct `rows` over dq >= 2 axes is
+        the row-major mask: over _TABLE_MIN_ROWS rows, and a table over
+        _CHUNK_CELLS cells."""
+        if rows.shape[0] <= _TABLE_MIN_ROWS:
+            return False
+        return math.prod(np.unique(col).shape[0] + 1 for col in rows.T) > _CHUNK_CELLS
+
+    def _mask(self, rows: np.ndarray, weights: np.ndarray) -> None:
+        """The mask over distinct rows and their summed weights."""
         self.columns = np.ascontiguousarray(rows.T)
-        self.weights = np.bincount(
-            inverse.ravel(), weights=weights, minlength=rows.shape[0]
-        )
+        self.weights = weights
         # The product casts a chunk's bool mask to the weights' type.  Whole
         # weights (counts) sum exactly in any grouping, so their chunks are
         # sized to hold a float64 copy too, 8 more bytes a cell; those whose

@@ -3,7 +3,9 @@ from __future__ import annotations
 import gc
 import tracemalloc
 import weakref
+from dataclasses import replace
 from functools import partial
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_dataset, random_sorted
-from ldbounds import norms
+from ldbounds import norms, queryfn
 from ldbounds.constructions import PackingFamily, certify
 from ldbounds.data import empty_dataset, make_dataset, sort_dataset_1d
 from ldbounds.errors import (
@@ -633,7 +635,6 @@ def test_single_attribute_counts_search_one_table(monkeypatch):
         # a 0/1 measure: whole-number weights, still one evaluation per dataset
         (OpKind.RANGE_SUM, make_dataset(np.array([[0.2, 1.0], [0.6, 0.0]])),
          make_dataset(np.array([[0.4, 1.0]]))),
-        (OpKind.CARD_EST, random_dataset(30, 2, seed=56), random_dataset(20, 2, seed=57)),
     ],
 )
 def test_other_pairs_keep_two_evaluations(monkeypatch, op, a, b):
@@ -644,6 +645,110 @@ def test_other_pairs_keep_two_evaluations(monkeypatch, op, a, b):
     calls.clear()
     distance(a, b, op, "linf", 1000, 8)
     assert [id(ds) for ds in calls] == [id(a), id(b)] * 2  # the point probes, then the draws
+
+
+def _two_evaluation_estimates(a, b, samples, seed):
+    """mc_l1 and the linf probe of a d >= 2 ce pair, from each dataset's own kernel."""
+    op = OpKind.CARD_EST
+    gaps = lambda batch: np.abs(eval_batch(a, op, batch) - eval_batch(b, op, batch))
+    draws = lambda: norms._draws(uniform_sampler(op, a.d), samples, make_generator(seed))
+    pts = np.unique(np.vstack([a.values, b.values]), axis=0)
+    probe = norms._mc_estimate(gaps, chain([(pts, np.zeros_like(pts))], draws()), "linf")
+    return norms._mc_estimate(gaps, draws()), replace(probe, samples=samples)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # 50 distinct rows: the signed table
+        (random_dataset(30, 2, seed=56), random_dataset(20, 2, seed=57)),
+        # 7 distinct rows, 2 of them shared: the query-major mask
+        (make_dataset(np.array([[0.2, 0.4], [0.2, 0.4], [0.5, 0.1], [1.0, 1.0], [0.0, 0.7]])),
+         make_dataset(np.array([[0.2, 0.4], [0.5, 0.5], [1.0, 1.0], [0.3, 0.9], [0.6, 0.0]]))),
+    ],
+)
+def test_two_attribute_counts_read_one_signed_kernel(monkeypatch, a, b):
+    calls = _count_evaluations(monkeypatch)
+    got = (mc_l1(a, b, OpKind.CARD_EST, 3000, seed=8),
+           distance(a, b, OpKind.CARD_EST, "linf", 3000, 8))
+    assert calls == []
+    assert all("count_index" not in vars(ds) for ds in (a, b))
+    assert got == _two_evaluation_estimates(a, b, 3000, 8)
+
+
+def test_an_over_cap_signed_kernel_keeps_two_evaluations(monkeypatch):
+    # each member's table has 41 * 41 cells, the pair's 81 * 81
+    a, b = random_dataset(40, 2, seed=58), random_dataset(40, 2, seed=59)
+    monkeypatch.setattr(queryfn, "_CHUNK_CELLS", 41 * 41)
+    rows, kernel = norms._signed_rows(a, b)
+    assert kernel is None and rows.shape == (80, 2)
+    calls = _count_evaluations(monkeypatch)
+    got = (mc_l1(a, b, OpKind.CARD_EST, 1000, seed=8),
+           distance(a, b, OpKind.CARD_EST, "linf", 1000, 8))
+    assert [id(ds) for ds in calls] == [id(a), id(b)] * 3  # the draws, then the probe's two batches
+    assert a.count_index.table is not None and b.count_index.table is not None
+    assert got == _two_evaluation_estimates(a, b, 1000, 8)
+
+
+# a few values, so that rows tie on an axis and the two datasets share rows
+_COORD = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+def _rows(d, max_size=40):
+    rows = st.lists(st.lists(_COORD, min_size=d, max_size=d), max_size=max_size)
+    return rows.map(lambda r: make_dataset(r) if r else empty_dataset(d))
+
+
+def _box_edge_batch(a, b, gen):
+    """Boxes with edges on data values, zero widths and negative left edges.
+
+    Each data row gives its edges on every axis, and a column-shuffled copy
+    mixes edges from different rows.
+    """
+    v = np.vstack([np.zeros(a.d), np.ones(a.d), a.values, b.values])
+    v = np.vstack([v, np.column_stack([gen.permutation(col) for col in v.T])])
+    r = gen.random(v.shape)
+    C = np.concatenate([v, v, v - r, -r, -r * gen.random(v.shape), gen.random(v.shape) - r])
+    R = np.concatenate([np.zeros_like(v), (1.0 - v) * gen.random(v.shape), r, r, r, r])
+    return C, R
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_signed_rows_answer_as_the_two_evaluations(data):
+    d = data.draw(st.sampled_from([2, 3]))
+    a = data.draw(_rows(d))
+    pick = data.draw(st.sampled_from(["own", "same", "reversed"]))
+    if pick == "own":
+        b = data.draw(_rows(d))
+    else:  # the same records: every row cancels
+        b = a if pick == "same" or not a.n else make_dataset(a.values[::-1])
+    op = OpKind.CARD_EST
+    two = lambda batch: np.abs(eval_batch(a, op, batch) - eval_batch(b, op, batch))
+    rows, kernel = norms._signed_rows(a, b)
+    held = np.unique(np.vstack([a.values, b.values]), axis=0)
+    net = np.array([np.all(a.values == row, axis=1).sum() - np.all(b.values == row, axis=1).sum()
+                    for row in held]).reshape(-1)
+    assert np.array_equal(rows, held[net != 0])
+    assert pick == "own" or rows.shape == (0, d)
+    assert np.array_equal(kernel(rows, np.zeros_like(rows)), net[net != 0])
+    gen = make_generator(a.n * 31 + b.n)
+    for batch in (_box_edge_batch(a, b, gen), uniform_block(op, d, 1, 300, gen)):
+        assert np.array_equal(np.abs(kernel(*batch)), two(batch))
+    # the probe's points: the nonzero rows find what every distinct row finds
+    want = norms._mc_estimate(two, [(held, np.zeros_like(held))], "linf")
+    assert distance(a, b, op, "linf", 0, 1) == replace(want, samples=0)
+
+
+@pytest.mark.parametrize("norm", ["l1", "linf"])
+@pytest.mark.parametrize(
+    "op, widths", [(OpKind.CARD_EST, (3, 2)), (OpKind.CARD_EST, (1, 2)), (OpKind.RANGE_SUM, (3, 2))]
+)
+def test_distance_needs_equal_widths(op, widths, norm):
+    for da, db in (widths, widths[::-1]):
+        a, b = random_dataset(8, da, seed=da), random_dataset(6, db, seed=10 + db)
+        with pytest.raises(DimensionMismatch):
+            distance(a, b, op, norm, 100, 0)
 
 
 def test_one_pair_builds_its_signed_table_once(monkeypatch):

@@ -286,6 +286,19 @@ def test_box_table_over_cap_falls_back_to_mask(monkeypatch, gen):
     assert BoxSum(points[:, :1], weights).table is not None
 
 
+@pytest.mark.parametrize("count", [0, 1, 20, 32, 33, 60])
+def test_distinct_rows_build_the_constructors_kernel(monkeypatch, gen, count):
+    rows = np.unique(_distinct_rows(count, 1, gen), axis=0)
+    C, R = sample_range_queries(300, 2, gen)
+    for weights in (gen.integers(-3, 4, size=count).astype(np.float64), gen.random(count)):
+        for cap in (4_000_000, 10):  # the table, then a table over its cap
+            monkeypatch.setattr(queryfn, "_CHUNK_CELLS", cap)
+            box, want = BoxSum.distinct(rows, weights), BoxSum(rows, weights)
+            assert (box.table is None) == (want.table is None)
+            assert np.array_equal(box(C, R), want(C, R))
+            assert BoxSum.row_major(rows) == (count > 32 and cap == 10)
+
+
 def _whole_row_weights(edge, rows, gen):
     """Whole weights for `rows` rows, some negative, on one side of float32's
     exact range."""
