@@ -11,17 +11,24 @@ family's separation on sampled pairs, each measured by `norms.distance`.
 Multisets are encoded in colexicographic order: a sorted tuple
 x_1 <= ... <= x_m over {0..A-1} maps to rank sum_i C(x_i + i - 1, i),
 a bijection onto {0 .. C(m + A - 1, m) - 1}.  Rank and unrank walk that
-sum with one running binomial C(y, i), updated exactly in integers:
-C(y+1, i+1) = C(y, i) (y+1) / (i+1) from one record to the next, and
-C(y+1, i) = C(y, i) (y+1) / (y+1-i) along a gap (downward when
-unranking).  A term in the zero region (x_i = 0, so C(y, i) = 0) carries
-nothing to update from, so the walk restarts with `math.comb` on leaving
-it; a gap longer than _WALK costs one `math.comb` (rank) or a float
-guess checked exactly (unrank) instead of unit steps.  Unrank does not
-wait for _WALK steps to fail: after two, a bound on how fast C(y, i) can
-fall (`_walk_reaches`) tells whether the rest could reach the crossing,
-and if not it jumps there at once.  The guess is closed-form, refined by
-at most three Newton steps on `bounds.log_falling`.
+sum with one running term, updated exactly in integers: the binomial
+C(y, i), or the falling factorial P(y, i) = y!/(y-i)! = C(y, i) i!.  From
+one record to the next C(y+1, i+1) = C(y, i) (y+1) / (i+1) and
+P(y+1, i+1) = P(y, i) (y+1); along a gap both move by (y+1) / (y+1-i)
+(downward when unranking).  A gap longer than _WALK, or leaving the zero
+region (x_i = 0, so C(y, i) = 0 carries nothing to update from), is a
+jump: one `math.comb` (rank) or a float guess checked exactly (unrank).
+A jump right after another jump moves the walk to falling factorials
+instead, which `math.perm` builds with no division: rank sums their terms
+by Horner's rule, S <- S i + P(y, i), and unrank keeps its remaining rank
+times i!, dividing it by i at each record.  After two consecutive records
+reached by unit steps the walk divides by i! and goes back to binomials.
+So a run of jumps divides by i! once, and dense runs, lone jumps among
+them included, never carry the i! factor.  Unrank does not wait for
+_WALK steps to fail: after two, a bound on how fast the term can fall
+(`_walk_reaches`) tells whether the rest could reach the crossing, and if
+not it jumps there at once.  The guess is closed-form, refined by at most
+three Newton steps on `bounds.log_falling`.
 """
 
 from __future__ import annotations
@@ -75,7 +82,7 @@ VERSION = 1
 # .ldbc header: magic, version, op byte, n, d, resolution, payload length
 _HEADER = struct.Struct("<4sBBQHQI")
 # longest gap in y the codec crosses by exact unit steps; a longer one costs
-# one math.comb (rank) or a float-guided search (unrank)
+# one math.comb or math.perm (rank) or a float-guided search (unrank)
 _WALK = 64
 _FLOAT_SAFE = 2**1000  # the guess takes y as a float
 _FLOAT_EXACT = 2**53  # floats hold every integer below this, and no finer
@@ -93,11 +100,14 @@ def multiset_count(m: int, alphabet: int) -> int:
 def multiset_rank(items, alphabet: int) -> int:
     """Colex rank of a sorted multiset over {0..alphabet-1}.
 
-    c = C(y, i), y = x_i + i - 1, walked upward as the module describes.
+    c = C(y, i), or P(y, i) while `run` holds the Horner sum of the
+    falling-factorial terms; y = x_i + i - 1, walked upward as the module
+    describes.
     """
     if alphabet < 1:
         raise InvalidParams("need alphabet >= 1")
     rank = c = y = prev = 0
+    jumped, run = -1, None  # the last record that jumped
     for i, x in enumerate(items, start=1):
         try:
             x = operator.index(x)
@@ -108,14 +118,28 @@ def multiset_rank(items, alphabet: int) -> int:
         prev = x
         target = x + i - 1
         if c:
-            c, y = c * (y + 1) // i, y + 1  # C(y+1, i) = C(y, i-1) (y+1) / i
+            y += 1
+            # C(y, i) = C(y-1, i-1) y / i, or P(y, i) = P(y-1, i-1) y
+            c = c * y // i if run is None else c * y
         if c and target - y <= _WALK:
             while y < target:
                 y += 1
-                c = c * y // (y - i)  # C(y, i) = C(y-1, i) y / (y - i)
+                c = c * y // (y - i)  # C(y, i) = C(y-1, i) y / (y - i), and so P
         elif x:  # a long gap, or leaving the zero region where C(y, i) = 0
-            c, y = math.comb(target, i), target
-        rank += c
+            if run is None and jumped < i - 1:  # a lone jump keeps binomials
+                c = math.comb(target, i)
+            else:  # a second jump in a row: falling factorials from here
+                c, run = math.perm(target, i), 0 if run is None else run
+            y, jumped = target, i
+        if run is None:
+            rank += c
+        else:
+            run = run * i + c  # i! times the terms summed since the switch
+            if i - jumped == 2:  # two records walked in a row
+                scale = math.factorial(i)
+                rank, c, run = rank + run // scale, c // scale, None
+    if run is not None:
+        rank += run // math.factorial(i)
     return rank
 
 
@@ -126,7 +150,8 @@ def _walk_reaches(c: int, rem: int, y: int, i: int) -> bool:
     a = y - _WALK + 1, so the walk lowers log2 c by at most
     drop = -_WALK log2(1 - i/a) >= _WALK i / a bits.  It surely misses when
     log2 c - log2 rem > drop: bit lengths settle most cases, `math.log2`
-    the rest.
+    the rest.  Only c / rem enters, so c = P(y, i) against rem i! reads the
+    same.
     """
     a = y - _WALK + 1
     gap = c.bit_length() - rem.bit_length()  # log2 c - log2 rem lies in (gap-1, gap+1)
@@ -150,34 +175,38 @@ def _iroot(x: int, k: int) -> int:
     return r
 
 
-def _crossing(rem: int, k: int, hi: int) -> tuple[int, int]:
-    """(y, C(y, k)) for the largest y <= hi with C(y, k) <= rem, given 1 <= rem.
+def _crossing(rem: int, k: int, hi: int, scaled: bool) -> tuple[int, int]:
+    """(y, T(y, k)) for the largest y <= hi with T(y, k) <= rem, given T(k, k) <= rem.
 
-    A float guess, then exact unit steps from it; y is returned only once
-    C(y, k) <= rem < C(y+1, k) holds exactly.  The guess starts at
-    y0 = exp(log(rem k!) / k) + (k-1)/2, where (y - (k-1)/2)^k, an upper
-    bound on y!/(y-k)!, equals rem k!, so y0 lies at or below the crossing;
-    at most 3 Newton steps on `log_falling(y, k) = log(rem k!)` follow,
-    with slope log1p(k / (y - k + 1/2)).  From _FLOAT_EXACT up, where a
-    float is coarser than a cell, the start is that y0 in integers instead:
-    the exact k-th root of rem k! plus (k-1)/2 rounded down, still at or
-    below the crossing.  A guess more than _WALK steps off falls back to
-    bisection over what the steps left open.
+    T is C (`math.comb`), against the remaining rank, or if `scaled` P
+    (`math.perm`), against the remaining rank times k!.  A float guess,
+    then exact unit steps from it; y is returned only once
+    T(y, k) <= rem < T(y+1, k) holds exactly.  With R = rem k! (or rem
+    when scaled) the guess starts at y0 = exp(log(R) / k) + (k-1)/2, where
+    (y - (k-1)/2)^k, an upper bound on P(y, k), equals R, so y0 lies at or
+    below the crossing; at most 3 Newton steps on `log_falling(y, k) =
+    log(R)` follow, with slope log1p(k / (y - k + 1/2)).  From _FLOAT_EXACT
+    up, where a float is coarser than a cell, the start is that y0 in
+    integers instead: the exact k-th root of R plus (k-1)/2 rounded down,
+    still at or below the crossing.  A guess more than _WALK steps off
+    falls back to bisection over what the steps left open.
     """
+    term = math.perm if scaled else math.comb
     y = k
     if hi < _FLOAT_SAFE:  # the guess takes y as a float
-        log_rem = math.log(rem) + math.lgamma(k + 1)
-        g = math.exp(min(log_rem / k, math.log(hi))) + (k - 1) / 2
+        log_r = math.log(rem) + (0.0 if scaled else math.lgamma(k + 1))
+        g = math.exp(min(log_r / k, math.log(hi))) + (k - 1) / 2
         for _ in range(3):
             g = min(max(g, k), hi)
-            step = (log_falling(g, k) - log_rem) / math.log1p(k / (g - k + 0.5))
+            step = (log_falling(g, k) - log_r) / math.log1p(k / (g - k + 0.5))
             g -= step
             if abs(step) < 0.5:
                 break
         y = int(min(max(g, k), hi))
-        if _FLOAT_EXACT <= y < hi:  # y < hi: a float holds the root of rem k!
-            y = min(_iroot(rem * math.factorial(k), k) + (k - 1) // 2, hi)
-    lo, c = k, math.comb(y, k)
+        if _FLOAT_EXACT <= y < hi:  # y < hi: a float holds the root of R
+            r = rem if scaled else rem * math.factorial(k)
+            y = min(_iroot(r, k) + (k - 1) // 2, hi)
+    lo, c = k, term(y, k)
     for _ in range(_WALK):
         if c > rem:
             hi, c, y = y - 1, c * (y - k) // y, y - 1
@@ -187,42 +216,54 @@ def _crossing(rem: int, k: int, hi: int) -> tuple[int, int]:
             lo, c, y = y + 1, up, y + 1
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if math.comb(mid, k) <= rem:
+        if term(mid, k) <= rem:
             lo = mid
         else:
             hi = mid - 1
-    return lo, math.comb(lo, k)
+    return lo, term(lo, k)
 
 
 def multiset_unrank(rank: int, m: int, alphabet: int) -> tuple[int, ...]:
     """Inverse of multiset_rank; returns the sorted multiset.
 
     The same walk downward from C(alphabet + m - 1, m), the code-space
-    size: record i takes the largest y with C(y, i) <= the remaining rank,
-    by unit steps down y, or by `_crossing` once _WALK steps have not
+    size: record i takes the largest y with C(y, i) <= rem, the remaining
+    rank, by unit steps down y, or by `_crossing` once _WALK steps have not
     reached it, or at once when two steps have not and `_walk_reaches`
-    shows the rest cannot.
+    shows the rest cannot.  A second crossing in a row moves the walk to
+    P(y, i) against rem i!, which each record divides by i.
     """
     total = multiset_count(m, alphabet)
     if not 0 <= rank < total:
-        raise IndexOutOfRange(f"rank {rank} outside [0, {total})")
+        # the bound by its binomial: str() refuses ints past 4300 digits
+        raise IndexOutOfRange(f"rank outside [0, C({alphabet + m - 1}, {m}))")
     out = [0] * m
     rem = rank
     y = alphabet + m - 1
     c = total  # C(y, m)
+    crossed, scaled = m + 2, False  # the last record that crossed
     for i in range(m, 0, -1):
         if not rem:
             break  # every record left is symbol 0
         steps = 0
         while c > rem:
             if steps == _WALK or steps == 2 and not _walk_reaches(c, rem, y, i):
-                y, c = _crossing(rem, i, y - 1)
+                if not scaled and crossed == i + 1:  # the record before crossed too
+                    rem, scaled = rem * math.factorial(i), True
+                y, c = _crossing(rem, i, y - 1, scaled)
+                crossed = i
                 break
-            c, y = c * (y - i) // y, y - 1  # C(y-1, i) = C(y, i) (y - i) / y
+            c, y = c * (y - i) // y, y - 1  # C(y-1, i) = C(y, i) (y - i) / y, and so P
             steps += 1
         rem -= c
         out[i - 1] = y - (i - 1)
-        c, y = c * i // y, y - 1  # C(y-1, i-1) = C(y, i) i / y
+        if not scaled:
+            c, y = c * i // y, y - 1  # C(y-1, i-1) = C(y, i) i / y
+        else:
+            c, y, rem = c // y, y - 1, rem // i  # P(y-1, i-1) = P(y, i) / y
+            if crossed - i == 2:  # two records walked in a row
+                scale = math.factorial(i - 1)
+                c, rem, scaled = c // scale, rem // scale, False
     return tuple(out)
 
 
@@ -541,10 +582,13 @@ def cover_encode(
     else:
         digits = _quantile_digits(dataset.values, u, cdf)
     base = u + 1
-    ids = digits[:, 0].astype(object)
-    for j in range(1, data_d):
-        ids = ids + digits[:, j].astype(object) * (base**j)
-    ids = sorted(int(x) for x in ids)
+    # ascending cell id is lexicographic order, most significant axis first;
+    # the ids themselves are built in Python ints, exact at any width
+    digits = digits[np.lexsort(digits.T)]
+    ids = digits[:, -1].astype(object)
+    for j in range(data_d - 2, -1, -1):
+        ids = ids * base + digits[:, j]
+    ids = ids.tolist()
     alphabet = base**data_d
     index = multiset_rank(ids, alphabet)
     _, bits = _code_space(n, alphabet)

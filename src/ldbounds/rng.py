@@ -40,8 +40,10 @@ def make_generator(seed: int) -> np.random.Generator:
 def rand_below(gen: np.random.Generator, bound: int) -> int:
     """Uniform integer in [0, bound) for arbitrarily large `bound`.
 
-    Draws ceil(k/64) 64-bit words, masks to k = bound.bit_length() bits,
-    rejects values >= bound.  Acceptance probability is always > 1/2.
+    Draws ceil(k/64) raw 64-bit words, the same words and generator state
+    as ``gen.integers(0, 1 << 64, size=words, dtype=np.uint64)``, keeps the
+    top k = bound.bit_length() bits, rejects values >= bound.  Acceptance
+    probability is always > 1/2.
     """
     if bound <= 0:
         raise ValueError("bound must be positive")
@@ -49,8 +51,8 @@ def rand_below(gen: np.random.Generator, bound: int) -> int:
     words = (k + 63) // 64
     while True:
         draw = 0
-        for w in gen.integers(0, 1 << 64, size=words, dtype=np.uint64):
-            draw = (draw << 64) | int(w)
+        for w in gen.bit_generator.random_raw(words).tolist():
+            draw = (draw << 64) | w
         draw >>= words * 64 - k
         if draw < bound:
             return draw

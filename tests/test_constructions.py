@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import random
@@ -65,6 +66,7 @@ from ldbounds.norms import (
     rank_mu,
 )
 from ldbounds.queryfn import OpKind, query_dims
+from ldbounds.rng import make_generator, rand_below
 
 
 # -- multiset codec ----------------------------------------------------------
@@ -122,14 +124,46 @@ def _colex_rank_oracle(items) -> int:
     return sum(math.comb(x + i - 1, i) for i, x in enumerate(items, start=1))
 
 
+def _clustered(m: int, width: int, alphabet: int, seed: int) -> list[int]:
+    """m sorted symbols from `width` cells at a random offset: a dense run."""
+    gen = random.Random(seed)
+    start = gen.randrange(alphabet - width + 1)
+    return sorted(start + gen.randrange(width) for _ in range(m))
+
+
+def _alternating(m: int, short: int, long: int, seed: int) -> list[int]:
+    """m sorted symbols whose gaps come in runs of one to four, alternating
+    between runs of at most `short` cells and runs of _WALK + 1 to `long`
+    cells, so the walk moves in and out of the falling-factorial scale."""
+    gen = random.Random(seed)
+    x, out, jump = 0, [], True
+    while len(out) < m:
+        for _ in range(gen.randint(1, 4)):
+            x += gen.randint(constructions._WALK + 1, long) if jump else gen.randint(0, short)
+            out.append(x)
+        jump = not jump
+    return out[:m]
+
+
 @st.composite
 def _multisets(draw):
     """(alphabet, sorted multiset): a zero prefix, then values drawn from the
-    whole alphabet or from a pool of at most three symbols (long equal runs)."""
-    alphabet = draw(st.integers(1, 140) | st.integers(10**5, 10**9))
+    whole alphabet or from a pool of at most three symbols (long equal runs);
+    or a dense run clustered in a wide alphabet; or runs of short and long
+    gaps in turn."""
+    shape = draw(st.sampled_from(["spread", "clustered", "alternating"]))
     m = draw(st.integers(0, 300))
+    seed = draw(st.integers(0, 2**32))
+    if shape == "clustered":
+        alphabet = draw(st.integers(10**5, 10**9))
+        return alphabet, _clustered(m, draw(st.integers(1, 2 * m + 1)), alphabet, seed)
+    if shape == "alternating":
+        items = _alternating(m, draw(st.integers(0, 2 * constructions._WALK)),
+                             draw(st.integers(constructions._WALK + 1, 10**6)), seed)
+        return draw(st.integers(items[-1] + 1 if items else 1, 10**9)), items
+    alphabet = draw(st.integers(1, 140) | st.integers(10**5, 10**9))
     zeros = draw(st.integers(0, m))
-    gen = random.Random(draw(st.integers(0, 2**32)))
+    gen = random.Random(seed)
     pool = [gen.randrange(alphabet) for _ in range(draw(st.integers(1, 3)))]
     if draw(st.booleans()):
         rest = [gen.randrange(alphabet) for _ in range(m - zeros)]
@@ -163,6 +197,9 @@ def test_multiset_codec_matches_oracle(case, data):
         (list(range(300)), 300),
         ([10**9 - 1] * 300, 10**9),  # the last rank
         ([0, 5, 2**1099, 2**1100 - 1], 2**1100),  # past float range: no lgamma guess
+        (_clustered(2000, 2500, 10**6, 0), 10**6),  # one jump, then a dense walk
+        (_alternating(400, 30, 10**5, 0), 10**9),  # scale switches both ways
+        ([0] * 150 + _alternating(150, 64, 65, 1), 10**9),  # gaps at the walk's edge
     ],
 )
 def test_multiset_codec_edge_cases(items, alphabet):
@@ -209,42 +246,49 @@ def test_cover_codec_scale():
 def test_crossing_guess_lands_near_the_crossing(monkeypatch):
     # at y near 2**32 and small k a guess from lgamma(y + 1) - lgamma(y - k + 1)
     # cancels, misses by thousands of cells and ends in bisection: about 19
-    # math.comb calls per crossing
-    calls = {"comb": 0, "crossing": 0}
-    comb, crossing = math.comb, constructions._crossing
+    # math.comb or math.perm calls per crossing
+    calls = {"term": 0, "crossing": 0}
+    comb, perm, crossing = math.comb, math.perm, constructions._crossing
 
-    def counting_comb(*args):
-        calls["comb"] += 1
-        return comb(*args)
+    def counting(term):
+        def count(*args):
+            calls["term"] += 1
+            return term(*args)
+        return count
 
     def counting_crossing(*args):
         calls["crossing"] += 1
         return crossing(*args)
 
-    monkeypatch.setattr(math, "comb", counting_comb)
+    monkeypatch.setattr(math, "comb", counting(comb))
+    monkeypatch.setattr(math, "perm", counting(perm))
     monkeypatch.setattr(constructions, "_crossing", counting_crossing)
     packing_linf(OpKind.INDEX, 100, 1, 1.0, 2**32, 2, 1)
     assert calls["crossing"] >= 50
-    assert calls["comb"] <= 5 * calls["crossing"]
+    assert calls["term"] <= 5 * calls["crossing"]
 
 
-def _crossing_oracle(rem: int, k: int, hi: int) -> tuple[int, int]:
-    """Largest y in [k, hi] with C(y, k) <= rem, by bisection over math.comb."""
+def _crossing_oracle(rem: int, k: int, hi: int, scaled: bool) -> tuple[int, int]:
+    """Largest y in [k, hi] with T(y, k) <= rem, and T(y, k), by bisection;
+    T is math.perm if scaled, else math.comb."""
+    term = math.perm if scaled else math.comb
     lo = k
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if math.comb(mid, k) <= rem:
+        if term(mid, k) <= rem:
             lo = mid
         else:
             hi = mid - 1
-    return lo, math.comb(lo, k)
+    return lo, term(lo, k)
 
 
 @st.composite
 def _crossing_cases(draw):
-    """(rem, k, hi): the answer at k, at hi, or strictly between, with hi up
-    to 2^64 and past the float guess at _FLOAT_SAFE (small k only, where
-    math.comb stays cheap)."""
+    """(rem, k, hi, scaled), rem a remaining rank, times k! if scaled: the
+    answer at k, at hi, or strictly between, with hi up to 2^64 and past the
+    float guess at _FLOAT_SAFE (small k only, where the terms stay cheap)."""
+    scaled = draw(st.booleans())
+    term = math.perm if scaled else math.comb
     huge = draw(st.integers(0, 5)) == 0
     k = draw(st.integers(1, 3)) if huge else draw(st.integers(1, 3) | st.integers(1, 300))
     if huge:
@@ -253,42 +297,46 @@ def _crossing_cases(draw):
         hi = k + draw(st.integers(0, 70) | st.integers(0, 2**32) | st.integers(0, 2**64 - k))
     where = draw(st.sampled_from(["k", "hi", "between"]))
     if where == "k" or hi == k:
-        return draw(st.integers(1, k)), k, hi  # C(k, k) = 1 <= rem < k + 1 = C(k+1, k)
+        return draw(st.integers(term(k, k), term(k + 1, k) - 1)), k, hi, scaled
     if where == "hi":
-        low = math.comb(hi, k)
-        return draw(st.integers(low, 3 * low)), k, hi
+        low = term(hi, k)
+        return draw(st.integers(low, 3 * low)), k, hi, scaled
     y = draw(st.integers(k, hi - 1))
-    return draw(st.integers(math.comb(y, k), math.comb(y + 1, k) - 1)), k, hi
+    return draw(st.integers(term(y, k), term(y + 1, k) - 1)), k, hi, scaled
 
 
 @settings(max_examples=300, deadline=None)
 @given(_crossing_cases())
-@example((1, 1, 1))
-@example((1, 1, 2**64))
-@example((2**64, 1, 2**64))
-@example((1, 5, 2**40))
-@example((7, 3, 3))
+@example((1, 1, 1, False))
+@example((1, 1, 2**64, True))
+@example((2**64, 1, 2**64, False))
+@example((1, 5, 2**40, False))
+@example((math.factorial(5), 5, 2**40, True))
+@example((7, 3, 3, False))
+@example((7 * math.factorial(3), 3, 3, True))
 def test_crossing_matches_bisection_oracle(case):
-    rem, k, hi = case
-    assert constructions._crossing(rem, k, hi) == _crossing_oracle(rem, k, hi)
+    rem, k, hi, scaled = case
+    assert constructions._crossing(rem, k, hi, scaled) == _crossing_oracle(rem, k, hi, scaled)
 
 
 @pytest.mark.parametrize("k, y", [(5000, 10000), (20000, 60000)])
 def test_crossing_newton_steps_fix_a_far_start(monkeypatch, k, y):
     # at y = 2k or 3k the closed-form start lies 85-570 cells low, past the
-    # unit steps; Newton's steps bring it within one, so one math.comb
-    # confirms it instead of a bisection
-    rem = math.comb(y, k) + 12345
-    calls = {"comb": 0}
-    comb = math.comb
+    # unit steps; Newton's steps bring it within one, so one math.perm (or
+    # math.comb for an unscaled rank) confirms it instead of a bisection
+    rest = math.comb(y, k) + 12345
+    for scaled, term in ((True, math.perm), (False, math.comb)):
+        calls = {"term": 0}
 
-    def counting_comb(*args):
-        calls["comb"] += 1
-        return comb(*args)
+        def counting(*args):
+            calls["term"] += 1
+            return term(*args)
 
-    monkeypatch.setattr(math, "comb", counting_comb)
-    assert constructions._crossing(rem, k, 2 * y) == (y, comb(y, k))
-    assert calls["comb"] == 1
+        rem = rest * math.factorial(k) if scaled else rest
+        with monkeypatch.context() as patch:
+            patch.setattr(math, term.__name__, counting)
+            assert constructions._crossing(rem, k, 2 * y, scaled) == (y, term(y, k))
+        assert calls["term"] == 1
 
 
 @pytest.mark.parametrize("e", [50, 54, 56, 58, 64])
@@ -297,52 +345,55 @@ def test_crossing_past_float_precision_starts_from_an_exact_root(monkeypatch, k,
     # from 2^53 up a float start drifts past the unit steps: 56-66 math.comb
     # calls per crossing at 2^54-2^64 went to bisection
     y = 2**e + 12345
-    low, high = math.comb(y, k), math.comb(y + 1, k)
-    calls = {"comb": 0}
-    comb = math.comb
+    for scaled, term in ((True, math.perm), (False, math.comb)):
+        low, high = term(y, k), term(y + 1, k)
+        calls = {"term": 0}
 
-    def counting_comb(*args):
-        calls["comb"] += 1
-        return comb(*args)
+        def counting(*args):
+            calls["term"] += 1
+            return term(*args)
 
-    for rem in (low, low + (high - low) // 3, high - 1):
-        want = _crossing_oracle(rem, k, 2 * y)
-        calls["comb"] = 0
-        with monkeypatch.context() as patch:
-            patch.setattr(math, "comb", counting_comb)
-            assert constructions._crossing(rem, k, 2 * y) == want == (y, low)
-        assert calls["comb"] <= 2
+        for rem in (low, low + (high - low) // 3, high - 1):
+            want = _crossing_oracle(rem, k, 2 * y, scaled)
+            calls["term"] = 0
+            with monkeypatch.context() as patch:
+                patch.setattr(math, term.__name__, counting)
+                assert constructions._crossing(rem, k, 2 * y, scaled) == want == (y, low)
+            assert calls["term"] <= 2
 
 
 @st.composite
 def _walk_states(draw):
-    """(c, rem, y, i) with c = C(y, i) > rem >= 1 and the crossing t cells down,
-    t drawn around _WALK so both answers of the reach check occur."""
+    """(c, rem, y, i, scale) with c = C(y, i) scale > rem >= scale and the
+    crossing t cells down, t drawn around _WALK so both answers of the reach
+    check occur; scale is 1 or i!, the walk's falling-factorial scale."""
     i = draw(st.integers(1, 400))
     y = i + draw(st.integers(1, 200) | st.integers(1, 10**6) | st.integers(1, 2**48))
     t = draw(st.integers(1, 3 * constructions._WALK))
     c = math.comb(y, i)  # >= i + 1 >= 2
     rem = min(max(1, math.comb(max(y - t, 0), i) + draw(st.integers(0, 3))), c - 1)
-    return c, rem, y, i
+    scale = math.factorial(i) if draw(st.booleans()) else 1
+    return c * scale, rem * scale, y, i, scale
 
 
 @settings(max_examples=300, deadline=None)
 @given(_walk_states())
 def test_reach_check_never_skips_a_walk_that_reaches(state):
-    c, rem, y, i = state
+    c, rem, y, i, scale = state
     if not constructions._walk_reaches(c, rem, y, i):
         # the walk it skips would have ended above rem: C(y - _WALK, i) > rem
-        assert math.comb(max(y - constructions._WALK, 0), i) > rem
+        assert math.comb(max(y - constructions._WALK, 0), i) * scale > rem
 
 
 def test_sparse_crossings_skip_the_walk_and_guess_in_few_steps(monkeypatch):
     # alphabet far above m: almost every record lies hundreds of thousands of
     # cells below the last, so each crossing should come straight from the
     # reach check and cost at most 4 log_falling calls (a float bisection
-    # over y < 2^30 makes about 30)
-    calls = {"log_falling": 0, "crossing": 0, "skipped": 0}
-    falling, crossing, reaches = (
+    # over y < 2^30 makes about 30) and one math.perm
+    calls = {"log_falling": 0, "crossing": 0, "skipped": 0, "perm": 0}
+    falling, crossing, reaches, perm = (
         constructions.log_falling, constructions._crossing, constructions._walk_reaches,
+        math.perm,
     )
 
     def counting_falling(*args):
@@ -358,16 +409,74 @@ def test_sparse_crossings_skip_the_walk_and_guess_in_few_steps(monkeypatch):
         calls["skipped"] += not out
         return out
 
-    monkeypatch.setattr(constructions, "log_falling", counting_falling)
-    monkeypatch.setattr(constructions, "_crossing", counting_crossing)
-    monkeypatch.setattr(constructions, "_walk_reaches", counting_reaches)
+    def counting_perm(*args):
+        calls["perm"] += 1
+        return perm(*args)
+
     m, alphabet = 200, 10**9
     gen = random.Random(3)
     items = sorted(gen.randrange(alphabet) for _ in range(m))
-    assert multiset_unrank(multiset_rank(items, alphabet), m, alphabet) == tuple(items)
+    rank = multiset_rank(items, alphabet)
+    monkeypatch.setattr(constructions, "log_falling", counting_falling)
+    monkeypatch.setattr(constructions, "_crossing", counting_crossing)
+    monkeypatch.setattr(constructions, "_walk_reaches", counting_reaches)
+    monkeypatch.setattr(math, "perm", counting_perm)
+    assert multiset_unrank(rank, m, alphabet) == tuple(items)
     assert calls["crossing"] >= 0.9 * m
     assert calls["skipped"] >= 0.9 * calls["crossing"]
     assert calls["log_falling"] <= 4 * calls["crossing"]
+    assert calls["perm"] <= calls["crossing"]
+
+
+def _long_gaps(items) -> int:
+    """Records more than _WALK cells above the one before (the first from 0)."""
+    return sum(b - a > constructions._WALK for a, b in zip([0, *items], items))
+
+
+def _term_calls(monkeypatch, items, alphabet) -> dict[str, int]:
+    """math.comb, math.perm and math.factorial calls of one rank and one
+    unrank of `items`, leaving out unrank's code-space size."""
+    calls = {"comb": -1, "perm": 0, "factorial": 0}
+    with monkeypatch.context() as patch:
+        for name in calls:
+            def count(*args, name=name, term=getattr(math, name)):
+                calls[name] += 1
+                return term(*args)
+
+            patch.setattr(math, name, count)
+        rank = multiset_rank(items, alphabet)
+        assert multiset_unrank(rank, len(items), alphabet) == tuple(items)
+    return calls
+
+
+def test_a_dense_run_walks_without_falling_factorials(monkeypatch):
+    # 2,000 records in 2,500 cells of a 10^6 alphabet: the one jump into the
+    # run is a lone jump, so no record costs a math.perm; a term per record
+    # as a falling factorial took about 30 times as long (math.perm calls of
+    # up to 37,000 bits)
+    items = _clustered(2000, 2500, 10**6, 0)
+    assert _term_calls(monkeypatch, items, 10**6)["perm"] == 0
+
+
+@pytest.mark.parametrize("every", [2, 3, 5])
+def test_only_runs_of_jumps_take_falling_factorials(monkeypatch, every):
+    # a lone jump keeps binomials: a switch to falling factorials and back
+    # costs a multiplication and two divisions by i! for one cheaper term;
+    # jumps in pairs switch at the second of each pair, and back (dividing
+    # by i!) once two records have walked
+    gen = random.Random(every)
+
+    def gaps(long):
+        return [gen.randint(constructions._WALK + 1, 10**4) if long(k) else gen.randint(0, 3)
+                for k in range(600)]
+
+    lone = list(itertools.accumulate(gaps(lambda k: k % every == 0)))
+    calls = _term_calls(monkeypatch, lone, 10**7)
+    assert calls["perm"] == 0 and calls["comb"] >= 2 * 600 // every
+    paired = list(itertools.accumulate(gaps(lambda k: k % (2 * every) < 2)))
+    calls = _term_calls(monkeypatch, paired, 10**7)
+    pairs = 600 // (2 * every)
+    assert calls["perm"] >= 2 * pairs - 2 and calls["factorial"] >= 2 * pairs - 2
 
 
 def test_mixed_radix_digits_match_integer_loop():
@@ -613,6 +722,41 @@ def test_pair_indices_land_on_their_flat_offset_in_huge_families(monkeypatch):
         for flat, (i, j) in zip(flats, _pairs_at(monkeypatch, m, flats)):
             assert 0 <= i < j < m
             assert i * (2 * m - i - 1) // 2 + (j - i - 1) == flat
+
+
+@pytest.mark.parametrize("words", [1, 2, 3, 17])
+def test_raw_words_are_the_full_range_integer_draws(words):
+    # rand_below reads raw words: numpy fills a full-range uint64 `integers`
+    # call with the same words and leaves the generator in the same state
+    for seed in range(200):
+        a, b = make_generator(seed), make_generator(seed)
+        want = a.integers(0, 1 << 64, size=words, dtype=np.uint64)
+        got = b.bit_generator.random_raw(words)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert b.integers(0, 10**9) == a.integers(0, 10**9)
+
+
+def _rand_below_by_integers(gen, bound: int) -> int:
+    """rand_below spelled with full-range `integers` words."""
+    k = bound.bit_length()
+    words = (k + 63) // 64
+    while True:
+        draw = 0
+        for w in gen.integers(0, 1 << 64, size=words, dtype=np.uint64):
+            draw = (draw << 64) | int(w)
+        draw >>= words * 64 - k
+        if draw < bound:
+            return draw
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 2**63 + 1, 2**64, 2**64 + 1, 3**100, 10**400])
+def test_rand_below_keeps_its_stream(bound):
+    for seed in range(50):
+        a, b = make_generator(seed), make_generator(seed)
+        got = [rand_below(a, bound) for _ in range(5)]
+        assert got == [_rand_below_by_integers(b, bound) for _ in range(5)]
+        assert all(0 <= x < bound for x in got)
+        assert a.integers(0, 10**9) == b.integers(0, 10**9)
 
 
 @pytest.mark.parametrize("pairs", [0, -3])
