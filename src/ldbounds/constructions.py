@@ -302,18 +302,23 @@ def _mixed_radix_digits(values, d: int, base: int) -> np.ndarray:
     return digits
 
 
-def _packing_members(
-    n: int, copies: int, levels: int, grid: Callable, d: int, count: int, seed: int
-) -> tuple[list[np.ndarray], int, int]:
-    """The one packing construction: (member row matrices, m, pad).
+def _packing(
+    req: BoundRequest, norm: str, copies: int, levels: int, grid: Callable,
+    count: int, seed: int, params: dict, cdf: Callable | None = None,
+) -> PackingFamily:
+    """The one packing construction; every family's claim, req.eps, is set here.
 
-    Each member is `copies` copies of a distinct multiset of m = n // copies
-    symbols over the alphabet of levels**d grid points (a symbol's
-    mixed-radix digits j become the coordinates grid(j)), padded with
-    n - copies * m all-ones rows and sorted in the canonical record order:
-    lexicographic from axis 0 outward.  Only the drawn digits are mapped,
-    so no member costs memory in proportion to the grid.
+    With n and d from `req`, each member is `copies` copies of a distinct
+    multiset of m = n // copies symbols over the alphabet of levels**d grid
+    points (a symbol's mixed-radix digits j become the coordinates
+    grid(j)), padded with n - copies * m all-ones rows and sorted in the
+    canonical record order: lexicographic from axis 0 outward.  Range-sum
+    members then gain a constant 1.0 measure column, making their sums
+    equal to the underlying counts.  Only the drawn digits are mapped, so
+    no member costs memory in proportion to the grid.  `params` gain
+    multiset_size m and pad.
     """
+    n, d = req.n, req.d
     m = n // copies
     if m < 1:
         raise InvalidParams(f"n too small: need n >= {copies} copies of one point")
@@ -331,8 +336,14 @@ def _packing_members(
         ms = multiset_unrank(r, m, alphabet)
         points = grid(_mixed_radix_digits(ms, d, levels))
         rows = np.vstack([np.repeat(points, copies, axis=0), np.ones((pad, d))])
-        members.append(rows[np.lexsort(rows.T[::-1])])
-    return members, m, pad
+        rows = rows[np.lexsort(rows.T[::-1])]
+        if req.op is OpKind.RANGE_SUM:
+            rows = np.hstack([rows, np.ones((n, 1))])
+        members.append(make_dataset(rows))
+    return PackingFamily(
+        req.op, norm, tuple(members), claimed_separation=float(req.eps),
+        params={**params, "multiset_size": m, "pad": pad}, cdf=cdf,
+    )
 
 
 def packing_linf(
@@ -344,23 +355,11 @@ def packing_linf(
     per predicate axis, eb = floor(eps)+1 copies of each, all-ones
     padding).  Two distinct members disagree on some point's multiplicity,
     and the query isolating that point changes the answer by at least eb.
-    Range-sum members carry a constant 1.0 measure attribute, making their
-    sums equal to the underlying counts.
     """
-    require_in_range(BoundRequest(op, NORM_INF, LOWER, n, d, eps, u))
+    require_in_range(req := BoundRequest(op, NORM_INF, LOWER, n, d, eps, u))
     eb = int(math.floor(eps)) + 1
-    members, m, pad = _packing_members(
-        n, eb, u + 1, lambda j: j / float(u), d, count, seed
-    )
-    if op is OpKind.RANGE_SUM:
-        members = [np.hstack([rows, np.ones((n, 1))]) for rows in members]
-    return PackingFamily(
-        op=op,
-        norm=LINF,
-        datasets=tuple(map(make_dataset, members)),
-        claimed_separation=float(eps),
-        params={"eps_bar": eb, "u": u, "multiset_size": m, "pad": pad, "d": d},
-    )
+    params = {"eps_bar": eb, "u": u, "d": d}
+    return _packing(req, LINF, eb, u + 1, lambda j: j / float(u), count, seed, params)
 
 
 def packing_l1_index(n: int, eps: float, count: int, seed: int) -> PackingFamily:
@@ -383,7 +382,7 @@ def packing_l1_ce(n: int, d: int, delta: float, count: int, seed: int) -> Packin
     extra axis keeps at least a 1/4 fraction of the isolating queries, so
     the d-dimensional distance is still > 2 * delta.
     """
-    require_in_range(BoundRequest(OpKind.CARD_EST, NORM_L1, LOWER, n, d, delta))
+    require_in_range(req := BoundRequest(OpKind.CARD_EST, NORM_L1, LOWER, n, d, delta))
     eps = delta * (4.0**d)
     k = math.ceil(math.sqrt(n)) + 1
     half = math.ceil(k / (2.0 * eps)) - 1
@@ -393,23 +392,8 @@ def packing_l1_ce(n: int, d: int, delta: float, count: int, seed: int) -> Packin
             f"grid collapses: derived resolution u = {u} < 2 "
             f"(delta * 4^d = {eps:g} is too close to sqrt(n))"
         )
-    members, m, pad = _packing_members(
-        n, k, half + 1, lambda j: j / float(u), d, count, seed
-    )
-    return PackingFamily(
-        op=OpKind.CARD_EST,
-        norm=L1,
-        datasets=tuple(map(make_dataset, members)),
-        claimed_separation=float(delta),
-        params={
-            "internal_eps": eps,
-            "k": k,
-            "u": u,
-            "multiset_size": m,
-            "pad": pad,
-            "d": d,
-        },
-    )
+    params = {"internal_eps": eps, "k": k, "u": u, "d": d}
+    return _packing(req, L1, k, half + 1, lambda j: j / float(u), count, seed, params)
 
 
 def packing_mu_index(
@@ -430,25 +414,15 @@ def _index_packing(
 ) -> PackingFamily:
     """Rank packing on the equispaced grid, or on cdf's quantile grid."""
     norm = NORM_L1 if cdf is None else NORM_MU
-    require_in_range(BoundRequest(OpKind.INDEX, norm, LOWER, n, 1, eps))
+    require_in_range(req := BoundRequest(OpKind.INDEX, norm, LOWER, n, 1, eps))
     k = math.ceil(math.sqrt(n))
     levels = math.ceil(k / eps)
-    if cdf is None:
-        def grid(j):  # np.linspace(0.0, 1.0, levels)[j], bit for bit
-            return np.where(j == levels - 1, 1.0, j * (1.0 / (levels - 1)))
-    else:
-        # bisection narrows every target alike, so a subset gets the same points
-        def grid(j):
-            return quantile_points(cdf, j / (levels - 1))
-    members, m, pad = _packing_members(n, k, levels, grid, 1, count, seed)
-    return PackingFamily(
-        op=OpKind.INDEX,
-        norm=L1 if cdf is None else MU,
-        datasets=tuple(map(make_dataset, members)),
-        claimed_separation=float(eps),
-        params={"k": k, "grid_points": levels, "multiset_size": m, "pad": pad},
-        cdf=cdf,
-    )
+    if cdf is None:  # np.linspace(0.0, 1.0, levels)[j], bit for bit
+        grid = lambda j: np.where(j == levels - 1, 1.0, j * (1.0 / (levels - 1)))
+    else:  # bisection narrows every target alike, so a subset gets the same points
+        grid = lambda j: quantile_points(cdf, j / (levels - 1))
+    params = {"k": k, "grid_points": levels}
+    return _packing(req, L1 if cdf is None else MU, k, levels, grid, count, seed, params, cdf)
 
 
 # -- separation certificates -------------------------------------------------

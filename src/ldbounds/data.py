@@ -8,12 +8,13 @@ records), so nothing here deduplicates.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import EntryOutOfRange, InvalidParams, RejectionStarvation, ShapeMismatch
+from .errors import EntryOutOfRange, FormatError, InvalidParams, RejectionStarvation, ShapeMismatch
 from .rng import make_generator
 
 
@@ -228,5 +229,13 @@ def save_csv(dataset: Dataset, path: str) -> None:
 
 
 def load_csv(path: str) -> Dataset:
-    values = np.loadtxt(path, delimiter=",", ndmin=2)
+    """A CSV of numbers only; anything else there (a header, ragged rows, a
+    non-number, undecodable bytes) raises FormatError, a missing file OSError.
+    """
+    try:
+        with warnings.catch_warnings():  # an empty file: make_dataset refuses it
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     return make_dataset(values)

@@ -15,11 +15,11 @@ Every other estimate, a mean or a maximum, is reduced here by one loop over
 batches of about 65,536 queries, and each names its route in `method`.
 Single-attribute routes read the cached sorted columns, records in any order,
 and `_pair_columns` checks a pair.  A ce pair's gaps come from one signed count
-kernel, a's records weighing +1 and b's -1: at d = 1 the table
-`_signed_table`, whose steps the exact routes read too, and at d >= 2 one
-BoxSum over `_signed_rows`, the distinct rows whose net count is not 0, which
-are also the probe's points.  The last pair's signed counts are kept, held by
-weak references to the pair, so the routes on one pair build them once.
+kernel, a's records weighing +1 and b's -1, which `_signed` builds: at d = 1
+a step table whose steps the exact routes read too, and at d >= 2 one BoxSum
+over the distinct rows whose net count is not 0, which are also the probe's
+points.  `_signed` keeps the last pair's counts, held by weak references to
+the pair, so the routes on one pair build them once.
 Range-sum pairs, and d >= 2 ce pairs whose signed kernel would be the
 row-major mask, evaluate each dataset's own kernel.
 """
@@ -101,9 +101,8 @@ def rank_l1(a: Dataset, b: Dataset) -> float:
     return float(np.abs(xa - xb).sum())
 
 
-# (weak a, weak b, build, counts): the last pair's signed counts, as `build`
-# made them.  Weak references keep neither dataset alive, and either one's
-# death drops the entry.
+# (weak a, weak b, counts): the last pair's signed counts.  Weak references
+# keep neither dataset alive, and either one's death drops the entry.
 _last_signed: tuple = ()
 
 
@@ -113,57 +112,49 @@ def _forget_signed(ref: weakref.ref) -> None:
         _last_signed = ()
 
 
-def _kept(a: Dataset, b: Dataset, build: Callable):
-    """build(a, b), kept for the last pair while both datasets live.
+def _signed(a: Dataset, b: Dataset) -> tuple[np.ndarray, BoxSum | None]:
+    """(rows, kernel) of an equal-width pair, a's records +1 and b's -1.
 
-    So the routes that read one pair's signed counts build them once;
-    callers only read them.
+    Built by `_merge_columns` (d = 1) or `_merge_rows` (d >= 2) and kept for
+    the last pair while both datasets live; callers only read them.
     """
     global _last_signed
+    if a.d != b.d:
+        raise DimensionMismatch(f"datasets must share dimensionality, got {a.d} and {b.d}")
     memo = _last_signed  # one read: another thread may replace the entry
-    if memo and memo[0]() is a and memo[1]() is b and memo[2] is build:
-        return memo[3]
-    counts = build(a, b)
-    _last_signed = (weakref.ref(a, _forget_signed), weakref.ref(b, _forget_signed), build, counts)
+    if memo and memo[0]() is a and memo[1]() is b:
+        return memo[2]
+    counts = (_merge_columns if a.d == 1 else _merge_rows)(a, b)
+    _last_signed = (weakref.ref(a, _forget_signed), weakref.ref(b, _forget_signed), counts)
     return counts
 
 
-def _signed_table(a: Dataset, b: Dataset) -> BoxSum:
-    """Counts of a single-attribute pair, a's records weighing +1 and b's -1.
+def _merge_columns(a: Dataset, b: Dataset) -> tuple[np.ndarray, BoxSum]:
+    """A single-attribute pair's signed counts, merged from the sorted columns.
 
-    Merged from the cached sorted columns: lookups[0].levels are the
-    breakpoints of the steps of f_a - f_b, table[1:] their values and
-    table[0] = 0 the value before any data.  Whole-number sums are exact in
-    any order.  Kept for the last pair, so the exact routes and mc_mu on one
-    pair build it, and its lookup, once.
+    The levels, returned as the rows too, are the breakpoints of the steps
+    of f_a - f_b, table[1:] their values and table[0] = 0 the value before
+    any data.  Whole-number sums are exact in any order.
     """
-    _pair_columns(a, b)
-    return _kept(a, b, _merge_columns)
-
-
-def _merge_columns(a: Dataset, b: Dataset) -> BoxSum:
     x = np.concatenate([a.sorted_column, b.sorted_column])
     order = np.argsort(x, kind="stable")  # a merge of the two sorted runs
     x = x[order]
     last = np.diff(x, append=np.inf) != 0  # the last record at each level
     steps = np.cumsum(np.where(order < a.n, 1.0, -1.0))[last]
-    return BoxSum.steps(x[last], np.concatenate([[0.0], steps]))
+    levels = x[last]
+    return levels[:, None], BoxSum.steps(levels, np.concatenate([[0.0], steps]))
 
 
-def _signed_rows(a: Dataset, b: Dataset) -> tuple[np.ndarray, BoxSum | None]:
-    """Counts of a pair of d-attribute datasets, a's records +1 and b's -1.
+def _merge_rows(a: Dataset, b: Dataset) -> tuple[np.ndarray, BoxSum | None]:
+    """A d-attribute pair's signed counts: its rows of nonzero net count.
 
     The stacked records are lexsorted once and split into runs of equal
     rows, and each distinct row keeps its net count; rows netting 0 (a row
     both datasets hold equally often, such as packing members' padding) are
     dropped.  Returns those rows, ascending, and one BoxSum over them, or
     None where that kernel would be the row-major mask: each dataset's own
-    cached kernel then answers faster.  Kept for the last pair.
+    cached kernel then answers faster.
     """
-    return _kept(a, b, _merge_rows)
-
-
-def _merge_rows(a: Dataset, b: Dataset) -> tuple[np.ndarray, BoxSum | None]:
     rows = np.concatenate([a.values, b.values])
     order = np.lexsort(rows.T[::-1])  # column 0 first
     rows = rows[order]
@@ -181,7 +172,7 @@ def rank_l1_oracle(a: Dataset, b: Dataset) -> float:
     Independent of rank_l1's positionwise identity; used to cross-check it.
     """
     _pair_columns(a, b, "rank_l1_oracle")
-    t = _signed_table(a, b)
+    t = _signed(a, b)[1]
     widths = np.clip(np.diff(np.append(t.lookups[0].levels, 1.0)), 0.0, None)
     return float((np.abs(t.table[1:]) * widths).sum())
 
@@ -192,7 +183,8 @@ def rank_linf(a: Dataset, b: Dataset) -> float:
     The difference is a right-continuous step function changing only at
     data values, so the max over breakpoint evaluations is the supremum.
     """
-    return float(np.abs(_signed_table(a, b).table).max())
+    _pair_columns(a, b)
+    return float(np.abs(_signed(a, b)[1].table).max())
 
 
 def _check_cdf(cdf: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np.ndarray:
@@ -242,7 +234,8 @@ def card1d_l1(a: Dataset, b: Dataset) -> float:
     Record counts may differ; either dataset may be empty.  O(n log n)
     time and O(n) memory by the identity above.
     """
-    t = _signed_table(a, b)
+    _pair_columns(a, b)
+    t = _signed(a, b)[1]
     edges = np.concatenate([[0.0], t.lookups[0].levels, [1.0]])
     g = t.table  # table[0] = 0: before any data
     w = np.diff(edges)
@@ -262,7 +255,8 @@ def card1d_linf(a: Dataset, b: Dataset) -> float:
     min/max of v_0..v_j: the right endpoint of a query picks v_j, the left
     endpoint independently picks any earlier value.
     """
-    vv = _signed_table(a, b).table  # table[0] = 0: before any data
+    _pair_columns(a, b)
+    vv = _signed(a, b)[1].table  # table[0] = 0: before any data
     run_min = np.minimum.accumulate(vv)
     run_max = np.maximum.accumulate(vv)
     return float(np.maximum(vv - run_min, run_max - vv).max())
@@ -347,18 +341,15 @@ def _mc_estimate(gaps: Callable, batches: Iterable, norm: str = L1) -> DistanceE
 def _pair_gaps(a: Dataset, b: Dataset, op: OpKind) -> Callable:
     """batch -> |f_a - f_b| per query, checking that a and b share a width.
 
-    A ce pair reads one signed kernel: the signed table at d = 1, and at
-    d >= 2 `_signed_rows`'s kernel, unless that would be the row-major mask.
-    Its answers are whole counts, so they equal the two evaluations' exactly.
-    Other pairs (range sums, whose signed sums would round differently)
-    evaluate each dataset.
+    A ce pair reads its one signed kernel, `_signed`'s, unless that would
+    be the row-major mask.  Its answers are whole counts, so they equal the
+    two evaluations' exactly.  Other pairs (range sums, whose signed sums
+    would round differently) evaluate each dataset.
     """
     if op is not OpKind.INDEX and a.d != b.d:
         raise DimensionMismatch(f"datasets must share dimensionality, got {a.d} and {b.d}")
-    if op is OpKind.CARD_EST:
-        signed = _signed_table(a, b) if a.d == 1 else _signed_rows(a, b)[1]
-        if signed is not None:
-            return lambda batch: np.abs(signed(*batch))
+    if op is OpKind.CARD_EST and (signed := _signed(a, b)[1]) is not None:
+        return lambda batch: np.abs(signed(*batch))
     return lambda batch: np.abs(eval_batch(a, op, batch) - eval_batch(b, op, batch))
 
 
@@ -449,13 +440,13 @@ def distance(
     card1d_l1 and card1d_linf for ce at d = 1.  Otherwise, worst case: a
     probe, the maximum over point queries at every distinct predicate
     projection of both datasets (closed intervals make a zero-width box a
-    point; for ce, the rows of `_signed_rows`, since every other point's
-    gap is 0), then over `samples` uniform queries from `seed` (`samples`
-    counts these only).  Otherwise, average case: mc_l1.  The sampled
-    routes read a ce pair's one signed kernel (see `_pair_gaps`).  A pair
-    of unequal widths raises DimensionMismatch for every non-index op;
-    anything else unserved raises InvalidRequest.  `method` names the
-    route.  Each route is looked up in this module's globals at call time.
+    point; for ce, the rows of `_signed`, since every other point's gap is
+    0), then over `samples` uniform queries from `seed` (`samples` counts
+    these only).  Otherwise, average case: mc_l1.  The sampled routes read
+    a ce pair's one signed kernel (see `_pair_gaps`).  A pair of unequal
+    widths raises DimensionMismatch for every non-index op; anything else
+    unserved raises InvalidRequest.  `method` names the route.  Each route
+    is looked up in this module's globals at call time.
     """
     route = None
     if op is OpKind.INDEX and norm == MU:
@@ -469,9 +460,9 @@ def distance(
     if route is not None:
         return DistanceEstimate(route(a, b), "exact")
     if norm == LINF:
-        gaps = _pair_gaps(a, b, op)  # first: it checks the pair's widths
+        gaps = _pair_gaps(a, b, op)  # first: it checks a range-sum pair's widths
         if op is OpKind.CARD_EST:  # a point's gap is its net count, 0 off these rows
-            pts = _signed_rows(a, b)[0]
+            pts = _signed(a, b)[0]
         else:
             dq = query_dims(op, a.d)
             pts = np.unique(np.vstack([a.values[:, :dq], b.values[:, :dq]]), axis=0)

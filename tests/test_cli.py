@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -310,6 +311,45 @@ def test_encode_missing_input(tmp_path, capsys):
     ])
     capsys.readouterr()
     assert code == 2
+
+
+def _csv_argv(command, src, tmp_path):
+    if command == "encode":
+        return ["encode", "--op", "ce", "--eps", "1", "--input", src,
+                "--out", str(tmp_path / "x.ldbc")]
+    return ["train", "--model", "linear", "--op", "ce", "--data", src]
+
+
+_MALFORMED_CSV = {
+    "header": b"x,y\n0.1,0.2\n0.3,0.4\n",
+    "ragged": b"0.1,0.2\n0.3\n",
+    "non-number": b"0.1,0.2\n0.3,abc\n",
+    "undecodable": b"0.1,0.2\n\xff\xfe,0.3\n",
+    "empty": b"",
+}
+
+
+@pytest.mark.parametrize("command", ["encode", "train"])
+@pytest.mark.parametrize("kind", list(_MALFORMED_CSV))
+def test_a_malformed_csv_is_an_error_line_and_exit_1(tmp_path, capsys, command, kind):
+    src = tmp_path / "bad.csv"
+    src.write_bytes(_MALFORMED_CSV[kind])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(_csv_argv(command, str(src), tmp_path))
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+    assert "Traceback" not in err and "UserWarning" not in err
+    assert [w.message for w in caught if issubclass(w.category, UserWarning)] == []
+
+
+@pytest.mark.parametrize("command", ["encode", "train"])
+def test_a_missing_csv_still_exits_2(tmp_path, capsys, command):
+    code = main(_csv_argv(command, str(tmp_path / "nope.csv"), tmp_path))
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_encode_bad_eps(tmp_path, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import os
@@ -556,6 +557,57 @@ def test_packing_family_too_large():
     # alphabet so small that 10 distinct members cannot exist
     with pytest.raises(FamilyTooLarge):
         packing_linf(OpKind.INDEX, 4, 1, 1.0, 1, 10, seed=1)
+
+
+@pytest.mark.parametrize(
+    "build, claimed, params, digest",
+    [
+        pytest.param(
+            partial(packing_linf, OpKind.INDEX, 11, 1, 1.0, 4, 20, 41), 1.0,
+            {"eps_bar": 2, "u": 4, "multiset_size": 5, "pad": 1, "d": 1},
+            "3a9a574a0a8984d28e55ea9fc82d8cb4802c6db78b7c3d6d1776f1d00b3f01a7",
+            id="linf-index",
+        ),
+        pytest.param(
+            partial(packing_linf, OpKind.CARD_EST, 101, 2, 1.0, 4, 20, 61), 1.0,
+            {"eps_bar": 2, "u": 4, "multiset_size": 50, "pad": 1, "d": 2},
+            "f0b7fe2e82791e18fee58a2a3f046a7d9e4f9ca85013e07145768c349f3c4f60",
+            id="linf-ce-d2",
+        ),
+        pytest.param(
+            partial(packing_linf, OpKind.RANGE_SUM, 13, 2, 1.0, 3, 5, 3), 1.0,
+            {"eps_bar": 2, "u": 3, "multiset_size": 6, "pad": 1, "d": 2},
+            "d3ee86a128e3a318115ca591ec03f5c7064ee5a6b2e4eab2588d83daaa393241",
+            id="linf-rs-d2",
+        ),
+        pytest.param(
+            partial(packing_l1_index, 103, 0.5, 20, 43), 0.5,
+            {"k": 11, "grid_points": 22, "multiset_size": 9, "pad": 4},
+            "d59caed5164a556cf59e88a84e40b034400880a7f1ad5ace5132f3751e217aa7",
+            id="l1-index",
+        ),
+        pytest.param(
+            partial(packing_l1_ce, 100, 2, 0.05, 8, 49), 0.05,
+            {"internal_eps": 0.8, "k": 11, "u": 12, "multiset_size": 9, "pad": 1, "d": 2},
+            "b3585be1246beca8ec4e1848974f28d533644f33e9986d7276c90494dfba86b4",
+            id="l1-ce-d2",
+        ),
+        pytest.param(
+            partial(packing_mu_index, 103, 0.5, np.square, 20, 47), 0.5,
+            {"k": 11, "grid_points": 22, "multiset_size": 9, "pad": 4},
+            "faf2b1680208ff42285dd4c719ea71e575ff55f08fab59a524078cdcfb5dcff4",
+            id="mu-index",
+        ),
+    ],
+)
+def test_packing_families_keep_their_members_claims_and_params(build, claimed, params, digest):
+    # each builder's output, record for record: the members' values bytes in
+    # family order, padding and the range-sum measure column included
+    fam = build()
+    got = hashlib.sha256(b"".join(ds.values.tobytes() for ds in fam.datasets)).hexdigest()
+    assert got == digest
+    assert fam.claimed_separation == claimed and type(fam.claimed_separation) is float
+    assert fam.params == params
 
 
 PACKINGS = [

@@ -596,7 +596,7 @@ def _edge_batch(a, b, gen):
 @given(_column(), _column())
 def test_signed_table_gaps_equal_the_two_evaluations(a, b):
     gen = make_generator(a.n * 31 + b.n)
-    signed = norms._signed_table(a, b)
+    signed = norms._signed(a, b)[1]
     ones = np.repeat([1.0, -1.0], [a.n, b.n])
     stacked = BoxSum(np.concatenate([a.values, b.values]), ones)  # the generic build
     assert np.array_equal(signed.lookups[0].levels, stacked.lookups[0].levels)
@@ -680,7 +680,7 @@ def test_an_over_cap_signed_kernel_keeps_two_evaluations(monkeypatch):
     # each member's table has 41 * 41 cells, the pair's 81 * 81
     a, b = random_dataset(40, 2, seed=58), random_dataset(40, 2, seed=59)
     monkeypatch.setattr(queryfn, "_CHUNK_CELLS", 41 * 41)
-    rows, kernel = norms._signed_rows(a, b)
+    rows, kernel = norms._signed(a, b)
     assert kernel is None and rows.shape == (80, 2)
     calls = _count_evaluations(monkeypatch)
     got = (mc_l1(a, b, OpKind.CARD_EST, 1000, seed=8),
@@ -725,7 +725,7 @@ def test_signed_rows_answer_as_the_two_evaluations(data):
         b = a if pick == "same" or not a.n else make_dataset(a.values[::-1])
     op = OpKind.CARD_EST
     two = lambda batch: np.abs(eval_batch(a, op, batch) - eval_batch(b, op, batch))
-    rows, kernel = norms._signed_rows(a, b)
+    rows, kernel = norms._signed(a, b)
     held = np.unique(np.vstack([a.values, b.values]), axis=0)
     net = np.array([np.all(a.values == row, axis=1).sum() - np.all(b.values == row, axis=1).sum()
                     for row in held]).reshape(-1)
@@ -742,13 +742,42 @@ def test_signed_rows_answer_as_the_two_evaluations(data):
 
 @pytest.mark.parametrize("norm", ["l1", "linf"])
 @pytest.mark.parametrize(
-    "op, widths", [(OpKind.CARD_EST, (3, 2)), (OpKind.CARD_EST, (1, 2)), (OpKind.RANGE_SUM, (3, 2))]
+    "op, widths",
+    [
+        (OpKind.CARD_EST, (3, 2)),
+        (OpKind.CARD_EST, (1, 2)),
+        (OpKind.RANGE_SUM, (3, 2)),
+        # one column against two predicate axes: checked before the probe stacks them
+        (OpKind.RANGE_SUM, (3, 1)),
+    ],
 )
 def test_distance_needs_equal_widths(op, widths, norm):
     for da, db in (widths, widths[::-1]):
         a, b = random_dataset(8, da, seed=da), random_dataset(6, db, seed=10 + db)
         with pytest.raises(DimensionMismatch):
             distance(a, b, op, norm, 100, 0)
+
+
+def test_signed_counts_check_the_widths_before_either_merge(monkeypatch):
+    def merge(a, b):
+        raise AssertionError("merged a pair of unequal widths")
+
+    monkeypatch.setattr(norms, "_merge_columns", merge)
+    monkeypatch.setattr(norms, "_merge_rows", merge)
+    monkeypatch.setattr(norms, "_last_signed", ())
+    for da, db in ((1, 2), (2, 1), (2, 3), (3, 2)):
+        a, b = random_dataset(8, da, seed=da), random_dataset(6, db, seed=10 + db)
+        with pytest.raises(DimensionMismatch, match=f"got {da} and {db}"):
+            norms._signed(a, b)
+    assert norms._last_signed == ()  # and nothing kept
+
+
+@pytest.mark.parametrize("route", [rank_linf, card1d_l1, card1d_linf])
+@pytest.mark.parametrize("widths", [(2, 2), (1, 2), (2, 1)])
+def test_single_attribute_routes_refuse_wider_pairs(route, widths):
+    a, b = (random_dataset(6, d, seed=80 + i) for i, d in enumerate(widths))
+    with pytest.raises(DimensionMismatch, match="a single-attribute route needs d = 1"):
+        route(a, b)
 
 
 def test_one_pair_builds_its_signed_table_once(monkeypatch):
@@ -782,15 +811,15 @@ def test_signed_tables_are_kept_per_ordered_pair():
         return BoxSum(np.concatenate([x.values, y.values]), np.repeat([1.0, -1.0], [x.n, y.n]))
 
     for x, y in ((a, b), (b, a), (a, c), (a, b)):
-        got, want = norms._signed_table(x, y), built(x, y)
+        got, want = norms._signed(x, y)[1], built(x, y)
         assert np.array_equal(got.lookups[0].levels, want.lookups[0].levels)
         assert np.array_equal(got.table, want.table)
-        assert norms._signed_table(x, y) is got
+        assert norms._signed(x, y)[1] is got
 
 
 def test_the_signed_table_memo_keeps_no_dataset_alive():
     a, b = random_dataset(30, 1, seed=70), random_dataset(20, 1, seed=71)
-    norms._signed_table(a, b)
+    norms._signed(a, b)[1]
     ref = weakref.ref(a)
     del a
     gc.collect()
