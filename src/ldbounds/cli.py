@@ -31,7 +31,7 @@ from .constructions import (
     write_cover,
 )
 from .data import load_csv, save_csv
-from .errors import InvalidRequest, LdboundsError, RuntimeFailure, ValidationError
+from .errors import FormatError, InvalidRequest, LdboundsError, RuntimeFailure, ValidationError
 from .harness import ModelTemplate, emit_csv, emit_plot_data, parse_config, run_experiment
 from .models import (
     PRESETS, SAMPLE, TrainConfig, init_model, model_bits, param_count, save_model, train
@@ -168,7 +168,10 @@ def _cmd_train(args) -> dict:
 
 def _cmd_experiment(args) -> dict:
     with open(args.config, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{args.config}: {exc}") from exc
     config = parse_config(doc)
     run = run_experiment(config)
     if not run.rows:

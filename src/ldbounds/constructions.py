@@ -541,7 +541,8 @@ def cover_encode(
     instead when a cdf is supplied, indexing only); records become cell
     ids, the id multiset becomes its colex rank.  Decoding returns the
     quantized dataset exactly, whose distance to the original is at most
-    eps for indexing, (d+1) eps for cardinality, (d+2) eps for range-sum.
+    eps for indexing, (d+1) eps for cardinality, (d+2) eps for range-sum,
+    while floats hold every grid index: from ceil(n/eps) = 2**53, InvalidParams.
     """
     n, data_d = dataset.n, dataset.d
     # the upper-bound window does not depend on d; d = 1 leaves a mismatched
@@ -551,6 +552,8 @@ def cover_encode(
     if cdf is not None and op is not OpKind.INDEX:
         raise InvalidRequest("quantile covers are defined for indexing only")
     u = ceil_ratio(n, eps)
+    if u >= _FLOAT_EXACT:  # decoding divides grid indices by float(u)
+        raise InvalidParams(f"eps = {eps} is too small: ceil(n/eps) reaches 2**53")
     if cdf is None:
         digits = grid_digits(dataset.values, u)
     else:
@@ -635,7 +638,7 @@ def read_cover(path: str) -> CoverCode:
     op = _BYTE_OP[op_byte]
     if len(blob) != _HEADER.size + plen:
         raise FormatError("payload length mismatch")
-    if n < 1 or d < 1 or u < 1:
+    if n < 1 or d < 1 or not 1 <= u < _FLOAT_EXACT:  # u: as cover_encode allows
         raise FormatError("header fields out of range")
     alphabet = (u + 1) ** d
     if not _width_holds_count(n, alphabet, 8 * plen):

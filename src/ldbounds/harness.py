@@ -27,6 +27,7 @@ import pickle
 import threading
 import traceback
 from dataclasses import astuple, dataclass, field, fields, replace
+from functools import partial
 
 from . import bounds as bnd
 from .data import Dataset, GmmParams, sample_gmm, sample_uniform
@@ -40,7 +41,7 @@ from .models import (
     input_dim_for,
     matching_sample_m,
     model_bits,
-    predictor,
+    predict,
     train_many,
 )
 from .norms import EvalConfig, model_error
@@ -277,7 +278,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRun:
         estimates = []
         for rep, (dataset, model) in enumerate(trained):
             cfg = replace(config.eval, seed=seed(f"{cell}|{rep}|eval"))
-            estimates.append(model_error(dataset, op, predictor(model, op), norm, cfg))
+            estimates.append(model_error(dataset, op, partial(predict, model, op), norm, cfg))
         worst = max(estimates, key=lambda est: est.value)  # first of equal maxima
         norm_id = bnd.NORM_INF if norm == "linf" else bnd.NORM_L1
         dq = query_dims(op, config.d)

@@ -262,11 +262,6 @@ def predict(model: TrainedModel, op: OpKind, batch) -> np.ndarray:
     return model.n_train * predict_raw(model, op, batch)
 
 
-def predictor(model: TrainedModel, op: OpKind):
-    """Query-batch callable for the error measurements."""
-    return lambda batch: predict(model, op, batch)
-
-
 def train(
     model: TrainedModel, dataset: Dataset, op: OpKind, cfg: TrainConfig
 ) -> TrainedModel:

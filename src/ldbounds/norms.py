@@ -43,7 +43,7 @@ from .errors import (
     InvalidRequest,
     SizeMismatch,
 )
-from .queryfn import BoxSum, OpKind, eval_batch, query_dims, uniform_sampler
+from .queryfn import BoxSum, OpKind, eval_batch, query_dims, uniform_block
 from .rng import make_generator
 
 L1 = "l1"
@@ -359,8 +359,7 @@ def mc_l1(a: Dataset, b: Dataset, op: OpKind, samples: int, seed: int) -> Distan
     The query space has volume 1, so the sample mean estimates the
     integral directly.
     """
-    draw = uniform_sampler(op, a.d)
-    return mc_mu(a, b, op, draw, samples, seed)
+    return mc_mu(a, b, op, partial(uniform_block, op, a.d, 1), samples, seed)
 
 
 def mc_mu(
@@ -412,7 +411,8 @@ def model_error(
         raise InvalidRequest(f"model_error supports norms l1, linf and mu, got {norm!r}")
     if norm == MU and (cdf is None or op is not OpKind.INDEX):
         raise InvalidRequest("a mu error needs an indexing op and a cdf")
-    batches = _draws(uniform_sampler(op, dataset.d), cfg.samples, make_generator(cfg.seed))
+    draw = partial(uniform_block, op, dataset.d, 1)
+    batches = _draws(draw, cfg.samples, make_generator(cfg.seed))
     if norm == MU:
         batches = (quantile_points(cdf, u, tol=1e-10) for u in batches)
     elif norm == LINF and op is OpKind.INDEX:
@@ -466,7 +466,7 @@ def distance(
         else:
             dq = query_dims(op, a.d)
             pts = np.unique(np.vstack([a.values[:, :dq], b.values[:, :dq]]), axis=0)
-        draws = _draws(uniform_sampler(op, a.d), samples, make_generator(seed))
+        draws = _draws(partial(uniform_block, op, a.d, 1), samples, make_generator(seed))
         est = _mc_estimate(gaps, chain([(pts, np.zeros_like(pts))], draws), LINF)
         return replace(est, samples=samples)
     if norm == L1:

@@ -1,10 +1,9 @@
-"""Query semantics: rank, cardinality, range-sum, and query samplers.
+"""Query semantics: rank, cardinality, range-sum, and the uniform query sampler.
 
 Queries use closed intervals on every axis.  A range query is a pair
 (c, r) with 0 <= r_j <= 1 and -r_j <= c_j <= 1 - r_j, matching points p
 with c_j <= p_j <= c_j + r_j on every predicate axis; negative left edges
-are legal and are never clamped.  When a point has more attributes than
-the predicate, the extra trailing attributes are ignored.
+are legal and are never clamped.
 
 Batched range queries share one weighted box-sum kernel (`BoxSum`;
 cardinality weighs records by 1, range-sum by the last attribute).  Over
@@ -33,12 +32,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .data import Dataset
-from .errors import DimensionMismatch, EntryOutOfRange, InvalidParams
+from .errors import DimensionMismatch, EntryOutOfRange
 
 
 class OpKind(enum.Enum):
@@ -78,9 +76,6 @@ class RangeQuery:
         return self.c.shape[0]
 
 
-Query = RankQuery | RangeQuery
-
-
 def query_dims(op: OpKind, data_d: int) -> int:
     """Predicate dimensionality for `op` over d-attribute data.
 
@@ -97,17 +92,6 @@ def query_dims(op: OpKind, data_d: int) -> int:
     if data_d < 2:
         raise DimensionMismatch("range-sum data needs >= 2 attributes")
     return data_d - 1
-
-
-def matches(point: np.ndarray, query: Query) -> bool:
-    """Closed-interval membership; extra trailing point attributes ignored."""
-    p = np.atleast_1d(np.asarray(point, dtype=np.float64))
-    if isinstance(query, RankQuery):
-        return bool(p[0] <= query.q)
-    if p.shape[0] < query.dims:
-        raise DimensionMismatch("point has fewer attributes than the predicate")
-    head = p[: query.dims]
-    return bool(np.all(query.c <= head) and np.all(head <= query.c + query.r))
 
 
 def rank(dataset: Dataset, q: float | RankQuery) -> int:
@@ -404,28 +388,13 @@ class SortedLookup:
         return out
 
 
-def search_sorted(levels: np.ndarray, keys: np.ndarray, side: str) -> np.ndarray:
-    """`np.searchsorted(levels, keys, side=side)` through a one-off SortedLookup."""
-    return SortedLookup(levels)(keys, side)
-
-
-def box_sum(
-    points: np.ndarray, weights: np.ndarray, C: np.ndarray, R: np.ndarray
-) -> np.ndarray:
-    """Sum of `weights` over the points inside each closed box [C, C + R]."""
-    return BoxSum(points, weights)(C, R)
-
-
-def rank_batch(sorted_values: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    return search_sorted(sorted_values, qs, "right").astype(np.float64)
-
-
+# bench/tracing.py wraps these two by name to time the box-sum kernel
 def cardinality_batch(values: np.ndarray, C: np.ndarray, R: np.ndarray) -> np.ndarray:
-    return box_sum(values, np.ones(values.shape[0]), C, R)
+    return BoxSum(values, np.ones(values.shape[0]))(C, R)
 
 
 def range_sum_batch(values: np.ndarray, C: np.ndarray, R: np.ndarray) -> np.ndarray:
-    return box_sum(values[:, :-1], values[:, -1], C, R)
+    return BoxSum(values[:, :-1], values[:, -1])(C, R)
 
 
 def eval_batch(dataset: Dataset, op: OpKind, batch) -> np.ndarray:
@@ -439,22 +408,6 @@ def eval_batch(dataset: Dataset, op: OpKind, batch) -> np.ndarray:
 
 
 # -- samplers ----------------------------------------------------------------
-
-
-def sample_rank_queries(count: int, gen: np.random.Generator) -> np.ndarray:
-    return uniform_block(OpKind.INDEX, 1, 1, count, gen)
-
-
-def sample_range_queries(
-    count: int, dq: int, gen: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """`count` uniform range queries over `dq` predicate axes (see uniform_block)."""
-    return uniform_block(OpKind.CARD_EST, dq, 1, count, gen)
-
-
-def uniform_sampler(op: OpKind, data_d: int) -> Callable:
-    """(count, gen) -> a batch of uniform queries for `op` over d-attribute data."""
-    return lambda count, gen: uniform_block(op, data_d, 1, count, gen)
 
 
 def uniform_block(op: OpKind, data_d: int, k: int, count: int, gen: np.random.Generator):
@@ -474,43 +427,3 @@ def uniform_block(op: OpKind, data_d: int, k: int, count: int, gen: np.random.Ge
     R, C = blk[:, 0], blk[:, 1]
     C -= R
     return C.reshape(k * count, dq), R.reshape(k * count, dq)
-
-
-def sample_easy_queries(
-    n: int, k: int, count: int, gen: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batch from the concentrated single-attribute query distribution.
-
-    The unit query space is cut into n*k equal cells; a draw picks a cell
-    uniformly and then a uniform point of the right triangle of queries
-    whose interval [c, c+r] stays inside that cell.  Every width r is at
-    most 1/(n*k).
-    """
-    if n < 1 or k < 1:
-        raise InvalidParams("n and k must be >= 1")
-    h = 1.0 / (n * k)
-    cells = gen.integers(0, n * k, size=count)
-    u = gen.random(count) * h
-    v = gen.random(count) * h
-    flip = u + v > h
-    u[flip] = h - u[flip]
-    v[flip] = h - v[flip]
-    C = (cells * h + u).reshape(-1, 1)
-    R = v.reshape(-1, 1)
-    np.clip(C, 0.0, 1.0 - R, out=C)
-    return C, R
-
-
-def easy_query_density(n: int, k: int, c: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Density of the concentrated distribution at (c, r); 2nk on support.
-
-    Support: r >= 0 and the interval [c, c + r] fits inside the cell of c.
-    """
-    if n < 1 or k < 1:
-        raise InvalidParams("n and k must be >= 1")
-    m = n * k
-    c = np.asarray(c, dtype=np.float64)
-    r = np.asarray(r, dtype=np.float64)
-    cell = np.minimum(np.floor(c * m), m - 1)
-    ok = (r >= 0.0) & (c >= 0.0) & (cell / m <= c) & (c + r <= (cell + 1) / m)
-    return np.where(ok, 2.0 * m, 0.0)

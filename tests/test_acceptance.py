@@ -51,13 +51,9 @@ from ldbounds.norms import (
     rank_l1_oracle,
     rank_linf,
 )
-from ldbounds.queryfn import (
-    OpKind,
-    eval_batch,
-    sample_easy_queries,
-    sample_range_queries,
-)
+from ldbounds.queryfn import OpKind, eval_batch
 from ldbounds.rng import make_generator
+from oracles import range_queries, sample_easy_queries
 
 
 class Budget:
@@ -371,7 +367,7 @@ def test_criterion_8_model_layer():
             else:
                 spec, op, dq = nn_s1(4), OpKind.RANGE_SUM, 2
             model = init_model(spec, seed=800 + trial)
-            batch = gen.random(8) if dq == 0 else sample_range_queries(8, dq, gen)
+            batch = gen.random(8) if dq == 0 else range_queries(8, dq, gen)
             target = gen.random(8)
             err, skipped = grad_check(model, op, batch, target)
             trial += 1
@@ -401,7 +397,7 @@ def test_criterion_8_model_layer():
             if op is OpKind.INDEX:
                 batch = qgen.random(1000)
             else:
-                batch = sample_range_queries(1000, d if op is OpKind.CARD_EST else d - 1, qgen)
+                batch = range_queries(1000, d if op is OpKind.CARD_EST else d - 1, qgen)
             assert np.array_equal(
                 predict(model, op, batch), eval_batch(ds, op, batch)
             ), op

@@ -344,6 +344,16 @@ def test_a_malformed_csv_is_an_error_line_and_exit_1(tmp_path, capsys, command, 
     assert [w.message for w in caught if issubclass(w.category, UserWarning)] == []
 
 
+def test_an_undecodable_config_is_an_error_line_and_exit_1(tmp_path, capsys):
+    src = tmp_path / "bad.json"
+    src.write_bytes(b'{"ops": ["index"]\xff}')
+    code = main(["experiment", "--config", str(src), "--out", str(tmp_path / "o.csv")])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {src}: 'utf-8' codec can't decode")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["encode", "train"])
 def test_a_missing_csv_still_exits_2(tmp_path, capsys, command):
     code = main(_csv_argv(command, str(tmp_path / "nope.csv"), tmp_path))
@@ -355,12 +365,15 @@ def test_a_missing_csv_still_exits_2(tmp_path, capsys, command):
 def test_encode_bad_eps(tmp_path, capsys):
     src = str(tmp_path / "d.csv")
     save_csv(make_dataset([[0.5]]), src)
-    code = main([
-        "encode", "--op", "index", "--eps", "0",
-        "--input", src, "--out", str(tmp_path / "x.ldbc"),
-    ])
-    capsys.readouterr()
-    assert code == 1
+    # 1e-300: a grid resolution ceil(n/eps) past the integers floats hold
+    for eps in ("0", "1e-300"):
+        code = main([
+            "encode", "--op", "index", "--eps", eps,
+            "--input", src, "--out", str(tmp_path / "x.ldbc"),
+        ])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, ""), eps
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_train_linear(tmp_path, capsys):

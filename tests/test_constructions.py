@@ -998,6 +998,20 @@ def test_cover_rejects_bad_eps():
         cover_encode(ds, 11.0, OpKind.INDEX)
 
 
+def test_cover_refuses_a_resolution_floats_cannot_index():
+    # decoding divides grid indices by float(ceil(n/eps)), exact below 2**53
+    ds = make_dataset(np.random.default_rng(0).random((20, 1)))
+    for eps in (20 / 2**64, 1e-300):
+        with pytest.raises(InvalidParams, match="2\\*\\*53"):
+            cover_encode(ds, eps, OpKind.INDEX)
+    top, ds = 2**53 - 1, random_dataset(3, 1, seed=801)
+    eps = 3 / top
+    for op, dist in ((OpKind.INDEX, rank_l1), (OpKind.CARD_EST, card1d_l1)):
+        code = cover_encode(ds, eps, op)
+        assert code.resolution == top
+        assert dist(ds, cover_decode(code)) <= cover_error_bound(op, eps, 1)
+
+
 # -- container format --------------------------------------------------------
 
 
@@ -1078,6 +1092,16 @@ def test_container_rejects_header_too_big_for_its_payload(tmp_path):
         read_cover(path)
     with pytest.raises(IndexOutOfRange):
         cover_decode(CoverCode(OpKind.INDEX, 2_000_000, 1, 2_000_000, 0, 8))
+
+
+def test_container_rejects_a_resolution_floats_cannot_index(tmp_path):
+    # 2**53 + 1 decoded its top cell as 1.0; 2**64 - 1 overflowed int64
+    path = str(tmp_path / "fine.ldbc")
+    for u in (2**53, 2**53 + 1, 2**64 - 1):
+        total = multiset_count(1, u + 1)
+        write_cover(CoverCode(OpKind.INDEX, 1, 1, u, total - 2, (total - 1).bit_length()), path)
+        with pytest.raises(FormatError, match="header fields"):
+            read_cover(path)
 
 
 def test_width_check_accepts_every_exact_width():

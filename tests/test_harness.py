@@ -9,6 +9,7 @@ import signal
 import threading
 import time
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -28,7 +29,7 @@ from ldbounds.harness import (
     parse_config,
     run_experiment,
 )
-from ldbounds.models import TrainConfig, init_model, model_bits, predictor, train
+from ldbounds.models import TrainConfig, init_model, model_bits, predict, train
 from ldbounds.norms import EvalConfig, model_error
 from ldbounds.queryfn import OpKind
 
@@ -121,8 +122,8 @@ def test_cells_rebuilt_from_documented_seeds():
                 replace(FAST_TRAIN, seed=train_seed),
             )
             eval_cfg = replace(FAST_EVAL, seed=seed(f"{base}|l1|{rep}|eval"))
-            predict = predictor(model, OpKind.INDEX)
-            estimates.append(model_error(data, OpKind.INDEX, predict, "l1", eval_cfg))
+            predict_index = partial(predict, model, OpKind.INDEX)
+            estimates.append(model_error(data, OpKind.INDEX, predict_index, "l1", eval_cfg))
         worst = max(estimates, key=lambda est: est.value)
         worst_reps.add(estimates.index(worst))
         assert row.observed_err == worst.value

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -32,14 +33,14 @@ from ldbounds.models import (
     nn_s2,
     param_count,
     predict,
-    predictor,
     save_model,
     train,
     train_many,
 )
 from ldbounds.norms import EvalConfig, model_error
-from ldbounds.queryfn import OpKind, eval_batch, query_dims, sample_range_queries
+from ldbounds.queryfn import OpKind, eval_batch, query_dims
 from ldbounds.rng import make_generator
+from oracles import range_queries
 
 
 def test_param_counts():
@@ -228,7 +229,7 @@ def test_sample_model_exact_at_full_size():
         if op is OpKind.INDEX:
             batch = gen.random(500)
         else:
-            batch = sample_range_queries(500, d if op is OpKind.CARD_EST else d - 1, gen)
+            batch = range_queries(500, d if op is OpKind.CARD_EST else d - 1, gen)
         got = predict(model, op, batch)
         want = eval_batch(ds, op, batch)
         assert np.array_equal(got, want), op
@@ -261,7 +262,7 @@ def test_grad_check_random_instances():
         if op is OpKind.INDEX:
             batch = gen.random(8)
         else:
-            batch = sample_range_queries(8, 2, gen)
+            batch = range_queries(8, 2, gen)
         target = gen.random(8)
         err, skipped = grad_check(model, op, batch, target)
         if not skipped:
@@ -328,7 +329,7 @@ def test_sample_model_builds_one_kernel(monkeypatch):
     model = train(init_model(spec, 42), ds, OpKind.CARD_EST, TrainConfig(steps=0, seed=42))
     gen = make_generator(43)
     for _ in range(2):
-        predict(model, OpKind.CARD_EST, sample_range_queries(64, 2, gen))
+        predict(model, OpKind.CARD_EST, range_queries(64, 2, gen))
     assert len(built) == 1
 
 
@@ -336,7 +337,7 @@ def test_predictor_feeds_model_error():
     ds = random_sorted(60, seed=34)
     spec = ModelSpec(kind="sample", input_dim=1, m=60)
     model = train(init_model(spec, 35), ds, OpKind.INDEX, TrainConfig(steps=0, batch=1, lr=0.0, momentum=0.0, seed=35))
-    est = model_error(ds, OpKind.INDEX, predictor(model, OpKind.INDEX), "linf", EvalConfig(samples=200, grid=8, seed=36))
+    est = model_error(ds, OpKind.INDEX, partial(predict, model, OpKind.INDEX), "linf", EvalConfig(samples=200, grid=8, seed=36))
     assert est.value == 0.0
 
 
@@ -374,7 +375,7 @@ def _reference_train(model, dataset, op, cfg):
     """
     n = dataset.n
     gen = make_generator(cfg.seed)
-    draw = queryfn.uniform_sampler(op, dataset.d)
+    draw = partial(queryfn.uniform_block, op, dataset.d, 1)
     params = {k: v.copy() for k, v in model.params.items()}
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
     trace = []
@@ -445,7 +446,7 @@ def test_train_matches_reference_loop(preset, op, d, steps, batch):
 def test_uniform_block_equals_consecutive_draws(op, d):
     block_gen, gen = make_generator(8), make_generator(8)
     block = queryfn.uniform_block(op, d, 5, 7, block_gen)
-    draw = queryfn.uniform_sampler(op, d)
+    draw = partial(queryfn.uniform_block, op, d, 1)
     draws = [draw(7, gen) for _ in range(5)]
     if op is OpKind.INDEX:
         assert np.array_equal(block, np.concatenate(draws))

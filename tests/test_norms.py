@@ -42,11 +42,10 @@ from ldbounds.queryfn import (
     SortedLookup,
     eval_batch,
     rank,
-    sample_easy_queries,
     uniform_block,
-    uniform_sampler,
 )
 from ldbounds.rng import make_generator
+from oracles import range_queries, sample_easy_queries
 
 
 def _pair(n, seed):
@@ -227,9 +226,7 @@ def test_mc_mu_uniform_sampler_matches_mc_l1():
     b = random_dataset(12, 1, seed=32)
 
     def uniform_sampler(count, gen):
-        from ldbounds.queryfn import sample_range_queries
-
-        return sample_range_queries(count, 1, gen)
+        return range_queries(count, 1, gen)
 
     e_mu = mc_mu(a, b, OpKind.CARD_EST, uniform_sampler, 60_000, seed=6)
     e_l1 = mc_l1(a, b, OpKind.CARD_EST, 60_000, seed=7)
@@ -621,7 +618,7 @@ def test_single_attribute_counts_search_one_table(monkeypatch):
     a, b = random_dataset(40, 1, seed=50), random_dataset(25, 1, seed=51)
     op = OpKind.CARD_EST
     gaps = lambda batch: np.abs(eval_batch(a, op, batch) - eval_batch(b, op, batch))
-    draws = norms._draws(uniform_sampler(op, 1), 3000, make_generator(7))
+    draws = norms._draws(partial(uniform_block, op, 1, 1), 3000, make_generator(7))
     want = norms._mc_estimate(gaps, draws)
     calls = _count_evaluations(monkeypatch)
     assert mc_l1(a, b, op, 3000, seed=7) == want
@@ -651,7 +648,7 @@ def _two_evaluation_estimates(a, b, samples, seed):
     """mc_l1 and the linf probe of a d >= 2 ce pair, from each dataset's own kernel."""
     op = OpKind.CARD_EST
     gaps = lambda batch: np.abs(eval_batch(a, op, batch) - eval_batch(b, op, batch))
-    draws = lambda: norms._draws(uniform_sampler(op, a.d), samples, make_generator(seed))
+    draws = lambda: norms._draws(partial(uniform_block, op, a.d, 1), samples, make_generator(seed))
     pts = np.unique(np.vstack([a.values, b.values]), axis=0)
     probe = norms._mc_estimate(gaps, chain([(pts, np.zeros_like(pts))], draws()), "linf")
     return norms._mc_estimate(gaps, draws()), replace(probe, samples=samples)

@@ -21,22 +21,16 @@ from ldbounds.queryfn import (
     RangeQuery,
     RankQuery,
     SortedLookup,
-    box_sum,
     cardinality,
     cardinality_batch,
-    easy_query_density,
     eval_batch,
-    matches,
     query_dims,
     range_sum,
     range_sum_batch,
     rank,
-    rank_batch,
-    sample_easy_queries,
-    sample_range_queries,
-    sample_rank_queries,
-    search_sorted,
+    uniform_block,
 )
+from oracles import easy_query_density, range_queries, sample_easy_queries
 
 
 def test_query_dims():
@@ -87,16 +81,9 @@ def test_range_sum_last_attribute():
         range_sum(make_dataset(np.array([0.5])), q)
 
 
-def test_matches_ignores_trailing_attributes():
-    q = RangeQuery(c=np.array([0.0]), r=np.array([0.5]))
-    assert matches(np.array([0.3, 0.99]), q)
-    assert not matches(np.array([0.6, 0.0]), q)
-    assert matches(np.array([0.3]), RankQuery(q=0.5))
-
-
 def test_batch_matches_scalar_ops(gen):
     ds = random_dataset(40, 2, seed=3)
-    C, R = sample_range_queries(25, 2, gen)
+    C, R = range_queries(25, 2, gen)
     got = cardinality_batch(ds.values, C, R)
     want = [cardinality(ds, RangeQuery(c=C[i], r=R[i])) for i in range(25)]
     assert np.array_equal(got, want)
@@ -108,7 +95,7 @@ def test_batch_matches_scalar_ops(gen):
 
     sorted_ds = random_sorted(40, seed=5)
     qs = gen.random(25)
-    got = rank_batch(sorted_ds.column(0), qs)
+    got = SortedLookup(sorted_ds.column(0))(qs, "right")
     want = [rank(sorted_ds, float(q)) for q in qs]
     assert np.array_equal(got, want)
 
@@ -139,13 +126,13 @@ def test_eval_batch_dispatch():
 
 
 def test_sample_rank_queries_range(gen):
-    qs = sample_rank_queries(1000, gen)
+    qs = uniform_block(OpKind.INDEX, 1, 1, 1000, gen)
     assert qs.shape == (1000,)
     assert qs.min() >= 0.0 and qs.max() <= 1.0
 
 
 def test_sample_range_queries_distribution(gen):
-    C, R = sample_range_queries(5000, 2, gen)
+    C, R = range_queries(5000, 2, gen)
     assert C.shape == (5000, 2) and R.shape == (5000, 2)
     assert np.all(R >= 0.0) and np.all(R <= 1.0)
     assert np.all(C >= -R - 1e-12) and np.all(C <= 1.0 - R + 1e-12)
@@ -263,7 +250,7 @@ def _distinct_rows(count, repeat, gen):
 
 
 def test_box_route_boundary(gen):
-    C, R = sample_range_queries(200, 2, gen)
+    C, R = range_queries(200, 2, gen)
     for extra, table in ((0, False), (1, True)):
         ds = make_dataset(_distinct_rows(queryfn._TABLE_MIN_ROWS + extra, 3, gen))
         assert (ds.count_index.table is not None) is table
@@ -274,7 +261,7 @@ def test_box_table_over_cap_falls_back_to_mask(monkeypatch, gen):
     points = _distinct_rows(60, 2, gen)
     ones = np.ones(points.shape[0])
     weights = gen.random(points.shape[0])
-    C, R = sample_range_queries(300, 2, gen)
+    C, R = range_queries(300, 2, gen)
     count_table, sum_table = BoxSum(points, ones), BoxSum(points, weights)
     assert sum_table.table is not None
     monkeypatch.setattr(queryfn, "_CHUNK_CELLS", sum_table.table.size - 1)
@@ -289,7 +276,7 @@ def test_box_table_over_cap_falls_back_to_mask(monkeypatch, gen):
 @pytest.mark.parametrize("count", [0, 1, 20, 32, 33, 60])
 def test_distinct_rows_build_the_constructors_kernel(monkeypatch, gen, count):
     rows = np.unique(_distinct_rows(count, 1, gen), axis=0)
-    C, R = sample_range_queries(300, 2, gen)
+    C, R = range_queries(300, 2, gen)
     for weights in (gen.integers(-3, 4, size=count).astype(np.float64), gen.random(count)):
         for cap in (4_000_000, 10):  # the table, then a table over its cap
             monkeypatch.setattr(queryfn, "_CHUNK_CELLS", cap)
@@ -329,7 +316,7 @@ def test_count_mask_sums_whole_weights_exactly(monkeypatch, gen, layout, edge):
     assert kernel.table is None and kernel.weights.dtype == dtype
     assert (kernel.columns.shape[1] <= queryfn._TABLE_MIN_ROWS) is (layout == "query-major")
     # every box on one row alone, the whole square, then uniform boxes
-    C, R = sample_range_queries(200, 2, gen)
+    C, R = range_queries(200, 2, gen)
     C = np.concatenate([points[::2], [[0.0, 0.0]], C])
     R = np.concatenate([np.zeros((rows, 2)), [[1.0, 1.0]], R])
     inside = np.all((points >= C[:, None]) & (points <= (C + R)[:, None]), axis=2)
@@ -346,7 +333,7 @@ def test_count_mask_chunks_give_one_chunks_answers(monkeypatch, gen, dq, rows):
     points = np.repeat(np.unique(np.round(gen.random((rows, dq)), 2), axis=0), 3, axis=0)
     u = points.shape[0] // 3
     ones = np.ones(points.shape[0])
-    C, R = sample_range_queries(101, dq, gen)
+    C, R = range_queries(101, dq, gen)
     ds = make_dataset(points)
     want = [cardinality(ds, RangeQuery(c=C[i], r=R[i])) for i in range(101)]
     whole = BoxSum(points, ones)
@@ -392,11 +379,11 @@ def test_mask_product_memory_within_cap(monkeypatch, gen):
     # is one chunk's per-axis edges, the (m,) answers and one chunk's product
     cap = 400_000
     monkeypatch.setattr(queryfn, "_CHUNK_CELLS", cap)
-    BoxSum(gen.random((50, 2)), np.ones(50))(*sample_range_queries(5, 2, gen))
+    BoxSum(gen.random((50, 2)), np.ones(50))(*range_queries(5, 2, gen))
     for n, dq, m in ((200, 3, 20_000), (3000, 2, 5000), (20, 2, 50_000)):
         kernel = BoxSum(gen.random((n, dq)), np.ones(n))
         assert kernel.table is None
-        C, R = sample_range_queries(m, dq, gen)
+        C, R = range_queries(m, dq, gen)
         tracemalloc.start()
         try:
             got = kernel(C, R)
@@ -416,7 +403,7 @@ def test_mask_sum_chunks_keep_one_byte_a_cell(monkeypatch, gen):
     kernel = BoxSum(points, gen.random(300))
     assert kernel.table is None and kernel.weights.shape == (25,)
     monkeypatch.setattr(queryfn, "_CHUNK_CELLS", 25 * 10)
-    C, R = sample_range_queries(995, 2, gen)
+    C, R = range_queries(995, 2, gen)
     rows = kernel.columns.T
     want = []
     for s in range(0, 995, 10):
@@ -432,8 +419,8 @@ def test_box_sum_weights_collapsed_duplicates():
     C = np.array([[0.5, 0.5], [0.0, 0.0], [0.6, 0.0]])
     R = np.array([[0.0, 0.0], [1.0, 1.0], [0.4, 1.0]])
     want = [11.0, 15.0, 0.0]
-    assert np.array_equal(box_sum(points, weights, C, R), want)
-    assert np.array_equal(box_sum(points[:, :1], weights, C[:, :1], R[:, :1]), want)
+    assert np.array_equal(BoxSum(points, weights)(C, R), want)
+    assert np.array_equal(BoxSum(points[:, :1], weights)(C[:, :1], R[:, :1]), want)
 
 
 # a small pool of values, negative ones included, so that levels repeat
@@ -475,7 +462,7 @@ def test_search_sorted_matches_numpy(levels, keys, side):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for batch in (keys, np.resize(keys, queryfn._SMALL_BATCH + keys.size)):
-            got = search_sorted(levels, batch, side)
+            got = SortedLookup(levels)(batch, side)
             assert got.dtype == np.intp and got.shape == batch.shape
             assert np.array_equal(got, np.searchsorted(levels, batch, side=side))
 
@@ -558,7 +545,7 @@ def test_table_built_by_slabs_matches_cumsum_bit_for_bit(dq, n, steps, seed, sla
         kernel = BoxSum(points, weights)
     assume(kernel.table is not None)  # within _CHUNK_CELLS
     assert np.array_equal(kernel.table, _cumsum_table(points, weights))
-    C, R = sample_range_queries(200, dq, gen)
+    C, R = range_queries(200, dq, gen)
     want = [float(weights[np.all((points >= c) & (points <= c + r), axis=1)].sum())
             for c, r in zip(C, R)]
     assert np.allclose(kernel(C, R), want, rtol=1e-12, atol=1e-9)
@@ -591,7 +578,7 @@ def test_orthant_table_of_whole_weights_matches_cumsum(dq, levels, repeats, seed
         by_cumsum = BoxSum(points, weights)
     assert kernel.table.dtype == np.int32 and by_cumsum.table.dtype == np.float64
     assert np.array_equal(kernel.table, _cumsum_table(points, weights))
-    C, R = sample_range_queries(100, dq, gen)
+    C, R = range_queries(100, dq, gen)
     C = np.concatenate([C, np.round(C * 4) / 4, np.zeros((1, dq))])  # edges on records
     R = np.concatenate([R, np.round(R * 4) / 4, np.ones((1, dq))])
     got = kernel(C, R)
@@ -626,7 +613,7 @@ def test_count_table_is_int32_only_on_its_route(case, dtype, gen):
     kernel = BoxSum(points, weights)
     assert kernel.table.dtype == dtype
     assert np.array_equal(kernel.table, _cumsum_table(points, weights))
-    C, R = sample_range_queries(300, 2, gen)
+    C, R = range_queries(300, 2, gen)
     C, R = np.concatenate([C, [[0.0, 0.0]]]), np.concatenate([R, [[1.0, 1.0]]])
     got = kernel(C, R)
     assert got.dtype == np.float64
@@ -647,7 +634,7 @@ def test_count_table_build_peaks_near_four_bytes_a_cell(gen):
 
 
 def test_key_order_lookups_take_an_empty_batch(gen):
-    assert rank_batch(np.array([0.0, 0.5]), np.empty(0)).shape == (0,)
+    assert SortedLookup(np.array([0.0, 0.5]))(np.empty(0), "right").shape == (0,)
     for dq in (1, 2):
         kernel = BoxSum(gen.random((40, dq)), np.ones(40))
         assert kernel.table is not None
@@ -660,7 +647,7 @@ def test_index_batches_reuse_sorted_column():
     assert np.array_equal(col, np.sort(ds.values[:, 0]))
     assert ds.sorted_column is col
     qs = np.array([0.1, 0.5, 0.9])
-    assert np.array_equal(eval_batch(ds, OpKind.INDEX, qs), rank_batch(col, qs))
+    assert np.array_equal(eval_batch(ds, OpKind.INDEX, qs), SortedLookup(col)(qs, "right"))
     qs = np.linspace(-0.5, 1.5, 1000)  # past the gate: the dataset's one lookup
     assert np.array_equal(eval_batch(ds, OpKind.INDEX, qs), np.searchsorted(col, qs, "right"))
     lookup = ds.rank_lookup

@@ -99,3 +99,69 @@ def test_all_lists_every_imported_name():
         for alias in node.names
     ]
     assert sorted(ldbounds.__all__) == sorted(imported)
+
+
+# Module-level names no src/ code reaches, each kept for a reason
+UNREFERENCED_ALLOWED = {
+    # bench/tracing.py wraps these two by name to time the box-sum kernel
+    "cardinality_batch",
+    "range_sum_batch",
+    # the reference route the README names for checking rank_l1
+    "rank_l1_oracle",
+}
+
+
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level functions and classes that no source references.
+
+    `sources` maps file names, `__init__.py` among them, to source text.
+    A definition counts as referenced when its name appears as an
+    `ast.Name` or as the attribute of an `ast.Attribute` in any of the
+    sources, or when `__init__.py` imports it.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    used.update(
+        alias.name
+        for node in ast.walk(trees["__init__.py"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    )
+    return sorted(
+        f"{name}: {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef)
+        and node.name not in used
+    )
+
+
+def test_unreferenced_definitions_detects_a_test_only_helper():
+    sources = {
+        "__init__.py": "from .a import exported\n",
+        "a.py": (
+            "class Kernel:\n"
+            "    pass\n"
+            "def exported():\n"
+            "    return _used() + b.called()\n"
+            "def _used():\n"
+            "    return Kernel\n"
+            "def helper():\n"
+            "    return 1\n"
+        ),
+        "b.py": "def called():\n    return 2\n",
+    }
+    assert unreferenced_definitions(sources) == ["a.py: helper"]
+
+
+def test_src_defines_only_what_src_runs():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    # equality, so an allowed name that gains a caller or goes leaves the list too
+    flagged = {entry.split(": ")[1] for entry in unreferenced_definitions(sources)}
+    assert flagged == UNREFERENCED_ALLOWED
