@@ -15,9 +15,15 @@ sum with one running term, updated exactly in integers: the binomial
 C(y, i), or the falling factorial P(y, i) = y!/(y-i)! = C(y, i) i!.  From
 one record to the next C(y+1, i+1) = C(y, i) (y+1) / (i+1) and
 P(y+1, i+1) = P(y, i) (y+1); along a gap both move by (y+1) / (y+1-i)
-(downward when unranking).  A gap longer than _WALK, or leaving the zero
-region (x_i = 0, so C(y, i) = 0 carries nothing to update from), is a
-jump: one `math.comb` (rank) or a float guess checked exactly (unrank).
+(downward when unranking).  Rank gathers a record's factors, the step
+from the record before and the gap's unit steps, into one numerator and
+one denominator, and divides the term whenever the denominator would
+outgrow one CPython digit (2^30): every partial product is an exact C or
+P, so each division is exact, and a walked record mostly costs one
+big-integer division instead of one per cell.  A gap longer than _WALK,
+or leaving the zero region (x_i = 0, so C(y, i) = 0 carries nothing to
+update from), is a jump: one `math.comb` (rank) or a float guess checked
+exactly (unrank).
 A jump right after another jump moves the walk to falling factorials
 instead, which `math.perm` builds with no division: rank sums their terms
 by Horner's rule, S <- S i + P(y, i), and unrank keeps its remaining rank
@@ -28,7 +34,10 @@ them included, never carry the i! factor.  Unrank does not wait for
 _WALK steps to fail: after two, a bound on how fast the term can fall
 (`_walk_reaches`) tells whether the rest could reach the crossing, and if
 not it jumps there at once.  The guess is closed-form, refined by at most
-three Newton steps on `bounds.log_falling`.
+three Newton steps on `bounds.log_falling`.  `cover_encode` reads the code
+width, the bit length of C(m + A - 1, m) - 1, from that float log too
+(`_code_width`), and builds the exact count only when the float lies
+within _WIDTH_MARGIN bits of a whole number.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ from __future__ import annotations
 import math
 import operator
 import struct
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -82,10 +92,12 @@ VERSION = 1
 # .ldbc header: magic, version, op byte, n, d, resolution, payload length
 _HEADER = struct.Struct("<4sBBQHQI")
 # longest gap in y the codec crosses by exact unit steps; a longer one costs
-# one math.comb or math.perm (rank) or a float-guided search (unrank)
-_WALK = 64
-_FLOAT_SAFE = 2**1000  # the guess takes y as a float
+# one math.comb or math.perm (rank) or a float-guided search (unrank), less
+# than the 17 or more unit steps on a term of thousands of bits
+_WALK = 16
+_FLOAT_SAFE = 2**1000  # floats take y below this: unrank's guess, the code width
 _FLOAT_EXACT = 2**53  # floats hold every integer below this, and no finer
+_WIDTH_MARGIN = 1e-3  # bits; _code_width's float log2 errs by under 1e-7 bits
 
 
 # -- multiset codec ----------------------------------------------------------
@@ -106,6 +118,7 @@ def multiset_rank(items, alphabet: int) -> int:
     """
     if alphabet < 1:
         raise InvalidParams("need alphabet >= 1")
+    digit = 1 << sys.int_info.bits_per_digit  # a divisor below this divides fastest
     rank = c = y = prev = 0
     jumped, run = -1, None  # the last record that jumped
     for i, x in enumerate(items, start=1):
@@ -117,14 +130,19 @@ def multiset_rank(items, alphabet: int) -> int:
             raise InvalidParams("items must be sorted ascending within the alphabet")
         prev = x
         target = x + i - 1
-        if c:
+        if c and target - y <= _WALK + 1:
+            # C(y, i) = C(y-1, i-1) y / i, or P(y, i) = P(y-1, i-1) y, then
+            # C(y, i) = C(y-1, i) y / (y - i), and so P: the factors gather in
+            # num / den, applied whenever den would outgrow one digit
             y += 1
-            # C(y, i) = C(y-1, i-1) y / i, or P(y, i) = P(y-1, i-1) y
-            c = c * y // i if run is None else c * y
-        if c and target - y <= _WALK:
+            num, den = y, (i if run is None else 1)
             while y < target:
                 y += 1
-                c = c * y // (y - i)  # C(y, i) = C(y-1, i) y / (y - i), and so P
+                if den * (y - i) >= digit:
+                    c, num, den = c * num // den, y, y - i  # an exact C or P
+                else:
+                    num, den = num * y, den * (y - i)
+            c = c * num // den
         elif x:  # a long gap, or leaving the zero region where C(y, i) = 0
             if run is None and jumped < i - 1:  # a lone jump keeps binomials
                 c = math.comb(target, i)
@@ -513,6 +531,25 @@ def _code_space(n: int, alphabet: int) -> tuple[int, int]:
     return total, (total - 1).bit_length()
 
 
+def _code_width(n: int, alphabet: int) -> int:
+    """(multiset_count(n, alphabet) - 1).bit_length(), from floats where they settle it.
+
+    That width is ceil(log2 C(N, k)), N = n + alphabet - 1, k = min(n,
+    alphabet - 1).  `log_falling` and `lgamma` give log2 C(N, k) within far
+    less than _WIDTH_MARGIN bits, so unless it lies that close to a whole
+    number its ceiling is the width; otherwise, or past _FLOAT_SAFE, the
+    exact count decides.
+    """
+    k, big = min(n, alphabet - 1), n + alphabet - 1
+    if k < 1:
+        return 0  # one multiset, indexed by 0 bits
+    if big < _FLOAT_SAFE:  # log_falling takes N as a float
+        bits = (log_falling(big, k) - math.lgamma(k + 1)) / math.log(2)
+        if abs(bits - round(bits)) > _WIDTH_MARGIN:
+            return math.ceil(bits)
+    return _code_space(n, alphabet)[1]
+
+
 def _width_holds_count(n: int, alphabet: int, bits: int) -> bool:
     """False if `bits` surely cannot index every n-multiset; O(1) float work.
 
@@ -568,7 +605,7 @@ def cover_encode(
     ids = ids.tolist()
     alphabet = base**data_d
     index = multiset_rank(ids, alphabet)
-    _, bits = _code_space(n, alphabet)
+    bits = _code_width(n, alphabet)
     if index >> bits:
         raise InvalidParams("internal: index exceeds its advertised bit length")
     return CoverCode(op=op, n=n, d=data_d, resolution=u, index=index, bit_length=bits)
@@ -580,6 +617,8 @@ def cover_decode(code: CoverCode, cdf: Callable | None = None) -> Dataset:
     Records come back in ascending cell-id order (sorted ascending for
     indexing); pass the same cdf used at encode time for quantile covers.
     """
+    if not 1 <= code.resolution < _FLOAT_EXACT:  # as cover_encode and read_cover allow
+        raise InvalidParams(f"resolution {code.resolution} outside [1, 2**53)")
     base = code.resolution + 1
     alphabet = base**code.d
     if not _width_holds_count(code.n, alphabet, code.bit_length):

@@ -22,11 +22,12 @@ import itertools
 import json
 import logging
 import numbers
+import operator
 import os
 import pickle
 import threading
 import traceback
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 from . import bounds as bnd
@@ -366,7 +367,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRun:
     )
 
 
-CSV_HEADER = ",".join(f.name for f in fields(ResultRow))
+_ROW_FIELDS = tuple(f.name for f in fields(ResultRow))
+CSV_HEADER = ",".join(_ROW_FIELDS)
 
 
 def _csv_field(value) -> str:
@@ -377,7 +379,9 @@ def _csv_field(value) -> str:
 
 def emit_csv(rows, path: str) -> None:
     """Fixed header, repr-formatted floats: identical runs give identical bytes."""
-    lines = [CSV_HEADER] + [",".join(map(_csv_field, astuple(r))) for r in rows]
+    # a shallow tuple per row: dataclasses.astuple deep-copies every field
+    row_values = operator.attrgetter(*_ROW_FIELDS)
+    lines = [CSV_HEADER] + [",".join(map(_csv_field, row_values(r))) for r in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

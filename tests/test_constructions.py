@@ -146,15 +146,44 @@ def _alternating(m: int, short: int, long: int, seed: int) -> list[int]:
     return out[:m]
 
 
+def _input_class(name: str, seed: int) -> tuple[list[int], int]:
+    """(items, alphabet): a small instance of one input class of the codec."""
+    gen = random.Random(seed)
+    if name == "dense":  # every cell but one filled
+        return sorted(gen.randrange(201) for _ in range(200)), 201
+    if name == "half":
+        return sorted(gen.randrange(201) for _ in range(100)), 201
+    if name == "sparse":  # m records in (m + 1)^2 cells
+        return sorted(gen.randrange(61**2) for _ in range(60)), 61**2
+    if name == "clustered":  # every record in 1% of the cells
+        return _clustered(200, 200, 20_001, seed), 20_001
+    # mixed: a gap of 65-10^4 cells every fifth record, 0-3 cells otherwise
+    gaps = [gen.randint(65, 10**4) if k % 5 == 0 else gen.randint(0, 3) for k in range(100)]
+    return list(itertools.accumulate(gaps)), 10**6
+
+
 @st.composite
 def _multisets(draw):
     """(alphabet, sorted multiset): a zero prefix, then values drawn from the
     whole alphabet or from a pool of at most three symbols (long equal runs);
     or a dense run clustered in a wide alphabet; or runs of short and long
-    gaps in turn."""
-    shape = draw(st.sampled_from(["spread", "clustered", "alternating"]))
+    gaps in turn; or a dense run from a cell past 2^16, where the walk's
+    gathered denominator i (y - i) ... passes one 30-bit digit within two
+    unit steps, or past 2^30, where each step's factor fills a digit alone
+    (two or three long jumps may lead in, so the run starts in the
+    falling-factorial scale)."""
+    shape = draw(st.sampled_from(["spread", "clustered", "alternating", "far"]))
     m = draw(st.integers(0, 300))
     seed = draw(st.integers(0, 2**32))
+    if shape == "far":
+        lead = draw(st.sampled_from([0, 2, 3]))
+        x = draw(st.integers(2**16, 2**24) | st.integers(2**30, 2**40))
+        gen, items = random.Random(seed), []
+        for k in range(m):
+            x += (gen.randint(constructions._WALK + 2, 10**4) if k < lead
+                  else gen.randint(0, constructions._WALK))
+            items.append(x)
+        return draw(st.integers(x + 1, 4 * x)), items
     if shape == "clustered":
         alphabet = draw(st.integers(10**5, 10**9))
         return alphabet, _clustered(m, draw(st.integers(1, 2 * m + 1)), alphabet, seed)
@@ -173,7 +202,7 @@ def _multisets(draw):
     return alphabet, sorted([0] * zeros + rest)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(_multisets(), st.data())
 def test_multiset_codec_matches_oracle(case, data):
     alphabet, items = case
@@ -200,7 +229,11 @@ def test_multiset_codec_matches_oracle(case, data):
         ([0, 5, 2**1099, 2**1100 - 1], 2**1100),  # past float range: no lgamma guess
         (_clustered(2000, 2500, 10**6, 0), 10**6),  # one jump, then a dense walk
         (_alternating(400, 30, 10**5, 0), 10**9),  # scale switches both ways
-        ([0] * 150 + _alternating(150, 64, 65, 1), 10**9),  # gaps at the walk's edge
+        ([0] * 150 + _alternating(150, 64, 65, 1), 10**9),  # gaps of up to 65 cells
+        ([0] * 150 + _alternating(150, constructions._WALK, constructions._WALK + 1, 2),
+         10**9),  # gaps at the walk's edge
+        *(_input_class(name, seed) for name in ("dense", "half", "sparse", "clustered", "mixed")
+          for seed in (0, 1)),
     ],
 )
 def test_multiset_codec_edge_cases(items, alphabet):
@@ -1102,6 +1135,65 @@ def test_container_rejects_a_resolution_floats_cannot_index(tmp_path):
         write_cover(CoverCode(OpKind.INDEX, 1, 1, u, total - 2, (total - 1).bit_length()), path)
         with pytest.raises(FormatError, match="header fields"):
             read_cover(path)
+
+
+def test_decode_refuses_a_resolution_floats_cannot_index():
+    # 2**53 + 1 decoded a cell below 1 as 1.0, and resolution 0 divided by 0
+    for u in (0, 2**53, 2**53 + 1, 2**64 - 1):
+        total = multiset_count(1, u + 1)
+        code = CoverCode(OpKind.INDEX, 1, 1, u, min(2**53, total - 1), (total - 1).bit_length())
+        with pytest.raises(InvalidParams, match="resolution"):
+            cover_decode(code)
+
+
+def _width_sweep() -> list[tuple[int, int]]:
+    """(n, alphabet) pairs: n up to 20,000, alphabets (u + 1)^d up to 2^60 at
+    d = 1-3, and counts that are powers of two, C(2^j, 1) and C(2^j, 2^j - 1)."""
+    gen = random.Random(32)
+    cases = [(n, a) for n in (1, 2, 3, 15, 16, 17, 100) for a in (1, 2, 3, 16, 17, 101)]
+    cases += [(1, 2**j) for j in range(1, 61)] + [(2**j - 1, 2) for j in range(1, 15)]
+    cases += [(20_000, 20_001), (20_000, 2**20), (20_000, 2**60), (1, 2**60), (2, 2**60)]
+    for _ in range(200):
+        d = gen.randint(1, 3)
+        u = gen.randint(1, round(2 ** (60 / d)) - 1)
+        n = gen.randint(1, gen.choice([50, 2_000, 20_000 if u < 2**20 else 2_000]))
+        cases.append((n, (u + 1) ** d))
+    return cases
+
+
+def test_code_width_matches_the_exact_count(monkeypatch):
+    exact = constructions._code_space
+    calls = {"exact": 0}
+
+    def counting(*args):
+        calls["exact"] += 1
+        return exact(*args)
+
+    monkeypatch.setattr(constructions, "_code_space", counting)
+    near_whole = 0
+    for n, alphabet in _width_sweep():
+        total, bits = exact(n, alphabet)
+        assert constructions._code_width(n, alphabet) == bits, (n, alphabet)
+        shift = max(total.bit_length() - 60, 0)
+        log2_total = shift + math.log2(total >> shift)
+        near_whole += alphabet > 1 and (
+            abs(log2_total - round(log2_total)) <= constructions._WIDTH_MARGIN
+        )
+    # only counts within the margin of a power of two ask for the exact count
+    # (a one-letter alphabet has one multiset and needs no count at all)
+    assert calls["exact"] == near_whole >= 74
+    # past _FLOAT_SAFE the width comes from the exact count
+    alphabet = 2**1100 + 7
+    assert constructions._code_width(3, alphabet) == exact(3, alphabet)[1]
+
+
+def test_code_width_fallback_is_exact(monkeypatch):
+    # with the margin at a whole bit every width comes from the exact count
+    monkeypatch.setattr(constructions, "_WIDTH_MARGIN", 1.0)
+    for n, alphabet in _width_sweep()[::4]:
+        assert constructions._code_width(n, alphabet) == (
+            (multiset_count(n, alphabet) - 1).bit_length()
+        ), (n, alphabet)
 
 
 def test_width_check_accepts_every_exact_width():
